@@ -31,7 +31,7 @@ from .config import (
     load_scenario,
     suspension_matrices,
 )
-from .data import dataset_read, dataset_write, simulate_zoh
+from .data import dataset_read, dataset_write, simulate_zoh, write_json
 from .errors import (
     AdmmDivergenceError,
     ConfigError,
@@ -45,6 +45,7 @@ from .pipeline import (
     run_attack,
     run_scenario,
     settling_step,
+    trajectory_write,
 )
 from .poison import AdmmConfig
 from .sysid import identify, model_write
@@ -133,9 +134,7 @@ def cmd_attack(args) -> int:
         "converged": result.converged,
         "admm_residuals": result.residuals,
     }
-    with open(os.path.join(args.out, "attack_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "attack_report.json"), doc)
     status = "converged" if result.converged else "NOT converged"
     print(
         f"attack {status}: residual {result.residuals[-1]:.3e}, "
@@ -151,14 +150,7 @@ def cmd_evaluate(args) -> int:
     res = evaluate_closed_loop(scenario.system, K, horizon)
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, "trajectory.csv")
-    n = res.states.shape[1]
-    lines = [",".join(["step", "t"] + [f"x{i}" for i in range(n)])]
-    for k, row in enumerate(res.states):
-        lines.append(
-            ",".join([str(k), repr(k * scenario.system.dt)] + [repr(float(v)) for v in row])
-        )
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    trajectory_write(out_csv, res.states, scenario.system.dt)
     settle = settling_step(res.states)
     print(
         f"{name}: cost {res.cost:.6g}, diverged={res.diverged}, "

@@ -7,7 +7,10 @@ x_{k+1} = F x_k + G u_k, so the data is exactly consistent with the model
 class the identification stage fits (no integrator error, no noise).
 
 Datasets serialize to CSV with a JSON metadata sidecar. Floats are written
-as shortest round-trip decimals so read(write(d)) == d bit for bit.
+as shortest round-trip decimals so read(write(d)) == d bit for bit. Every
+file the package writes goes through ``write_atomic`` (JSON documents via
+``write_json``), and every indexed CSV, datasets and closed-loop
+trajectories alike, is formatted by ``indexed_csv_lines``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -141,29 +144,50 @@ def _meta_path(path: str) -> str:
     return base + ".meta.json"
 
 
+def write_atomic(path: str, lines: Iterable[str]) -> None:
+    """Stream ``lines`` (each with its own newline) to ``path`` atomically.
+
+    The lines go to ``path + ".tmp"``, which then replaces ``path``, so a
+    reader sees the old file or the complete new one, never a partial write.
+    Lines are written as they are produced; the whole text is never held.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    os.replace(tmp, path)
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` as indented, key-sorted JSON, atomically."""
+    write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+
+
+def indexed_csv_lines(
+    header: list[str], dt: float, rows: np.ndarray
+) -> Iterator[str]:
+    """CSV lines: ``header``, then ``k,k*dt,row...`` for each row of ``rows``.
+
+    Floats are formatted with ``repr``, the shortest decimal that reads back
+    to the same double, so parsing the file recovers ``rows`` exactly.
+    """
+    yield ",".join(header) + "\n"
+    fmt = "{},{!r}" + ",{!r}" * rows.shape[1] + "\n"
+    for k, row in enumerate(rows.tolist()):
+        yield fmt.format(k, k * dt, *row)
+
+
 def dataset_write(d: BatchDataset, path: str) -> None:
-    """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar."""
+    """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar, atomically."""
     cols = (
         ["k", "t"]
         + [f"x{i}" for i in range(d.n)]
         + [f"u{i}" for i in range(d.m)]
         + ["c"]
     )
-    lines = [",".join(cols)]
-    for k in range(d.N):
-        vals = [str(k), repr(k * d.dt)]
-        vals += [repr(float(v)) for v in d.xs[k]]
-        vals += [repr(float(v)) for v in d.us[k]]
-        vals.append(repr(float(d.cs[k])))
-        lines.append(",".join(vals))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    rows = np.column_stack([d.xs, d.us, d.cs])
+    write_atomic(path, indexed_csv_lines(cols, d.dt, rows))
     meta = {"dt": d.dt, "n": d.n, "m": d.m, "seed": d.seed}
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    write_atomic(_meta_path(path), [json.dumps(meta, sort_keys=True) + "\n"])
 
 
 def dataset_read(path: str) -> BatchDataset:

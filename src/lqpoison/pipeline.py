@@ -6,6 +6,11 @@ synthesize the attack, re-run the learner on the poisoned data, and compare
 closed-loop behaviour of both learned gains on the true plant. Results are
 collected in a ``ScenarioReport`` and written as JSON plus plot-ready CSVs.
 
+Closed-loop rollouts advance in blocks: with M = F + G K, the next
+``ROLLOUT_BLOCK`` states after x_k are M^1 x_k ... M^b x_k, taken from a
+precomputed table of powers in one batched matmul. The divergence cut is
+still found at the exact step.
+
 The report JSON is byte-deterministic for a fixed config and seed; wall
 clock timings go to a separate ``timings.json`` sidecar so reruns produce
 identical reports.
@@ -13,7 +18,6 @@ identical reports.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .data import BatchDataset, ExcitationPolicy, simulate_zoh
+from .data import (
+    BatchDataset,
+    ExcitationPolicy,
+    indexed_csv_lines,
+    simulate_zoh,
+    write_atomic,
+    write_json,
+)
 from .lq import LQSystem, RiccatiSolution, care_solve
 from .poison import (
     AdmmConfig,
@@ -35,6 +46,7 @@ from .poison import (
 from .sysid import SysIdEstimate, estimate_qr, identify
 
 DIVERGENCE_NORM = 1e9
+ROLLOUT_BLOCK = 256  # closed-loop steps advanced per batched matmul
 LEARNER_SERIES_EPS = 1e-10  # tight log-series tolerance for the learner emulation
 
 
@@ -139,36 +151,56 @@ def run_attack(
 def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     """Simulate the true plant under u = K x with ZOH at the plant's dt.
 
-    An unstable loop is truncated once the state norm passes
-    ``DIVERGENCE_NORM`` and flagged, not raised: diverging is a legitimate
-    outcome the caller wants to see.
+    The states x_{k+1} = M x_k, M = F + G K, are filled in blocks of up to
+    ``ROLLOUT_BLOCK`` rows: each block is M^1..M^c applied to the block's
+    first state in one batched matmul. The cost is the Riemann sum of
+    (x^T Q x + u^T R u) dt over every state but the last.
+
+    An unstable loop is truncated at the first state whose norm is not
+    within ``DIVERGENCE_NORM`` (a non-finite norm counts as past it); that
+    state is kept and the run is flagged, not raised: diverging is a
+    legitimate outcome the caller wants to see.
     """
     K = linalg.as_matrix(K, "K")
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
     F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
-    states = [sys.x0.copy()]
-    cost = 0.0
-    x = sys.x0.copy()
+    M = F + G @ K
+    states = np.empty((horizon + 1, sys.n))
+    states[0] = sys.x0
     diverged = False
-    for _ in range(horizon):
-        u = K @ x
-        cost += float(x @ sys.Q @ x + u @ sys.R @ u) * sys.dt
-        x = F @ x + G @ u
-        states.append(x.copy())
-        if np.linalg.norm(x) > DIVERGENCE_NORM:
-            diverged = True
-            break
-    return ClosedLoopResult(states=np.array(states), cost=cost, diverged=diverged)
+    # Far powers of a strongly unstable M may overflow. Blocks use only the
+    # leading finite powers, so inf * 0 cannot put a NaN in a row the
+    # step-by-step recursion keeps finite; rows past the cut are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pows = np.empty((min(ROLLOUT_BLOCK, horizon), sys.n, sys.n))
+        power = np.eye(sys.n)
+        for p in pows:  # pows[j] = M^(j+1)
+            power = np.matmul(M, power, out=p)
+        finite = np.isfinite(pows).all(axis=(1, 2))
+        b = max(1, len(pows) if finite.all() else int(np.argmin(finite)))
+        for k in range(0, horizon, b):
+            c = min(b, horizon - k)
+            block = states[k + 1 : k + 1 + c]
+            np.matmul(pows[:c], states[k], out=block)
+            within = np.linalg.norm(block, axis=1) <= DIVERGENCE_NORM
+            if not within.all():
+                states = states[: k + 2 + int(np.argmin(within))].copy()
+                diverged = True
+                break
+    X = states[:-1]
+    U = X @ K.T
+    stage = np.einsum("ki,ki->k", X @ sys.Q, X) + np.einsum("ki,ki->k", U @ sys.R, U)
+    cost = float(np.sum(stage) * sys.dt)
+    return ClosedLoopResult(states=states, cost=cost, diverged=diverged)
 
 
 def settling_step(states: np.ndarray, frac: float = 0.05) -> int | None:
     """First step index after which ||x|| stays below frac * ||x0||, if any."""
     norms = np.linalg.norm(states, axis=1)
-    thr = frac * norms[0]
-    below = norms < thr
-    for k in range(len(norms)):
-        if below[k:].all():
-            return k
-    return None
+    tail_max = np.maximum.accumulate(norms[::-1])[::-1]  # max of norms[k:]
+    settled = np.flatnonzero(tail_max < frac * norms[0])
+    return int(settled[0]) if settled.size else None
 
 
 def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
@@ -240,19 +272,10 @@ def _mat(M) -> list | None:
     return None if M is None else np.asarray(M).tolist()
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _trajectory_csv(states: np.ndarray, dt: float) -> str:
-    n = states.shape[1]
-    lines = [",".join(["step", "t"] + [f"x{i}" for i in range(n)])]
-    for k, row in enumerate(states):
-        lines.append(",".join([str(k), repr(k * dt)] + [repr(float(v)) for v in row]))
-    return "\n".join(lines) + "\n"
+def trajectory_write(path: str, states: np.ndarray, dt: float) -> None:
+    """Write a rollout as CSV (header step,t,x*), atomically."""
+    header = ["step", "t"] + [f"x{i}" for i in range(states.shape[1])]
+    write_atomic(path, indexed_csv_lines(header, dt, states))
 
 
 def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
@@ -272,28 +295,21 @@ def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
     }
     if report.errors:
         doc["errors"] = dict(report.errors)
-    _write_atomic(
-        os.path.join(outdir, "report.json"),
-        json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    )
-    _write_atomic(
-        os.path.join(outdir, "timings.json"),
-        json.dumps({"timings_s": report.timings}, indent=2, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(outdir, "report.json"), doc)
+    write_json(os.path.join(outdir, "timings.json"), {"timings_s": report.timings})
     if report.clean_trajectory is not None:
-        _write_atomic(
-            os.path.join(outdir, "clean_trajectory.csv"),
-            _trajectory_csv(report.clean_trajectory, dt),
+        trajectory_write(
+            os.path.join(outdir, "clean_trajectory.csv"), report.clean_trajectory, dt
         )
     if report.poisoned_trajectory is not None:
-        _write_atomic(
+        trajectory_write(
             os.path.join(outdir, "poisoned_trajectory.csv"),
-            _trajectory_csv(report.poisoned_trajectory, dt),
+            report.poisoned_trajectory,
+            dt,
         )
     if report.attack_cost_series is not None:
-        lines = ["step,cumulative_cost"]
-        for k, v in enumerate(report.attack_cost_series):
-            lines.append(f"{k},{float(v)!r}")
-        _write_atomic(
-            os.path.join(outdir, "attack_cost.csv"), "\n".join(lines) + "\n"
+        series = report.attack_cost_series.tolist()
+        write_atomic(
+            os.path.join(outdir, "attack_cost.csv"),
+            ["step,cumulative_cost\n"] + [f"{k},{v!r}\n" for k, v in enumerate(series)],
         )

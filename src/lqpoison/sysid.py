@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import BatchDataset
+from .data import BatchDataset, write_json
 from .errors import (
     ConvergenceError,
     EstimationError,
@@ -54,8 +54,12 @@ class SysIdEstimate:
 
 
 def _deficient_directions(Z: np.ndarray, rank: int, labels: list[str]) -> str:
-    """Human-readable description of the null-space directions of Z."""
-    _, _, Vt = np.linalg.svd(Z, full_matrices=True)
+    """Human-readable description of the null-space directions of Z.
+
+    Z must have at least as many rows as columns, so the thin SVD already
+    holds every right singular vector and no rows x rows U is formed.
+    """
+    _, _, Vt = np.linalg.svd(Z, full_matrices=False)
     descs = []
     for v in Vt[rank:]:
         terms = [
@@ -233,9 +237,7 @@ def model_write(est: SysIdEstimate, dt: float, path: str) -> None:
         "Qhat": None if est.Qhat is None else est.Qhat.tolist(),
         "Rhat": None if est.Rhat is None else est.Rhat.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def model_read(path: str) -> tuple[SysIdEstimate, float]:

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -107,6 +109,36 @@ class TestDatasetIO:
         assert np.array_equal(back.cs, case1_data.cs)
         assert back.dt == case1_data.dt
         assert back.seed == case1_data.seed
+
+    def test_write_bytes_and_round_trip(self, tmp_path):
+        rng = np.random.default_rng(4)
+        N, n, m = 300, 10, 3
+        scale = np.logspace(-300, 300, N)[:, None]
+        xs = rng.normal(size=(N, n)) * scale
+        xs[5, :2] = [0.0, -0.0]
+        d = BatchDataset(
+            xs=xs, us=rng.normal(size=(N, m)), cs=rng.normal(size=N) * scale[:, 0],
+            dt=0.005, seed=7,
+        )
+        path = str(tmp_path / "d.csv")
+        dataset_write(d, path)
+        # reference: one repr(float(v)) per value, as the format is defined
+        lines = [",".join(
+            ["k", "t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)] + ["c"]
+        )]
+        for k in range(N):
+            vals = [str(k), repr(k * d.dt)] + [repr(float(v)) for v in d.xs[k]]
+            vals += [repr(float(v)) for v in d.us[k]] + [repr(float(d.cs[k]))]
+            lines.append(",".join(vals))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == "\n".join(lines) + "\n"
+        with open(str(tmp_path / "d.meta.json"), encoding="utf-8") as fh:
+            assert json.load(fh) == {"dt": 0.005, "m": m, "n": n, "seed": 7}
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.meta.json"]
+        back = dataset_read(path)
+        assert np.array_equal(back.xs, d.xs) and np.array_equal(back.us, d.us)
+        assert np.array_equal(back.cs, d.cs)
+        assert np.array_equal(np.signbit(back.xs), np.signbit(d.xs))
 
     def test_header_mismatch(self, tmp_path, case1_data):
         path = str(tmp_path / "d.csv")

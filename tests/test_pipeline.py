@@ -1,13 +1,17 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from lqpoison import linalg
 from lqpoison.data import BatchDataset, ExcitationPolicy
 from lqpoison.errors import IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.pipeline import (
+    DIVERGENCE_NORM,
+    ClosedLoopResult,
     Scenario,
     evaluate_closed_loop,
     report_write,
@@ -15,8 +19,49 @@ from lqpoison.pipeline import (
     run_learner,
     run_scenario,
     settling_step,
+    trajectory_write,
 )
 from lqpoison.poison import AdmmConfig
+
+
+def sequential_rollout(sys, K, horizon):
+    """Reference oracle: the step-by-step closed-loop recursion x <- Fx + GKx."""
+    K = linalg.as_matrix(K, "K")
+    F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
+    states = [sys.x0.copy()]
+    cost = 0.0
+    x = sys.x0.copy()
+    diverged = False
+    for _ in range(horizon):
+        u = K @ x
+        cost += float(x @ sys.Q @ x + u @ sys.R @ u) * sys.dt
+        x = F @ x + G @ u
+        states.append(x.copy())
+        if np.linalg.norm(x) > DIVERGENCE_NORM:
+            diverged = True
+            break
+    return ClosedLoopResult(states=np.array(states), cost=cost, diverged=diverged)
+
+
+def assert_matches_oracle(sys, K, horizon):
+    ref = sequential_rollout(sys, K, horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = evaluate_closed_loop(sys, K, horizon)
+    assert res.states.shape == ref.states.shape
+    assert res.diverged == ref.diverged
+    scale = np.max(np.linalg.norm(ref.states, axis=1))
+    assert np.max(np.abs(res.states - ref.states)) <= 1e-9 * scale
+    assert abs(res.cost - ref.cost) <= 1e-12 * abs(ref.cost)
+    return res
+
+
+def csv_reference(header, dt, rows):
+    """Reference formatting: one ``repr(float(v))`` per value, joined in memory."""
+    lines = [",".join(header)]
+    for k, row in enumerate(rows):
+        lines.append(",".join([str(k), repr(k * dt)] + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 class TestRunLearner:
@@ -84,7 +129,102 @@ class TestEvaluateClosedLoop:
         assert len(res.states) < 100001
 
 
+class TestBlockRolloutMatchesSequential:
+    """The block-power rollout against the step-by-step recursion."""
+
+    @pytest.fixture(scope="class", params=["case1", "case2"])
+    def case_gains(self, request):
+        scenario = request.getfixturevalue(request.param)
+        s = scenario.system
+        d = request.getfixturevalue(f"{request.param}_data")
+        Kstar = care_solve(s.A, s.B, s.Q, s.R).K
+        _, clean = run_learner(d, s.Q, s.R)
+        attack = run_attack(d, scenario.Ktarget, scenario.admm)
+        _, poisoned = run_learner(attack.poisoned, s.Q, s.R)
+        return scenario, (Kstar, clean.K, poisoned.K)
+
+    def test_optimal_and_learned_gains(self, case_gains):
+        scenario, gains = case_gains
+        for K in gains:
+            res = assert_matches_oracle(scenario.system, K, scenario.horizon)
+            assert res.states.shape == (scenario.horizon + 1, scenario.system.n)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 255, 256, 257, 1000])
+    def test_block_boundaries(self, case1, horizon):
+        s = case1.system
+        K = care_solve(s.A, s.B, s.Q, s.R).K
+        res = assert_matches_oracle(s, K, horizon)
+        assert res.states.shape == (horizon + 1, s.n)
+        assert np.array_equal(res.states[0], s.x0)
+        assert not res.diverged
+        if horizon == 0:
+            assert res.cost == 0.0
+
+    def test_open_loop_cut_at_same_step(self, case1):
+        s = case1.system
+        res = assert_matches_oracle(s, np.zeros((s.m, s.n)), 100000)
+        assert res.diverged
+        assert np.linalg.norm(res.states[-1]) > DIVERGENCE_NORM
+        assert np.all(np.linalg.norm(res.states[:-1], axis=1) <= DIVERGENCE_NORM)
+
+    def test_strongly_unstable_gain_no_overflow_warning(self, case1):
+        s = case1.system
+        F, G = linalg.zoh_pair(s.A, s.B, s.dt)
+        K = 2000.0 * np.linalg.pinv(G)  # G K = 2000 * projector onto range(G)
+        M = F + G @ K
+        assert linalg.spectral_radius(M) >= 1e3
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(np.linalg.matrix_power(M, 256)))
+        res = assert_matches_oracle(s, K, 1000)
+        assert res.diverged
+
+    def test_overflowing_power_on_unexcited_mode(self):
+        # M = diag(1e200, 0.5) and x0 = e2: M^2 overflows, yet the state
+        # decays and never leaves the limit, so no NaN may cut the run.
+        sys = LQSystem(
+            A=np.diag([0.5, -1.0]), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
+            x0=np.array([0.0, 1.0]), dt=0.1,
+        )
+        F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
+        K = np.linalg.solve(G, np.diag([1e200, 0.5]) - F)
+        res = assert_matches_oracle(sys, K, 600)
+        assert not res.diverged
+        assert res.states.shape == (601, 2)
+
+    def test_negative_horizon_rejected(self, case1):
+        s = case1.system
+        with pytest.raises(ValueError, match="horizon"):
+            evaluate_closed_loop(s, np.zeros((s.m, s.n)), -1)
+
+
+def settling_step_brute(states, frac=0.05):
+    norms = np.linalg.norm(states, axis=1)
+    below = norms < frac * norms[0]
+    for k in range(len(norms)):
+        if below[k:].all():
+            return k
+    return None
+
+
 class TestSettlingStep:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            np.ones((1, 2)),
+            np.zeros((1, 3)),
+            np.ones((40, 2)),  # never settles
+            np.vstack([np.ones((1, 2)), 0.01 * np.ones((30, 2))]),  # all below
+            np.array([[1.0], [0.01], [0.9], [0.01], [0.01]]),  # relapse
+        ]
+        for _ in range(200):
+            N = int(rng.integers(1, 60))
+            decay = np.exp(-rng.uniform(0, 0.3) * np.arange(N))[:, None]
+            cases.append(rng.normal(size=(N, int(rng.integers(1, 4)))) * decay)
+        for states in cases:
+            assert settling_step(states) == settling_step_brute(states)
+        assert settling_step(cases[3]) == 1
+        assert settling_step(cases[2]) is None and settling_step(cases[0]) is None
+
     def test_monotone_decay(self):
         states = np.array([[1.0], [0.5], [0.04], [0.03], [0.02]])
         assert settling_step(states) == 2
@@ -160,6 +300,18 @@ class TestReportWrite:
         assert header == "step,t,x0,x1,x2,x3"
         header = open(os.path.join(outdir, "attack_cost.csv")).readline().strip()
         assert header == "step,cumulative_cost"
+
+    def test_trajectory_csv_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(300, 3)) * np.logspace(-300, 300, 300)[:, None]
+        states[7] = [0.0, -0.0, 1.0 / 3.0]
+        states[9] = [np.inf, -np.inf, np.nan]
+        path = str(tmp_path / "traj.csv")
+        trajectory_write(path, states, 5e-5)
+        header = ["step", "t", "x0", "x1", "x2"]
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == csv_reference(header, 5e-5, states)
+        assert os.listdir(tmp_path) == ["traj.csv"]
 
     def test_write_is_deterministic(self, tmp_path, case1):
         report = run_scenario(case1, "case1")

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,33 @@ class TestEstimateFG:
         with pytest.raises(IdentifiabilityError) as ei:
             estimate_fg(d)
         assert "rank deficient" in str(ei.value)
+
+    def test_rank_deficient_names_unexcited_directions(self):
+        # x2 and u1 are never excited; with many samples the error path must
+        # not build an N x N singular-vector matrix (32 MB at N = 2000).
+        rng = np.random.default_rng(3)
+        N = 2000
+        xs = np.zeros((N, 3))
+        us = np.zeros((N, 2))
+        us[:, 0] = rng.uniform(-1.0, 1.0, N)
+        for k in range(N - 1):
+            xs[k + 1, 0] = 0.9 * xs[k, 0] + us[k, 0]
+            xs[k + 1, 1] = 0.5 * xs[k, 1] + 0.3 * xs[k, 0]
+        d = BatchDataset(xs=xs, us=us, cs=np.ones(N), dt=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdentifiabilityError) as ei:
+                estimate_fg(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        msg = str(ei.value)
+        assert "rank deficient (3 < 5)" in msg
+        directions = msg.split("unexcited directions: ")[1].split("; ")
+        assert sorted(re.sub(r"^[+-]", "", s) for s in directions) == [
+            "1.00*u1", "1.00*x2",
+        ]
+        assert peak < 8e6
 
     def test_minimal_sample_count_interpolates(self):
         rng = np.random.default_rng(8)
