@@ -9,7 +9,7 @@ possible (an ADMM scheme splits the bilinear Riccati-feasibility
 constraint across alternating convex subproblems).
 """
 
-from .data import BatchDataset, ExcitationPolicy, SamplePoint, dataset_read, dataset_write, simulate_zoh
+from .data import BatchDataset, ExcitationPolicy, dataset_read, dataset_write, simulate_zoh
 from .lq import LQSystem, RiccatiSolution, care_solve, is_stabilizing, lqr_gain, optimal_value
 from .pipeline import (
     ClosedLoopResult,
@@ -45,7 +45,6 @@ __all__ = [
     "ExcitationPolicy",
     "LQSystem",
     "RiccatiSolution",
-    "SamplePoint",
     "Scenario",
     "ScenarioReport",
     "SysIdEstimate",

@@ -16,9 +16,10 @@ trajectories alike, is formatted by ``indexed_csv_lines``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,13 +28,6 @@ from .errors import DatasetFormatError
 from .lq import LQSystem
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
-
-
-class SamplePoint(NamedTuple):
-    k: int
-    x: np.ndarray
-    u: np.ndarray
-    c: float
 
 
 @dataclass(frozen=True)
@@ -99,13 +93,6 @@ class BatchDataset:
 
     def __len__(self) -> int:
         return self.N
-
-    def __getitem__(self, k: int) -> SamplePoint:
-        return SamplePoint(k=k, x=self.xs[k], u=self.us[k], c=float(self.cs[k]))
-
-    def __iter__(self) -> Iterator[SamplePoint]:
-        for k in range(self.N):
-            yield self[k]
 
 
 def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDataset:
@@ -233,6 +220,12 @@ def dataset_read(path: str) -> BatchDataset:
             row = [float(p) for p in parts[1:]]
         except ValueError as e:
             raise DatasetFormatError(f"bad number: {e}", line=lineno) from e
+        if not all(map(math.isfinite, row)):
+            col = next(i for i, v in enumerate(row) if not math.isfinite(v))
+            raise DatasetFormatError(
+                f"non-finite value {parts[col + 1]!r} in column {header[col + 1]}",
+                line=lineno,
+            )
         if k != len(xs):
             raise DatasetFormatError(
                 f"sample index {k} out of order (expected {len(xs)})", line=lineno

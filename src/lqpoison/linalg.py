@@ -20,6 +20,7 @@ import numpy as np
 from .errors import AsymmetryError, DimensionError, RankDeficiencyError
 
 SYM_RTOL = 1e-8  # relative asymmetry allowed before sym_eig refuses
+PSD_EIG_FLOOR = -1e-10  # relative eigenvalue slack when checking "PSD" numerically
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -137,6 +138,20 @@ def sym_eig(M) -> SymEig:
     S = 0.5 * (A + A.T)
     w, V = np.linalg.eigh(S)
     return SymEig(eigenvalues=w, eigenvectors=V)
+
+
+def require_psd(M, name: str, definite: bool = False) -> None:
+    """Raise ``ValueError`` unless symmetric M is positive semidefinite.
+
+    With ``definite`` the smallest eigenvalue must be strictly positive;
+    otherwise it may dip below zero by ``PSD_EIG_FLOOR`` relative to the
+    largest, which absorbs rounding in matrices that are PSD by construction.
+    """
+    w = sym_eig(M).eigenvalues
+    if definite and w[0] <= 0:
+        raise ValueError(f"{name} must be positive definite (min eig {w[0]:.3e})")
+    if w[0] < PSD_EIG_FLOOR * (1.0 + abs(w[-1])):
+        raise ValueError(f"{name} must be positive semidefinite (min eig {w[0]:.3e})")
 
 
 def psd_project(M) -> np.ndarray:

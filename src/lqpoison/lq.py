@@ -27,18 +27,6 @@ from .errors import (
     StabilityError,
 )
 
-PSD_EIG_FLOOR = -1e-10  # eigenvalue slack when checking "PSD" numerically
-
-
-def _check_sym_psd(M: np.ndarray, name: str, strict: bool = False) -> None:
-    w, _ = linalg.sym_eig(M)
-    if strict:
-        if w[0] <= 0:
-            raise ValueError(f"{name} must be positive definite (min eig {w[0]:.3e})")
-    elif w[0] < PSD_EIG_FLOOR * (1.0 + abs(w[-1])):
-        raise ValueError(f"{name} must be positive semidefinite (min eig {w[0]:.3e})")
-
-
 @dataclass(frozen=True)
 class LQSystem:
     """Ground-truth continuous-time plant with cost weights and sampling step."""
@@ -70,13 +58,20 @@ class LQSystem:
             raise DimensionError(f"x0 must have length {n}, got {x0.shape[0]}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        _check_sym_psd(Q, "Q")
-        _check_sym_psd(R, "R", strict=True)
+        linalg.require_psd(Q, "Q")
+        linalg.require_psd(R, "R", definite=True)
         rho = linalg.spectral_radius(A)
         if rho >= 1.0 / self.dt:
             raise LearnabilityError(
                 f"spectral radius {rho:.4g} >= 1/dt = {1.0 / self.dt:.4g}; "
                 "decrease dt to make the sampled system learnable"
+            )
+        # The learner's matrix-log series converges iff rho(F - I) < 1.
+        rho_log = linalg.spectral_radius(linalg.expm(A, self.dt) - np.eye(n))
+        if rho_log >= 1.0:
+            raise LearnabilityError(
+                f"spectral radius of e^(A dt) - I is {rho_log:.4g} >= 1, so the "
+                "log series diverges; decrease dt to make the sampled system learnable"
             )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -124,10 +119,7 @@ def _bass_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     beta = np.linalg.norm(A, "fro") + 0.5
     Ash = A + beta * np.eye(n)
-    M = np.kron(np.eye(n), Ash) + np.kron(Ash, np.eye(n))
-    w = np.linalg.solve(M, (2.0 * B @ B.T).flatten("F"))
-    W = w.reshape((n, n), order="F")
-    W = 0.5 * (W + W.T)
+    W = lyap_solve(Ash.T, -2.0 * B @ B.T)
     return -B.T @ np.linalg.pinv(W, hermitian=True)
 
 
@@ -147,8 +139,8 @@ def care_solve(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100) -> RiccatiSo
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n:
         raise DimensionError(f"A {A.shape} and B {B.shape} do not conform")
-    _check_sym_psd(Q, "Q")
-    _check_sym_psd(R, "R", strict=True)
+    linalg.require_psd(Q, "Q")
+    linalg.require_psd(R, "R", definite=True)
     Rinv = np.linalg.inv(R)
 
     if linalg.spectral_abscissa(A) < 0:
@@ -187,7 +179,7 @@ def lqr_gain(P, B, R) -> np.ndarray:
     P = linalg.as_matrix(P, "P")
     B = linalg.as_matrix(B, "B")
     R = linalg.as_matrix(R, "R")
-    _check_sym_psd(R, "R", strict=True)
+    linalg.require_psd(R, "R", definite=True)
     return -np.linalg.solve(R, B.T @ P)
 
 

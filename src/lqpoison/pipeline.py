@@ -43,7 +43,7 @@ from .poison import (
     generate_poisoned,
     induced_gain,
 )
-from .sysid import SysIdEstimate, estimate_qr, identify
+from .sysid import SysIdEstimate, identify
 
 DIVERGENCE_NORM = 1e9
 ROLLOUT_BLOCK = 256  # closed-loop steps advanced per batched matmul
@@ -126,14 +126,13 @@ def run_attack(
     can inspect the near-miss.
     """
     cfg = cfg or AdmmConfig()
-    est = identify(d, eps=LEARNER_SERIES_EPS)
-    Qhat, Rhat = estimate_qr(d)
+    est = identify(d, eps=LEARNER_SERIES_EPS, with_qr=True)
     spec = AttackSpec(
-        Ahat=est.Ahat, Bhat=est.Bhat, Qhat=Qhat, Rhat=Rhat, Ktarget=Ktarget
+        Ahat=est.Ahat, Bhat=est.Bhat, Qhat=est.Qhat, Rhat=est.Rhat, Ktarget=Ktarget
     )
     state = admm_solve(spec, cfg)
     poisoned = generate_poisoned(state.Atilde, est.Bhat, d)
-    total, _ = attack_cost(d, poisoned)
+    total, series = attack_cost(d, poisoned)
     gain_err = float(
         np.linalg.norm(induced_gain(spec, state.P) - spec.Ktarget, "fro")
     )
@@ -143,6 +142,7 @@ def run_attack(
         gain_error=gain_err,
         poisoned=poisoned,
         attack_cost=total,
+        attack_cost_series=series,
         converged=state.converged,
         residuals=state.residuals,
     )
@@ -240,7 +240,7 @@ def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
     report.converged = attack.converged
     report.admm_residuals = list(attack.residuals)
     report.attack_cost = attack.attack_cost
-    _, report.attack_cost_series = attack_cost(d, attack.poisoned)
+    report.attack_cost_series = attack.attack_cost_series
     report.poisoned_dataset = attack.poisoned
 
     poisoned = stage(

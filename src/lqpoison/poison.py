@@ -72,12 +72,8 @@ class AttackSpec:
             raise DimensionError("Qhat/Rhat dimensions do not match the model")
         if Kt.shape != (m, n):
             raise DimensionError(f"Ktarget must be {m}x{n}, got {Kt.shape}")
-        wq, _ = linalg.sym_eig(Qhat)
-        if wq[0] < -1e-10 * (1.0 + abs(wq[-1])):
-            raise ValueError(f"Qhat must be PSD (min eig {wq[0]:.3e})")
-        wr, _ = linalg.sym_eig(Rhat)
-        if wr[0] <= 0:
-            raise ValueError(f"Rhat must be PD (min eig {wr[0]:.3e})")
+        linalg.require_psd(Qhat, "Qhat")
+        linalg.require_psd(Rhat, "Rhat", definite=True)
         for name, M in (("Ahat", Ahat), ("Bhat", Bhat), ("Qhat", Qhat),
                         ("Rhat", Rhat), ("Ktarget", Kt)):
             object.__setattr__(self, name, M)
@@ -129,6 +125,7 @@ class AttackResult:
     gain_error: float
     poisoned: BatchDataset
     attack_cost: float
+    attack_cost_series: np.ndarray  # cumulative squared state distortion per step
     converged: bool
     residuals: list[float] = field(default_factory=list, compare=False)
 
@@ -185,13 +182,6 @@ def _sym_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def _p_objective_terms(spec: AttackSpec, state: AdmmState, cfg: AdmmConfig):
-    Ac = state.Atilde + spec.Bhat @ spec.Ktarget
-    C1 = spec.Qhat + state.Z1 / cfg.mu
-    C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
-    return state.Atilde, Ac, C1, C2
-
-
 def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     """Minimize the stacked constraint objective over the PSD cone.
 
@@ -203,7 +193,10 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     gradient loop with exact Lipschitz step runs until the gradient-mapping
     norm drops below ``cfg.inner_tol``.
     """
-    At, Ac, C1, C2 = _p_objective_terms(spec, state, cfg)
+    At = state.Atilde
+    Ac = At + spec.Bhat @ spec.Ktarget
+    C1 = spec.Qhat + state.Z1 / cfg.mu
+    C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
     Bh = spec.Bhat
     n = spec.n
     basis = _sym_basis(n)
@@ -257,10 +250,12 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
 
 
 def z_step(
-    state: AdmmState, spec: AttackSpec, cfg: AdmmConfig
+    state: AdmmState, W1: np.ndarray, W2: np.ndarray, cfg: AdmmConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dual ascent: Z <- Z + mu * W evaluated at the current (Atilde, P)."""
-    W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
+    """Dual ascent: Z <- Z + mu * W on the stacked constraint W = (W1, W2).
+
+    W1, W2 are the ``constraint_blocks`` at the current (Atilde, P).
+    """
     return state.Z1 + cfg.mu * W1, state.Z2 + cfg.mu * W2
 
 
@@ -294,8 +289,7 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
                 f"constraint residual {r:.3e} exceeded {DIVERGENCE_LIMIT:.0e} "
                 f"at iteration {i}; try a larger penalty parameter mu"
             )
-        state.Z1 = state.Z1 + cfg.mu * W1
-        state.Z2 = state.Z2 + cfg.mu * W2
+        state.Z1, state.Z2 = z_step(state, W1, W2, cfg)
         state.iter = i
         state.primal_residual = r
         state.objective = float(np.linalg.norm(state.Atilde - spec.Ahat, "fro") ** 2)

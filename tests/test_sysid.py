@@ -6,7 +6,7 @@ import pytest
 
 from lqpoison import linalg
 from lqpoison.data import BatchDataset, ExcitationPolicy, simulate_zoh
-from lqpoison.errors import ConvergenceError, IdentifiabilityError
+from lqpoison.errors import ConvergenceError, EstimationError, IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.sysid import (
     estimate_fg,
@@ -86,25 +86,36 @@ class TestEstimateFG:
 class TestLogIndirect:
     def test_identity_f(self):
         G = np.array([[0.3], [0.7]])
-        Ahat, Bhat = log_indirect(np.eye(2), G, 0.1)
+        Ahat, Bhat, _ = log_indirect(np.eye(2), G, 0.1)
         np.testing.assert_allclose(Ahat, np.zeros((2, 2)), atol=1e-15)
         np.testing.assert_allclose(Bhat, G / 0.1, atol=1e-13)
 
     def test_case1_round_trip(self, case1):
         A, B, dt = case1.system.A, case1.system.B, case1.system.dt
         F, G = linalg.zoh_pair(A, B, dt)
-        Ahat, Bhat = log_indirect(F, G, dt, eps=1e-12)
+        Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-12)
         assert np.max(np.abs(Ahat - A)) <= 1e-6
         assert np.max(np.abs(Bhat - B)) <= 1e-6
 
     def test_scalar_diagonal(self):
         F = np.diag([np.exp(0.01), np.exp(0.01)])
-        Ahat, _ = log_indirect(F, np.ones((2, 1)), 0.01, eps=1e-14, max_iter=2000)
+        Ahat, _, _ = log_indirect(F, np.ones((2, 1)), 0.01, eps=1e-14, max_iter=2000)
         np.testing.assert_allclose(Ahat, np.eye(2), atol=1e-9)
 
     def test_divergent_series(self):
         with pytest.raises(ConvergenceError):
             log_indirect(3.0 * np.eye(2), np.ones((2, 1)), 0.1)
+
+    def test_term_cap_raises_instead_of_truncating(self):
+        # rho(F - I) = 0.974 < 1: the series converges, but 100 terms leave
+        # the log about 3e-4 off, far above eps.
+        with pytest.raises(ConvergenceError, match="100 terms"):
+            log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0,
+                         eps=1e-10, max_iter=100)
+        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0,
+                                      eps=1e-10, max_iter=2000)
+        assert 100 < terms < 2000
+        assert abs(Ahat[0, 0] - np.log(1.974)) <= 1e-9
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(10)
@@ -115,7 +126,7 @@ class TestLogIndirect:
             A *= 0.3 / (dt * rho)  # puts spectral_radius(A)*dt at 0.3
             B = rng.normal(size=(n, m))
             F, G = linalg.zoh_pair(A, B, dt)
-            Ahat, Bhat = log_indirect(F, G, dt, eps=1e-13, max_iter=2000)
+            Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-13, max_iter=2000)
             scale = 1.0 + np.max(np.abs(A))
             assert np.max(np.abs(Ahat - A)) <= 1e-6 * scale
             assert np.max(np.abs(Bhat - B)) <= 1e-6 * (1.0 + np.max(np.abs(B)))
@@ -147,6 +158,15 @@ class TestEstimateQR:
             xs=np.ones((1, 2)), us=np.ones((1, 1)), cs=np.ones(1), dt=0.1
         )
         with pytest.raises(IdentifiabilityError):
+            estimate_qr(d)
+
+    def test_negative_control_weight_rejected(self, case1_data):
+        # costs x^T x - u^T u fit exactly, with R = -I
+        d = BatchDataset(
+            xs=case1_data.xs, us=case1_data.us, dt=case1_data.dt,
+            cs=np.sum(case1_data.xs**2, axis=1) - np.sum(case1_data.us**2, axis=1),
+        )
+        with pytest.raises(EstimationError, match="R must be positive definite"):
             estimate_qr(d)
 
     def test_never_returns_indefinite(self):
