@@ -7,8 +7,10 @@ model from a dataset), ``attack`` (poison a dataset toward a target gain),
 expected tolerances).
 
 Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 the
-sampling-interval learnability gate, 4 unidentifiable data, 5 attack solver
-did not converge (outputs still written), 6 reproduction check failed.
+sampling-interval learnability gate, 4 unidentifiable data or a fitted
+cost weight without its required structure, 5 an iterative solver did not
+converge (a stalled attack still writes its outputs), 6 reproduction check
+failed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .data import dataset_read, dataset_write, simulate_zoh, write_json
 from .errors import (
     AdmmDivergenceError,
     ConfigError,
+    ConvergenceError,
+    EstimationError,
     IdentifiabilityError,
     LearnabilityError,
 )
@@ -48,7 +52,7 @@ from .pipeline import (
     trajectory_write,
 )
 from .poison import AdmmConfig
-from .sysid import identify, model_write
+from .sysid import SERIES_EPS, identify, model_write
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,9 +65,9 @@ EXIT_CHECK_FAILED = 6
 def _exit_code(e: Exception) -> int:
     if isinstance(e, LearnabilityError):
         return EXIT_LEARNABILITY
-    if isinstance(e, IdentifiabilityError):
+    if isinstance(e, (IdentifiabilityError, EstimationError)):
         return EXIT_IDENTIFIABILITY
-    if isinstance(e, AdmmDivergenceError):
+    if isinstance(e, (AdmmDivergenceError, ConvergenceError)):
         return EXIT_NONCONVERGED
     if isinstance(e, (ValueError, OSError, KeyError)):
         return EXIT_USAGE
@@ -247,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="dataset CSV path")
     sp.add_argument("--out", required=True, help="output model JSON path")
     sp.add_argument("--with-qr", action="store_true", help="also fit the cost weights")
-    sp.add_argument("--eps", type=float, default=0.01,
-                    help="log-series stopping tolerance (default 0.01)")
+    sp.add_argument("--eps", type=float, default=SERIES_EPS,
+                    help=f"log-series stopping tolerance (default {SERIES_EPS:g})")
     sp.add_argument("--max-iter", type=int, default=500, help="log-series term cap")
     sp.set_defaults(fn=cmd_sysid)
 

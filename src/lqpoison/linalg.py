@@ -1,10 +1,10 @@
 """Dense real-matrix kernels used throughout the package.
 
 Everything here is domain-free: matrix exponentials, zero-order-hold
-discretization, least squares, symmetric eigendecompositions, projection
-onto the positive-semidefinite cone, and spectral quantities. Matrices are
-plain ``numpy.ndarray`` of float64; functions are pure and safe to call
-concurrently.
+discretization, least squares, the coordinates of a symmetric matrix,
+symmetric eigendecompositions, projection onto the positive-semidefinite
+cone, and spectral quantities. Matrices are plain ``numpy.ndarray`` of
+float64; functions are pure and safe to call concurrently.
 
 Scale target is small dense problems (order <= ~10), so the exponential
 uses plain scaling-and-squaring with a truncated Taylor series and the
@@ -112,6 +112,18 @@ def lstsq(A, b) -> np.ndarray:
             rank=int(rank),
         )
     return X
+
+
+def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the n(n+1)/2 free entries of a symmetric n x n matrix.
+
+    The diagonal comes first, then the strict upper triangle row by row.
+    This is the one coordinate order for symmetric matrices in the package:
+    the P-step basis, the quadratic cost features and the fitted (Q, R).
+    """
+    d = np.arange(n)
+    r, c = np.nonzero(d[:, None] < d)
+    return np.concatenate([d, r]), np.concatenate([d, c])
 
 
 class SymEig(NamedTuple):

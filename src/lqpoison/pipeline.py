@@ -47,7 +47,6 @@ from .sysid import SysIdEstimate, identify
 
 DIVERGENCE_NORM = 1e9
 ROLLOUT_BLOCK = 256  # closed-loop steps advanced per batched matmul
-LEARNER_SERIES_EPS = 1e-10  # tight log-series tolerance for the learner emulation
 
 
 @dataclass(frozen=True)
@@ -96,21 +95,17 @@ class ScenarioReport:
     poisoned_trajectory: np.ndarray | None = None
     clean_cost: float | None = None
     poisoned_cost: float | None = None
-    dataset: BatchDataset | None = None
-    poisoned_dataset: BatchDataset | None = None
     timings: dict[str, float] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
 
 
-def run_learner(
-    d: BatchDataset, Q, R, eps: float = LEARNER_SERIES_EPS, max_iter: int = 500
-) -> tuple[SysIdEstimate, RiccatiSolution]:
+def run_learner(d: BatchDataset, Q, R) -> tuple[SysIdEstimate, RiccatiSolution]:
     """Emulate the victim: identify (A, B) from data, then solve for the gain.
 
     The learner is assumed to know the true cost weights, so only the
     dynamics come from data.
     """
-    est = identify(d, eps=eps, max_iter=max_iter)
+    est = identify(d)
     sol = care_solve(est.Ahat, est.Bhat, Q, R)
     return est, sol
 
@@ -126,7 +121,7 @@ def run_attack(
     can inspect the near-miss.
     """
     cfg = cfg or AdmmConfig()
-    est = identify(d, eps=LEARNER_SERIES_EPS, with_qr=True)
+    est = identify(d, with_qr=True)
     spec = AttackSpec(
         Ahat=est.Ahat, Bhat=est.Bhat, Qhat=est.Qhat, Rhat=est.Rhat, Ktarget=Ktarget
     )
@@ -226,7 +221,6 @@ def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
     d = stage("simulate", lambda: simulate_zoh(sys, s.excitation, s.N))
     if d is None:
         return report
-    report.dataset = d
 
     clean = stage("learn_clean", lambda: run_learner(d, sys.Q, sys.R))
     if clean is None:
@@ -241,7 +235,6 @@ def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
     report.admm_residuals = list(attack.residuals)
     report.attack_cost = attack.attack_cost
     report.attack_cost_series = attack.attack_cost_series
-    report.poisoned_dataset = attack.poisoned
 
     poisoned = stage(
         "learn_poisoned", lambda: run_learner(attack.poisoned, sys.Q, sys.R)

@@ -15,12 +15,15 @@ convex subproblems ADMM-style with penalty mu:
 
   A-step  exact minimizer of ||Atilde - Ahat||_F^2 + (mu/2)||first block||_F^2
           via the positive-definite normal equations of the vectorized map
-          Atilde -> Atilde^T P + P Atilde (always solvable: 2I + mu M^T M > 0).
+          Atilde -> Atilde^T P + P Atilde (always solvable: 2I + mu M^T M > 0),
+          whose n^2 columns are the map of a stack of unit matrices.
   P-step  minimizer of the stacked-block Frobenius objective over P >= 0.
           The unconstrained symmetric minimizer is a small least-squares
-          solve; when it is already PSD (the common case on this problem's
-          trajectories) it is the constrained minimizer outright, otherwise
-          an accelerated projected-gradient loop finishes the job.
+          solve over a stacked orthonormal basis of symmetric matrices in
+          ``linalg.sym_index`` order; when it is already PSD (the common
+          case on this problem's trajectories) it is the constrained
+          minimizer outright, otherwise an accelerated projected-gradient
+          loop finishes the job.
   Z-step  plain dual ascent Z <- Z + mu * W on the stacked constraint W.
 
 Feasibility of an arbitrary target gain is not guaranteed (not every gain
@@ -149,36 +152,35 @@ def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     Only the first constraint block depends on Atilde, so the objective is
     ||Atilde - Ahat||_F^2 + (mu/2) ||Atilde^T P + P Atilde + C||_F^2 with
     C = P Bhat Ktarget + Qhat + Z1/mu. Vectorizing Atilde turns this into
-    a strictly convex quadratic whose normal equations are solved directly.
+    a strictly convex quadratic whose normal equations are solved directly;
+    column j*n + i of the operator is the map applied to e_i e_j^T.
     """
     n = spec.n
     P = 0.5 * (state.P + state.P.T)
     C = P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
-    cols = np.empty((n * n, n * n))
-    E = np.zeros((n, n))
-    for j in range(n):
-        for i in range(n):
-            E[i, j] = 1.0
-            cols[:, j * n + i] = (E.T @ P + P @ E).flatten("F")
-            E[i, j] = 0.0
+    E = np.eye(n * n).reshape(n * n, n, n).swapaxes(1, 2)  # E[j*n+i] = e_i e_j^T
+    # C order: the summation order of cols.T @ cols follows the layout
+    cols = np.ascontiguousarray(_vec(E.swapaxes(1, 2) @ P + P @ E).T)
     H = 2.0 * np.eye(n * n) + cfg.mu * (cols.T @ cols)
     rhs = 2.0 * spec.Ahat.flatten("F") - cfg.mu * (cols.T @ C.flatten("F"))
     return np.linalg.solve(H, rhs).reshape((n, n), order="F")
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of symmetric n x n matrices."""
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = s
-            basis.append(E)
+def _vec(S: np.ndarray) -> np.ndarray:
+    """Column-major vec of each matrix in a (k, r, c) stack, as k rows."""
+    return S.swapaxes(1, 2).reshape(len(S), -1)
+
+
+def _sym_basis(n: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of symmetric n x n matrices, as a stack.
+
+    Element k is nonzero at the k-th ``linalg.sym_index`` entry and its
+    mirror: 1 on the diagonal, 1/sqrt(2) off it.
+    """
+    r, c = linalg.sym_index(n)
+    k = np.arange(len(r))
+    basis = np.zeros((len(r), n, n))
+    basis[k, r, c] = basis[k, c, r] = np.where(r == c, 1.0, 1.0 / np.sqrt(2.0))
     return basis
 
 
@@ -198,17 +200,11 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     C1 = spec.Qhat + state.Z1 / cfg.mu
     C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
     Bh = spec.Bhat
-    n = spec.n
-    basis = _sym_basis(n)
-    D = np.column_stack(
-        [
-            np.concatenate([(At.T @ E + E @ Ac).flatten("F"), (Bh.T @ E).flatten("F")])
-            for E in basis
-        ]
-    )
+    basis = _sym_basis(spec.n)
+    D = np.hstack([_vec(At.T @ basis + basis @ Ac), _vec(Bh.T @ basis)]).T
     rhs = -np.concatenate([C1.flatten("F"), C2.flatten("F")])
     coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
-    Pu = sum(c * E for c, E in zip(coef, basis))
+    Pu = np.tensordot(coef, basis, 1)
     w = np.linalg.eigvalsh(Pu)
     scale = 1.0 + abs(w[-1])
     if w[0] >= -1e-12 * scale:

@@ -9,14 +9,16 @@ continuous time through the alternating series
 whose limit is log(I + L) L^-1, so A = accum L / dt equals log(F)/dt and
 B = accum G / dt inverts the zero-order-hold integral. The series converges
 exactly when spectral_radius(L) < 1. The plant's learnability gate requires
-this of the true F; the fitted F is checked again before the series runs,
-and a series that reaches its term cap before its tolerance raises rather
+this of the true F; the fitted F is checked again before the series runs.
+The series stops at its first term below ``SERIES_EPS`` (one tolerance for
+every caller), and a series that reaches its term cap first raises rather
 than returning a truncated sum.
 
 Cost-weight estimation (``estimate_qr``) regresses the recorded costs on
-the symmetric quadratic monomials of x and u; off-diagonal features carry
-weight 2 so the fitted coefficients are exactly the entries of symmetric
-Q and R, with no symmetry null-space in the normal equations.
+the symmetric quadratic monomials of x and u, in the ``linalg.sym_index``
+order of each; off-diagonal features carry weight 2 so the fitted
+coefficients are exactly the entries of symmetric Q and R, with no
+symmetry null-space in the normal equations.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .errors import (
     IdentifiabilityError,
     RankDeficiencyError,
 )
+
+SERIES_EPS = 1e-10  # log-series stopping tolerance (Frobenius norm of a term)
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,14 @@ def _log_series(L: np.ndarray, eps: float, max_iter: int) -> tuple[np.ndarray, i
 
 
 def log_indirect(
-    F, G, dt: float, eps: float = 0.01, max_iter: int = 500
+    F, G, dt: float, eps: float = SERIES_EPS, max_iter: int = 500
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Continuous (A, B) from a discrete (F, G) via the matrix-log series.
 
     Returns (A, B, terms), ``terms`` being the number of series terms summed.
-
-    The default ``eps`` favors speed over the last few digits; callers that
-    need round-trip accuracy (the learner pipeline, tests) pass something
-    like 1e-10 or 1e-12.
+    The series stops at the first term whose Frobenius norm is at most
+    ``eps``; the default ``SERIES_EPS`` recovers a well-sampled A to about
+    machine precision.
     """
     F = linalg.as_matrix(F, "F")
     G = linalg.as_matrix(G, "G")
@@ -146,23 +149,14 @@ def log_indirect(
 
 
 def _quad_features(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    n, m = xs.shape[1], us.shape[1]
-    cols, labels = [], []
-    for i in range(n):
-        cols.append(xs[:, i] ** 2)
-        labels.append(f"x{i}^2")
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append(2.0 * xs[:, i] * xs[:, j])
-            labels.append(f"x{i}*x{j}")
-    for i in range(m):
-        cols.append(us[:, i] ** 2)
-        labels.append(f"u{i}^2")
-    for i in range(m):
-        for j in range(i + 1, m):
-            cols.append(2.0 * us[:, i] * us[:, j])
-            labels.append(f"u{i}*u{j}")
-    return np.column_stack(cols), labels
+    """Quadratic monomials of x, then of u, in ``linalg.sym_index`` order."""
+    blocks, labels = [], []
+    for name, V in (("x", xs), ("u", us)):
+        r, c = linalg.sym_index(V.shape[1])
+        blocks.append(np.where(r == c, 1.0, 2.0) * V[:, r] * V[:, c])
+        labels += [f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}"
+                   for i, j in zip(r.tolist(), c.tolist())]
+    return np.hstack(blocks), labels
 
 
 def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +166,8 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
     out positive definite, otherwise the fit is rejected.
     """
     n, m = d.n, d.m
-    n_params = n * (n + 1) // 2 + m * (m + 1) // 2
+    nq = n * (n + 1) // 2  # Q's share of the coefficients
+    n_params = nq + m * (m + 1) // 2
     Phi, labels = _quad_features(d.xs, d.us)
     if d.N < n_params:
         raise IdentifiabilityError(
@@ -187,21 +182,9 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
         ) from e
     Q = np.zeros((n, n))
     R = np.zeros((m, m))
-    idx = 0
-    for i in range(n):
-        Q[i, i] = theta[idx]
-        idx += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            Q[i, j] = Q[j, i] = theta[idx]
-            idx += 1
-    for i in range(m):
-        R[i, i] = theta[idx]
-        idx += 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            R[i, j] = R[j, i] = theta[idx]
-            idx += 1
+    for M, th in ((Q, theta[:nq]), (R, theta[nq:])):
+        r, c = linalg.sym_index(len(M))
+        M[r, c] = M[c, r] = th
     Q = linalg.psd_project(Q)
     try:
         linalg.require_psd(R, "fitted control weight R", definite=True)
@@ -211,7 +194,7 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def identify(
-    d: BatchDataset, eps: float = 1e-10, max_iter: int = 500, with_qr: bool = False
+    d: BatchDataset, eps: float = SERIES_EPS, max_iter: int = 500, with_qr: bool = False
 ) -> SysIdEstimate:
     """Full identification chain: (F, G) fit, log conversion, optional (Q, R)."""
     model = estimate_fg(d)

@@ -132,6 +132,34 @@ def test_sysid_degenerate_exit_4(tmp_path):
     assert res.returncode == 4
 
 
+def test_sysid_default_series_tolerance_recovers_a(tmp_path, sim_dir, case1_config):
+    # the default log-series tolerance is the learner's 1e-10, not 0.01
+    model = str(tmp_path / "m.json")
+    res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", model)
+    assert res.returncode == 0, res.stderr
+    A = np.array(json.load(open(case1_config))["system"]["A"])
+    assert np.max(np.abs(np.array(json.load(open(model))["Ahat"]) - A)) <= 1e-10
+
+
+def test_sysid_term_cap_exit_5(tmp_path, sim_dir):
+    model = tmp_path / "m.json"
+    res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", str(model),
+              "--eps", "1e-10", "--max-iter", "3")
+    assert res.returncode == 5, res.stderr
+    assert "log series did not reach eps" in res.stderr
+    assert not model.exists()
+
+
+def test_sysid_negative_control_weight_exit_4(tmp_path, sim_dir):
+    d = dataset_read(str(sim_dir / "data.csv"))
+    neg = BatchDataset(xs=d.xs, us=d.us, cs=-d.cs, dt=d.dt)
+    path = str(tmp_path / "neg.csv")
+    dataset_write(neg, path)
+    res = cli("sysid", "--data", path, "--out", str(tmp_path / "m.json"), "--with-qr")
+    assert res.returncode == 4, res.stderr
+    assert "fitted control weight R must be positive definite" in res.stderr
+
+
 def test_attack_self_target_exit_0(tmp_path, sim_dir, case1_config):
     d = dataset_read(str(sim_dir / "data.csv"))
     doc = json.load(open(case1_config))

@@ -125,6 +125,25 @@ class TestLstsq:
             linalg.lstsq(np.ones((2, 3)), np.ones(2))
 
 
+class TestSymIndex:
+    def test_order(self):
+        rows, cols = linalg.sym_index(3)
+        assert rows.tolist() == [0, 1, 2, 0, 0, 1]
+        assert cols.tolist() == [0, 1, 2, 1, 2, 2]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 10])
+    def test_round_trip(self, n):
+        rows, cols = linalg.sym_index(n)
+        assert len(rows) == len(cols) == n * (n + 1) // 2
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+        assert np.all(rows <= cols)
+        M = np.random.default_rng(n).normal(size=(n, n))
+        M = M + M.T
+        S = np.zeros((n, n))
+        S[rows, cols] = S[cols, rows] = M[rows, cols]
+        assert np.array_equal(S, M)
+
+
 class TestSymEig:
     def test_diagonal(self):
         w, _ = linalg.sym_eig(np.diag([3.0, 1.0]))

@@ -32,6 +32,99 @@ def make_state(spec, P=None, Z1=None, Z2=None, Atilde=None):
     )
 
 
+def loop_a_step(state, spec, cfg):
+    """Oracle: the A-step with its operator built one unit matrix at a time."""
+    n = spec.n
+    P = 0.5 * (state.P + state.P.T)
+    C = P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
+    cols = np.empty((n * n, n * n))
+    E = np.zeros((n, n))
+    for j in range(n):
+        for i in range(n):
+            E[i, j] = 1.0
+            cols[:, j * n + i] = (E.T @ P + P @ E).flatten("F")
+            E[i, j] = 0.0
+    H = 2.0 * np.eye(n * n) + cfg.mu * (cols.T @ cols)
+    rhs = 2.0 * spec.Ahat.flatten("F") - cfg.mu * (cols.T @ C.flatten("F"))
+    return np.linalg.solve(H, rhs).reshape((n, n), order="F")
+
+
+def loop_p_lstsq(state, spec, cfg):
+    """Oracle: the P-step's design matrix D and unconstrained minimizer Pu,
+    built from a list of basis matrices one column at a time."""
+    n = spec.n
+    At, Bh = state.Atilde, spec.Bhat
+    Ac = At + Bh @ spec.Ktarget
+    basis = []
+    for i in range(n):
+        E = np.zeros((n, n))
+        E[i, i] = 1.0
+        basis.append(E)
+    for i in range(n):
+        for j in range(i + 1, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
+            basis.append(E)
+    D = np.column_stack(
+        [
+            np.concatenate([(At.T @ E + E @ Ac).flatten("F"), (Bh.T @ E).flatten("F")])
+            for E in basis
+        ]
+    )
+    C1 = spec.Qhat + state.Z1 / cfg.mu
+    C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
+    rhs = -np.concatenate([C1.flatten("F"), C2.flatten("F")])
+    coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+    return D, sum(c * E for c, E in zip(coef, basis))
+
+
+def random_admm_point(rng, n, m):
+    """A random attack spec, ADMM iterate and penalty."""
+    A = rng.normal(size=(n, n))
+    B = rng.normal(size=(n, m))
+    Qr = rng.normal(size=(n, n))
+    spec = AttackSpec(
+        Ahat=A, Bhat=B, Qhat=Qr @ Qr.T, Rhat=np.eye(m) + np.diag(rng.random(m)),
+        Ktarget=rng.normal(size=(m, n)),
+    )
+    Pr = rng.normal(size=(n, n))
+    state = make_state(
+        spec, P=Pr @ Pr.T, Z1=rng.normal(size=(n, n)), Z2=rng.normal(size=(m, n)),
+        Atilde=A + 0.1 * rng.normal(size=(n, n)),
+    )
+    return spec, state, AdmmConfig(mu=float(10.0 ** rng.integers(0, 3)))
+
+
+def indefinite_2x2_point():
+    """Frozen instance whose unconstrained symmetric P-step minimizer has
+    eigenvalues (-0.585, -0.111), so the projected-gradient branch runs."""
+    At = np.array([[2.04091912, -2.55566503], [0.41809885, -0.56776961]])
+    spec = AttackSpec(
+        Ahat=At, Bhat=np.array([[-0.45264929], [-0.21559716]]), Qhat=0.5 * np.eye(2),
+        Rhat=np.eye(1), Ktarget=np.array([[-6.05995839, -0.69579713]]),
+    )
+    return spec, make_state(spec, P=np.eye(2), Atilde=At), AdmmConfig()
+
+
+class StopCall(Exception):
+    """Raised by a spy to end the call under test once it has its arguments."""
+
+
+def spy(monkeypatch, name, stop=False):
+    """Record the positional arguments of every ``np.linalg.<name>`` call;
+    with ``stop`` the first call raises ``StopCall`` after recording."""
+    calls, orig = [], getattr(np.linalg, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if stop:
+            raise StopCall
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
 def a_objective(At, spec, state, cfg):
     C = state.P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
     pen = At.T @ state.P + state.P @ At + C
@@ -140,40 +233,11 @@ class TestPStep:
         assert P[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_indefinite_unconstrained_minimizer_2x2(self):
-        # frozen instance whose unconstrained symmetric minimizer has
-        # eigenvalues (-0.585, -0.111); the cone-constrained answer must be
-        # PSD and at least as good as projecting that minimizer
-        At = np.array([[2.04091912, -2.55566503], [0.41809885, -0.56776961]])
-        Bh = np.array([[-0.45264929], [-0.21559716]])
-        Kt = np.array([[-6.05995839, -0.69579713]])
-        spec = AttackSpec(
-            Ahat=At, Bhat=Bh, Qhat=0.5 * np.eye(2), Rhat=np.eye(1), Ktarget=Kt
-        )
-        cfg = AdmmConfig()
-        state = make_state(spec, P=np.eye(2), Atilde=At)
-
-        basis = []
-        for i in range(2):
-            E = np.zeros((2, 2))
-            E[i, i] = 1.0
-            basis.append(E)
-        E = np.zeros((2, 2))
-        E[0, 1] = E[1, 0] = 1.0 / np.sqrt(2.0)
-        basis.append(E)
-        Ac = At + Bh @ Kt
-        D = np.column_stack(
-            [
-                np.concatenate(
-                    [(At.T @ E + E @ Ac).flatten("F"), (Bh.T @ E).flatten("F")]
-                )
-                for E in basis
-            ]
-        )
-        rhs = -np.concatenate(
-            [spec.Qhat.flatten("F"), (spec.Rhat @ Kt).flatten("F")]
-        )
-        coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
-        Pu = sum(c * E for c, E in zip(coef, basis))
+        # the cone-constrained answer must be PSD and at least as good as
+        # projecting the indefinite unconstrained minimizer
+        spec, state, cfg = indefinite_2x2_point()
+        At = state.Atilde
+        _, Pu = loop_p_lstsq(state, spec, cfg)
         assert np.linalg.eigvalsh(Pu).min() < -0.05  # instance is genuinely clipped
 
         def obj(P):
@@ -183,6 +247,48 @@ class TestPStep:
         P = p_step(state, spec, cfg)
         assert np.linalg.eigvalsh(P).min() >= -1e-10
         assert obj(P) <= obj(linalg.psd_project(Pu)) + 1e-9
+
+
+class TestOperatorsMatchLoopOracles:
+    """The batched A- and P-step operators are bitwise the per-entry loops."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_step(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        for _ in range(3):
+            spec, state, cfg = random_admm_point(rng, n, m)
+            assert np.array_equal(a_step(state, spec, cfg), loop_a_step(state, spec, cfg))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_p_step_design_and_minimizer(self, n, m, monkeypatch):
+        rng = np.random.default_rng(200 * n + m)
+        for _ in range(3):
+            spec, state, cfg = random_admm_point(rng, n, m)
+            D, Pu = loop_p_lstsq(state, spec, cfg)
+            lstsq_calls = spy(monkeypatch, "lstsq")
+            eig_calls = spy(monkeypatch, "eigvalsh", stop=True)
+            with pytest.raises(StopCall):
+                p_step(state, spec, cfg)
+            monkeypatch.undo()
+            assert np.array_equal(lstsq_calls[0][0], D)
+            assert np.array_equal(eig_calls[0][0], Pu)
+
+    def test_p_step_projected_gradient_branch(self, monkeypatch):
+        spec, state, cfg = indefinite_2x2_point()
+        D, Pu = loop_p_lstsq(state, spec, cfg)
+        lstsq_calls = spy(monkeypatch, "lstsq")
+        eig_calls = spy(monkeypatch, "eigvalsh")
+        projections = []
+        project = linalg.psd_project
+        monkeypatch.setattr(
+            linalg, "psd_project", lambda M: projections.append(M) or project(M)
+        )
+        p_step(state, spec, cfg)
+        assert len(projections) > 1  # the least-squares branch projects once
+        assert np.array_equal(lstsq_calls[0][0], D)
+        assert np.array_equal(eig_calls[0][0], Pu)
 
 
 class TestZStep:

@@ -16,6 +16,28 @@ from lqpoison.sysid import (
     model_read,
     model_write,
 )
+from lqpoison.sysid import _quad_features
+
+
+def loop_quad_features(xs, us):
+    """Oracle: the quadratic cost features built one monomial at a time."""
+    n, m = xs.shape[1], us.shape[1]
+    cols, labels = [], []
+    for i in range(n):
+        cols.append(xs[:, i] ** 2)
+        labels.append(f"x{i}^2")
+    for i in range(n):
+        for j in range(i + 1, n):
+            cols.append(2.0 * xs[:, i] * xs[:, j])
+            labels.append(f"x{i}*x{j}")
+    for i in range(m):
+        cols.append(us[:, i] ** 2)
+        labels.append(f"u{i}^2")
+    for i in range(m):
+        for j in range(i + 1, m):
+            cols.append(2.0 * us[:, i] * us[:, j])
+            labels.append(f"u{i}*u{j}")
+    return np.column_stack(cols), labels
 
 
 def random_stable_system(rng, n=3, m=2, dt=0.1, margin=1.0):
@@ -137,6 +159,27 @@ class TestEstimateQR:
         Qhat, Rhat = estimate_qr(case1_data)
         assert np.max(np.abs(Qhat - case1.system.Q)) <= 1e-8
         assert np.max(np.abs(Rhat - case1.system.R)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_features_match_loop_oracle(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        xs, us = rng.normal(size=(40, n)), rng.normal(size=(40, m))
+        Phi, labels = _quad_features(xs, us)
+        ref, ref_labels = loop_quad_features(xs, us)
+        assert np.array_equal(Phi, ref)
+        assert labels == ref_labels
+
+    def test_off_diagonal_weights_recovered(self):
+        # costs from full symmetric Q and R land in the matching entries
+        rng = np.random.default_rng(16)
+        Qr, Rr = rng.normal(size=(3, 3)), rng.normal(size=(2, 2))
+        Q, R = Qr @ Qr.T, Rr @ Rr.T + np.eye(2)
+        xs, us = rng.normal(size=(50, 3)), rng.normal(size=(50, 2))
+        cs = np.einsum("ki,ij,kj->k", xs, Q, xs) + np.einsum("ki,ij,kj->k", us, R, us)
+        Qhat, Rhat = estimate_qr(BatchDataset(xs=xs, us=us, cs=cs, dt=0.1))
+        np.testing.assert_allclose(Qhat, Q, atol=1e-10)
+        np.testing.assert_allclose(Rhat, R, atol=1e-10)
 
     def test_closed_loop_data_rejected(self, case1):
         # u = K x exactly makes the input quadratics dependent on the state ones
