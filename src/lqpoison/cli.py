@@ -10,7 +10,7 @@ Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 the
 sampling-interval learnability gate, 4 unidentifiable data or a fitted
 cost weight without its required structure, 5 an iterative solver did not
 converge (a stalled attack still writes its outputs), 6 reproduction check
-failed.
+failed. A failed ``reproduce`` stage exits with its error's code.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def cmd_reproduce(args) -> int:
     report = run_scenario(scenario, name)
     report_write(report, args.out, scenario.system.dt)
     if report.errors:
-        for stage, msg in report.errors.items():
-            print(f"stage {stage} failed: {msg}", file=sys.stderr)
-        return 1
+        for stage, e in report.errors.items():
+            print(f"stage {stage} failed: {type(e).__name__}: {e}", file=sys.stderr)
+        return _exit_code(next(iter(report.errors.values())))
 
     kstar_ref = CASE1_KSTAR_REF if args.case == "case1" else CASE2_KSTAR_REF
     kstar_dev = float(np.max(np.abs(report.Kstar - kstar_ref)))

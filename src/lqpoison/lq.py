@@ -147,7 +147,7 @@ def care_solve(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100) -> RiccatiSo
         K = np.zeros((B.shape[1], n))
     else:
         K = _bass_gain(A, B)
-        if linalg.spectral_abscissa(A + B @ K) >= 0:
+        if not is_stabilizing(A, B, K):
             raise StabilityError(
                 "could not find an initial stabilizing gain; (A, B) appears unstabilizable"
             )
@@ -169,7 +169,7 @@ def care_solve(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100) -> RiccatiSo
             residual=res_norm,
         )
 
-    if linalg.spectral_abscissa(A + B @ K) >= 0:
+    if not is_stabilizing(A, B, K):
         raise StabilityError("computed gain does not stabilize the closed loop")
     return RiccatiSolution(P=P, K=K, residual=res_norm, iterations=it)
 

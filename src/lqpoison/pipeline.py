@@ -96,7 +96,7 @@ class ScenarioReport:
     clean_cost: float | None = None
     poisoned_cost: float | None = None
     timings: dict[str, float] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
+    errors: dict[str, Exception] = field(default_factory=dict)  # stage -> what it raised
 
 
 def run_learner(d: BatchDataset, Q, R) -> tuple[SysIdEstimate, RiccatiSolution]:
@@ -208,7 +208,7 @@ def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
         try:
             out = fn()
         except Exception as e:  # recorded; later stages are skipped
-            report.errors[label] = f"{type(e).__name__}: {e}"
+            report.errors[label] = e
             return None
         finally:
             report.timings[label] = time.perf_counter() - t0
@@ -287,7 +287,9 @@ def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
         "admm_residuals": report.admm_residuals,
     }
     if report.errors:
-        doc["errors"] = dict(report.errors)
+        doc["errors"] = {
+            label: f"{type(e).__name__}: {e}" for label, e in report.errors.items()
+        }
     write_json(os.path.join(outdir, "report.json"), doc)
     write_json(os.path.join(outdir, "timings.json"), {"timings_s": report.timings})
     if report.clean_trajectory is not None:

@@ -14,16 +14,18 @@ norm. The constraint is bilinear in (Atilde, P), so the solver alternates
 convex subproblems ADMM-style with penalty mu:
 
   A-step  exact minimizer of ||Atilde - Ahat||_F^2 + (mu/2)||first block||_F^2
-          via the positive-definite normal equations of the vectorized map
-          Atilde -> Atilde^T P + P Atilde (always solvable: 2I + mu M^T M > 0),
-          whose n^2 columns are the map of a stack of unit matrices.
+          in closed form: in the eigenbasis of P the map
+          Atilde -> Atilde^T P + P Atilde is diagonal, so the problem splits
+          into independent 2x2 problems (the diagonalisation behind
+          Bartels-Stewart), one eigh and a few n x n products in all.
   P-step  minimizer of the stacked-block Frobenius objective over P >= 0.
           The unconstrained symmetric minimizer is a small least-squares
           solve over a stacked orthonormal basis of symmetric matrices in
-          ``linalg.sym_index`` order; when it is already PSD (the common
-          case on this problem's trajectories) it is the constrained
-          minimizer outright, otherwise an accelerated projected-gradient
-          loop finishes the job.
+          ``linalg.sym_index`` order, by one Householder QR and a triangular
+          solve (the SVD solve when R's diagonal shows rank deficiency);
+          when it is already PSD (the common case on this problem's
+          trajectories) it is the constrained minimizer outright, otherwise
+          an accelerated projected-gradient loop finishes the job.
   Z-step  plain dual ascent Z <- Z + mu * W on the stacked constraint W.
 
 Feasibility of an arbitrary target gain is not guaranteed (not every gain
@@ -33,6 +35,7 @@ tolerance reports converged=False instead of raising.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +52,12 @@ from .lq import care_solve, lqr_gain
 
 DIVERGENCE_LIMIT = 1e6
 MAX_INNER_ITER = 5000
+# The P-step solves its least-squares system by QR unless the smallest |R_ii|
+# is within this factor of the largest; then it takes the SVD solve. Since
+# sigma_min(D) <= min |R_ii|, a small ratio proves D nearly rank deficient; a
+# large one does not prove the converse, so the factor sits far above the
+# SVD's own cut (~1e-14) and far below the bundled runs' ratios (>= 3.8e-4).
+RANK_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,6 @@ class AdmmState:
     Z2: np.ndarray
     iter: int = 0
     primal_residual: float = float("inf")
-    objective: float = 0.0
     converged: bool = False
     residuals: list[float] = field(default_factory=list)
 
@@ -147,40 +155,41 @@ def residual_norm(W1: np.ndarray, W2: np.ndarray) -> float:
 
 
 def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
-    """Exact minimizer of the proximal A-subproblem.
+    """Exact minimizer of the proximal A-subproblem, in P's eigenbasis.
 
     Only the first constraint block depends on Atilde, so the objective is
     ||Atilde - Ahat||_F^2 + (mu/2) ||Atilde^T P + P Atilde + C||_F^2 with
-    C = P Bhat Ktarget + Qhat + Z1/mu. Vectorizing Atilde turns this into
-    a strictly convex quadratic whose normal equations are solved directly;
-    column j*n + i of the operator is the map applied to e_i e_j^T.
+    C = P Bhat Ktarget + Qhat + Z1/mu. With P = V diag(lam) V^T, the
+    coordinates Y = V^T Atilde V turn the map into Y^T diag(lam) + diag(lam) Y,
+    which is symmetric, so the skew part of V^T C V drops out and the
+    problem splits into one 2x2 problem per pair (i, j), (j, i). With
+    Yhat = V^T Ahat V and S = sym(V^T C V), the penalty entry at the optimum
+    is T_ij = (lam_i Yhat_ij + lam_j Yhat_ji + S_ij) / (1 + mu (lam_i^2 + lam_j^2))
+    and Y = Yhat - mu diag(lam) T.
     """
-    n = spec.n
     P = 0.5 * (state.P + state.P.T)
     C = P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
-    E = np.eye(n * n).reshape(n * n, n, n).swapaxes(1, 2)  # E[j*n+i] = e_i e_j^T
-    # C order: the summation order of cols.T @ cols follows the layout
-    cols = np.ascontiguousarray(_vec(E.swapaxes(1, 2) @ P + P @ E).T)
-    H = 2.0 * np.eye(n * n) + cfg.mu * (cols.T @ cols)
-    rhs = 2.0 * spec.Ahat.flatten("F") - cfg.mu * (cols.T @ C.flatten("F"))
-    return np.linalg.solve(H, rhs).reshape((n, n), order="F")
+    lam, V = np.linalg.eigh(P)
+    Yh = V.T @ spec.Ahat @ V
+    Cv = V.T @ C @ V
+    li, lj = lam[:, None], lam[None, :]
+    T = (li * Yh + lj * Yh.T + 0.5 * (Cv + Cv.T)) / (1.0 + cfg.mu * (li * li + lj * lj))
+    return V @ (Yh - cfg.mu * li * T) @ V.T
 
 
-def _vec(S: np.ndarray) -> np.ndarray:
-    """Column-major vec of each matrix in a (k, r, c) stack, as k rows."""
-    return S.swapaxes(1, 2).reshape(len(S), -1)
-
-
+@functools.cache
 def _sym_basis(n: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis of symmetric n x n matrices, as a stack.
 
     Element k is nonzero at the k-th ``linalg.sym_index`` entry and its
-    mirror: 1 on the diagonal, 1/sqrt(2) off it.
+    mirror: 1 on the diagonal, 1/sqrt(2) off it. Built once per n and
+    returned read-only.
     """
     r, c = linalg.sym_index(n)
     k = np.arange(len(r))
     basis = np.zeros((len(r), n, n))
     basis[k, r, c] = basis[k, c, r] = np.where(r == c, 1.0, 1.0 / np.sqrt(2.0))
+    basis.flags.writeable = False
     return basis
 
 
@@ -189,11 +198,15 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
 
     Objective: g(P) = ||At^T P + P Ac + C1||_F^2 + ||Bhat^T P + C2||_F^2
     over symmetric P >= 0, with Ac = Atilde + Bhat Ktarget. The symmetric
-    unconstrained minimizer solves a least-squares system in the n(n+1)/2
-    free parameters; if PSD it is returned directly (zero gradient implies
-    projected-gradient stationarity). Otherwise an accelerated projected
-    gradient loop with exact Lipschitz step runs until the gradient-mapping
-    norm drops below ``cfg.inner_tol``.
+    unconstrained minimizer solves the least-squares system D coef = rhs in
+    the n(n+1)/2 free parameters: one R-only QR of [D | rhs] gives the
+    triangle R_D and Q^T rhs, so coef = R_D^-1 (Q^T rhs). When R_D's diagonal
+    shows D near rank deficient (``RANK_RTOL``) the SVD's minimum-norm
+    solution is taken instead. If PSD the minimizer is returned directly
+    (zero gradient implies projected-gradient stationarity). Otherwise an
+    accelerated projected gradient loop with exact Lipschitz step
+    (2 ||D||_2^2 = 2 ||R_D||_2^2) runs until the gradient-mapping norm drops
+    below ``cfg.inner_tol``.
     """
     At = state.Atilde
     Ac = At + spec.Bhat @ spec.Ktarget
@@ -201,9 +214,19 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
     Bh = spec.Bhat
     basis = _sym_basis(spec.n)
-    D = np.hstack([_vec(At.T @ basis + basis @ Ac), _vec(Bh.T @ basis)]).T
+    k = len(basis)
+    # column j: the column-major vec of both blocks of the map at basis[j]
+    D = np.hstack([
+        M.swapaxes(1, 2).reshape(k, -1) for M in (At.T @ basis + basis @ Ac, Bh.T @ basis)
+    ]).T
     rhs = -np.concatenate([C1.flatten("F"), C2.flatten("F")])
-    coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+    R = np.linalg.qr(np.column_stack([D, rhs]), mode="r")
+    Rd = R[:k, :k]
+    d = np.abs(np.diag(Rd))
+    if d.min() > RANK_RTOL * d.max():
+        coef = np.linalg.solve(Rd, R[:k, k])
+    else:  # near rank deficient: the SVD's minimum-norm solution
+        coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     Pu = np.tensordot(coef, basis, 1)
     w = np.linalg.eigvalsh(Pu)
     scale = 1.0 + abs(w[-1])
@@ -216,7 +239,7 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
         g = 2.0 * (At @ R1 + R1 @ Ac.T + Bh @ R2)
         return float(np.sum(R1 * R1) + np.sum(R2 * R2)), 0.5 * (g + g.T)
 
-    lip = 2.0 * np.linalg.norm(D, 2) ** 2
+    lip = 2.0 * np.linalg.norm(Rd, 2) ** 2  # ||D||_2 = ||Rd||_2
     step = 1.0 / lip
     P = linalg.psd_project(state.P)
     Y = P.copy()
@@ -288,7 +311,6 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
         state.Z1, state.Z2 = z_step(state, W1, W2, cfg)
         state.iter = i
         state.primal_residual = r
-        state.objective = float(np.linalg.norm(state.Atilde - spec.Ahat, "fro") ** 2)
         state.residuals.append(r)
         if r <= cfg.primal_tol:
             state.converged = True

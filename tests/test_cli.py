@@ -238,3 +238,15 @@ def test_reproduce_failing_check_exit_6(tmp_path):
     assert res.returncode == 6
     assert "[FAIL]" in res.stdout
     assert "element-wise comparison" in res.stdout
+
+
+def test_reproduce_stage_failure_exits_with_its_code(tmp_path):
+    # at mu = 0.05 the P-step's projected-gradient loop hits its cap in the
+    # attack stage: a ConvergenceError, so exit 5 as for `attack`, not 1
+    out = tmp_path / "r"
+    res = cli("reproduce", "case1", "--out", str(out), "--mu", "0.05")
+    assert res.returncode == 5, res.stderr
+    assert "stage attack failed: ConvergenceError" in res.stderr
+    errors = json.loads((out / "report.json").read_text())["errors"]
+    assert list(errors) == ["attack"]
+    assert errors["attack"].startswith("ConvergenceError: P-step projected gradient")

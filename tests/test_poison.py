@@ -134,6 +134,19 @@ def a_objective(At, spec, state, cfg):
     )
 
 
+def a_gradient(At, spec, state, cfg):
+    """Gradient of ``a_objective`` in At."""
+    C = state.P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
+    pen = At.T @ state.P + state.P @ At + C
+    return 2.0 * (At - spec.Ahat) + cfg.mu * state.P @ (pen + pen.T)
+
+
+def degenerate_psd(rng, n):
+    """A PSD matrix whose eigenvalues are 0 and 2, each repeated where n allows."""
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (V * np.where(np.arange(n) < (n + 1) // 2, 0.0, 2.0)) @ V.T
+
+
 @pytest.fixture(scope="module")
 def case1_spec(case1, case1_data):
     est = identify(case1_data, eps=1e-10)
@@ -197,6 +210,36 @@ class TestAStep:
         assert np.linalg.norm(num_grad(At), "fro") <= 1e-6 * (1.0 + ref)
 
 
+    def test_gradient_helper_matches_finite_differences(self):
+        spec, state, cfg = random_admm_point(np.random.default_rng(30), 3, 2)
+        At, h = state.Atilde, 1e-6
+        num = np.zeros_like(At)
+        for i, j in np.ndindex(At.shape):
+            E = np.zeros_like(At)
+            E[i, j] = h
+            num[i, j] = (
+                a_objective(At + E, spec, state, cfg) - a_objective(At - E, spec, state, cfg)
+            ) / (2 * h)
+        np.testing.assert_allclose(a_gradient(At, spec, state, cfg), num, rtol=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_gradient_vanishes_at_output(self, n, degenerate):
+        # degenerate: P has repeated eigenvalues and a null space
+        rng = np.random.default_rng(40 * n + degenerate)
+        for _ in range(3):
+            spec, state, cfg = random_admm_point(rng, n, 2)
+            if degenerate:
+                state.P = degenerate_psd(rng, n)
+            At = a_step(state, spec, cfg)
+            C = state.P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
+            pen = At.T @ state.P + state.P @ At + C
+            scale = np.linalg.norm(At - spec.Ahat) + cfg.mu * np.linalg.norm(
+                state.P
+            ) * np.linalg.norm(pen)
+            assert np.linalg.norm(a_gradient(At, spec, state, cfg)) <= 1e-12 * scale
+
+
 class TestPStep:
     def test_exact_feasibility_returns_care_solution(self, case1_spec):
         sol = care_solve(
@@ -248,9 +291,36 @@ class TestPStep:
         assert np.linalg.eigvalsh(P).min() >= -1e-10
         assert obj(P) <= obj(linalg.psd_project(Pu)) + 1e-9
 
+    def test_rank_deficient_design_takes_minimum_norm_fallback(self, monkeypatch):
+        # Bhat = 0 and a skew Atilde: the first block maps P to the commutator
+        # P At - At P, which vanishes at P = I, so D has I in its kernel
+        rng = np.random.default_rng(50)
+        S = rng.normal(size=(3, 3))
+        At = S - S.T
+        Qr = rng.normal(size=(3, 3))
+        spec = AttackSpec(
+            Ahat=At, Bhat=np.zeros((3, 1)), Qhat=Qr @ Qr.T, Rhat=np.eye(1),
+            Ktarget=rng.normal(size=(1, 3)),
+        )
+        state = make_state(spec, Atilde=At, Z1=rng.normal(size=(3, 3)))
+        cfg = AdmmConfig()
+        D, Pu = loop_p_lstsq(state, spec, cfg)
+        assert np.linalg.matrix_rank(D) < D.shape[1]
+        lstsq_calls = spy(monkeypatch, "lstsq")
+        eig_calls = spy(monkeypatch, "eigvalsh", stop=True)
+        with pytest.raises(StopCall):
+            p_step(state, spec, cfg)
+        assert len(lstsq_calls) == 1
+        assert np.array_equal(eig_calls[0][0], Pu)  # the minimum-norm answer
+
+
+def rel_diff(X, ref):
+    return np.linalg.norm(X - ref) / np.linalg.norm(ref)
+
 
 class TestOperatorsMatchLoopOracles:
-    """The batched A- and P-step operators are bitwise the per-entry loops."""
+    """The eigenbasis A-step and the QR P-step agree with the per-entry loops:
+    the design matrix D bitwise, the solutions to rounding."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 10])
     @pytest.mark.parametrize("m", [1, 3])
@@ -258,7 +328,7 @@ class TestOperatorsMatchLoopOracles:
         rng = np.random.default_rng(100 * n + m)
         for _ in range(3):
             spec, state, cfg = random_admm_point(rng, n, m)
-            assert np.array_equal(a_step(state, spec, cfg), loop_a_step(state, spec, cfg))
+            assert rel_diff(a_step(state, spec, cfg), loop_a_step(state, spec, cfg)) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 4, 10])
     @pytest.mark.parametrize("m", [1, 3])
@@ -267,18 +337,18 @@ class TestOperatorsMatchLoopOracles:
         for _ in range(3):
             spec, state, cfg = random_admm_point(rng, n, m)
             D, Pu = loop_p_lstsq(state, spec, cfg)
-            lstsq_calls = spy(monkeypatch, "lstsq")
+            qr_calls = spy(monkeypatch, "qr")
             eig_calls = spy(monkeypatch, "eigvalsh", stop=True)
             with pytest.raises(StopCall):
                 p_step(state, spec, cfg)
             monkeypatch.undo()
-            assert np.array_equal(lstsq_calls[0][0], D)
-            assert np.array_equal(eig_calls[0][0], Pu)
+            assert np.array_equal(qr_calls[0][0][:, :-1], D)  # [D | rhs]
+            assert rel_diff(eig_calls[0][0], Pu) <= 1e-10
 
     def test_p_step_projected_gradient_branch(self, monkeypatch):
         spec, state, cfg = indefinite_2x2_point()
         D, Pu = loop_p_lstsq(state, spec, cfg)
-        lstsq_calls = spy(monkeypatch, "lstsq")
+        qr_calls = spy(monkeypatch, "qr")
         eig_calls = spy(monkeypatch, "eigvalsh")
         projections = []
         project = linalg.psd_project
@@ -287,8 +357,8 @@ class TestOperatorsMatchLoopOracles:
         )
         p_step(state, spec, cfg)
         assert len(projections) > 1  # the least-squares branch projects once
-        assert np.array_equal(lstsq_calls[0][0], D)
-        assert np.array_equal(eig_calls[0][0], Pu)
+        assert np.array_equal(qr_calls[0][0][:, :-1], D)
+        assert rel_diff(eig_calls[0][0], Pu) <= 1e-10
 
 
 class TestZStep:
