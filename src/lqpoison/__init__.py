@@ -10,7 +10,7 @@ constraint across alternating convex subproblems).
 """
 
 from .data import BatchDataset, ExcitationPolicy, dataset_read, dataset_write, simulate_zoh
-from .lq import LQSystem, RiccatiSolution, care_solve, is_stabilizing, lqr_gain, optimal_value
+from .lq import LQSystem, RiccatiSolution, care_solve, is_stabilizing, lqr_gain
 from .pipeline import (
     ClosedLoopResult,
     Scenario,
@@ -61,7 +61,6 @@ __all__ = [
     "is_stabilizing",
     "log_indirect",
     "lqr_gain",
-    "optimal_value",
     "run_attack",
     "run_learner",
     "run_scenario",

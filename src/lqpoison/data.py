@@ -73,8 +73,7 @@ class BatchDataset:
             raise ValueError("xs and us must be 2-D arrays")
         if not (len(xs) == len(us) == len(cs)):
             raise ValueError("xs, us, cs must have the same length")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        linalg.require_dt(self.dt)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "us", us)
         object.__setattr__(self, "cs", cs)

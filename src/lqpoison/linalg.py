@@ -1,10 +1,11 @@
 """Dense real-matrix kernels used throughout the package.
 
-Everything here is domain-free: matrix exponentials, zero-order-hold
-discretization, least squares, the coordinates of a symmetric matrix,
-symmetric eigendecompositions, projection onto the positive-semidefinite
-cone, and spectral quantities. Matrices are plain ``numpy.ndarray`` of
-float64; functions are pure and safe to call concurrently.
+Everything here is domain-free: the sampling-interval check, matrix
+exponentials, zero-order-hold discretization, least squares, the
+coordinates of a symmetric matrix, symmetric eigendecompositions,
+projection onto the positive-semidefinite cone, and spectral quantities.
+Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
+safe to call concurrently.
 
 Scale target is small dense problems (order <= ~10), so the exponential
 uses plain scaling-and-squaring with a truncated Taylor series and the
@@ -31,6 +32,12 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} has non-finite entries")
     return A
+
+
+def require_dt(dt) -> None:
+    """Raise ``ValueError`` unless dt is a sampling interval: 0 < dt < inf."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 def _require_square(A: np.ndarray, name: str) -> None:
@@ -78,8 +85,7 @@ def zoh_pair(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     n, m = A.shape[0], B.shape[1]
     if B.shape[0] != n:
         raise DimensionError(f"B must have {n} rows, got {B.shape}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    require_dt(dt)
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
     M[:n, n:] = B

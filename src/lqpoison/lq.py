@@ -27,6 +27,23 @@ from .errors import (
     StabilityError,
 )
 
+
+def lq_matrices(A, B, Q, R, names=("A", "B", "Q", "R")):
+    """Coerce (A, B, Q, R) to float matrices and check they pose an LQ problem.
+
+    A must be n x n, B n x m, Q n x n and positive semidefinite, R m x m and
+    positive definite. ``names`` label the four matrices in error messages.
+    """
+    A, B, Q, R = (linalg.as_matrix(M, name) for M, name in zip((A, B, Q, R), names))
+    n, m = A.shape[0], B.shape[1]
+    for M, name, shape in zip((A, B, Q, R), names, ((n, n), (n, m), (n, n), (m, m))):
+        if M.shape != shape:
+            raise DimensionError(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
+    linalg.require_psd(Q, names[2])
+    linalg.require_psd(R, names[3], definite=True)
+    return A, B, Q, R
+
+
 @dataclass(frozen=True)
 class LQSystem:
     """Ground-truth continuous-time plant with cost weights and sampling step."""
@@ -39,27 +56,12 @@ class LQSystem:
     dt: float
 
     def __post_init__(self):
-        A = linalg.as_matrix(self.A, "A")
-        B = linalg.as_matrix(self.B, "B")
-        Q = linalg.as_matrix(self.Q, "Q")
-        R = linalg.as_matrix(self.R, "R")
+        A, B, Q, R = lq_matrices(self.A, self.B, self.Q, self.R)
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionError(f"A must be square, got {A.shape}")
-        if B.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows, got {B.shape}")
-        if Q.shape != (n, n):
-            raise DimensionError(f"Q must be {n}x{n}, got {Q.shape}")
-        m = B.shape[1]
-        if R.shape != (m, m):
-            raise DimensionError(f"R must be {m}x{m}, got {R.shape}")
         if x0.shape[0] != n:
             raise DimensionError(f"x0 must have length {n}, got {x0.shape[0]}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        linalg.require_psd(Q, "Q")
-        linalg.require_psd(R, "R", definite=True)
+        linalg.require_dt(self.dt)
         rho = linalg.spectral_radius(A)
         if rho >= 1.0 / self.dt:
             raise LearnabilityError(
@@ -132,15 +134,8 @@ def care_solve(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100) -> RiccatiSo
     post-hoc through the closed-loop spectral abscissa rather than tested
     symbolically up front.
     """
-    A = linalg.as_matrix(A, "A")
-    B = linalg.as_matrix(B, "B")
-    Q = linalg.as_matrix(Q, "Q")
-    R = linalg.as_matrix(R, "R")
+    A, B, Q, R = lq_matrices(A, B, Q, R)
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise DimensionError(f"A {A.shape} and B {B.shape} do not conform")
-    linalg.require_psd(Q, "Q")
-    linalg.require_psd(R, "R", definite=True)
     Rinv = np.linalg.inv(R)
 
     if linalg.spectral_abscissa(A) < 0:
@@ -193,12 +188,3 @@ def is_stabilizing(A, B, K) -> bool:
             f"A {A.shape}, B {B.shape}, K {K.shape} do not conform"
         )
     return linalg.spectral_abscissa(A + B @ K) < 0
-
-
-def optimal_value(P, x) -> float:
-    """Quadratic value x^T P x of the optimal cost-to-go from state x."""
-    P = linalg.as_matrix(P, "P")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != P.shape[0]:
-        raise DimensionError(f"x has length {x.shape[0]}, expected {P.shape[0]}")
-    return float(x @ P @ x)

@@ -33,7 +33,7 @@ from .data import (
     write_atomic,
     write_json,
 )
-from .lq import LQSystem, RiccatiSolution, care_solve
+from .lq import LQSystem, RiccatiSolution, care_solve, lqr_gain
 from .poison import (
     AdmmConfig,
     AttackResult,
@@ -41,7 +41,6 @@ from .poison import (
     admm_solve,
     attack_cost,
     generate_poisoned,
-    induced_gain,
 )
 from .sysid import SysIdEstimate, identify
 
@@ -129,7 +128,7 @@ def run_attack(
     poisoned = generate_poisoned(state.Atilde, est.Bhat, d)
     total, series = attack_cost(d, poisoned)
     gain_err = float(
-        np.linalg.norm(induced_gain(spec, state.P) - spec.Ktarget, "fro")
+        np.linalg.norm(lqr_gain(state.P, spec.Bhat, spec.Rhat) - spec.Ktarget, "fro")
     )
     return AttackResult(
         Atilde=state.Atilde,

@@ -48,7 +48,7 @@ from .errors import (
     DimensionError,
     StabilityError,
 )
-from .lq import care_solve, lqr_gain
+from .lq import care_solve, lq_matrices
 
 DIVERGENCE_LIMIT = 1e6
 MAX_INNER_ITER = 5000
@@ -71,21 +71,14 @@ class AttackSpec:
     Ktarget: np.ndarray
 
     def __post_init__(self):
-        Ahat = linalg.as_matrix(self.Ahat, "Ahat")
-        Bhat = linalg.as_matrix(self.Bhat, "Bhat")
-        Qhat = linalg.as_matrix(self.Qhat, "Qhat")
-        Rhat = linalg.as_matrix(self.Rhat, "Rhat")
+        Ahat, Bhat, Qhat, Rhat = lq_matrices(
+            self.Ahat, self.Bhat, self.Qhat, self.Rhat,
+            names=("Ahat", "Bhat", "Qhat", "Rhat"),
+        )
         Kt = linalg.as_matrix(self.Ktarget, "Ktarget")
-        n = Ahat.shape[0]
-        m = Bhat.shape[1]
-        if Ahat.shape != (n, n) or Bhat.shape[0] != n:
-            raise DimensionError(f"Ahat {Ahat.shape} / Bhat {Bhat.shape} do not conform")
-        if Qhat.shape != (n, n) or Rhat.shape != (m, m):
-            raise DimensionError("Qhat/Rhat dimensions do not match the model")
+        n, m = Ahat.shape[0], Bhat.shape[1]
         if Kt.shape != (m, n):
             raise DimensionError(f"Ktarget must be {m}x{n}, got {Kt.shape}")
-        linalg.require_psd(Qhat, "Qhat")
-        linalg.require_psd(Rhat, "Rhat", definite=True)
         for name, M in (("Ahat", Ahat), ("Bhat", Bhat), ("Qhat", Qhat),
                         ("Rhat", Rhat), ("Ktarget", Kt)):
             object.__setattr__(self, name, M)
@@ -202,7 +195,8 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     the n(n+1)/2 free parameters: one R-only QR of [D | rhs] gives the
     triangle R_D and Q^T rhs, so coef = R_D^-1 (Q^T rhs). When R_D's diagonal
     shows D near rank deficient (``RANK_RTOL``) the SVD's minimum-norm
-    solution is taken instead. If PSD the minimizer is returned directly
+    solution is taken instead. If projecting the minimizer onto the PSD cone
+    moves it by no more than rounding, the projection is returned directly
     (zero gradient implies projected-gradient stationarity). Otherwise an
     accelerated projected gradient loop with exact Lipschitz step
     (2 ||D||_2^2 = 2 ||R_D||_2^2) runs until the gradient-mapping norm drops
@@ -228,10 +222,9 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     else:  # near rank deficient: the SVD's minimum-norm solution
         coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     Pu = np.tensordot(coef, basis, 1)
-    w = np.linalg.eigvalsh(Pu)
-    scale = 1.0 + abs(w[-1])
-    if w[0] >= -1e-12 * scale:
-        return linalg.psd_project(Pu)
+    P = linalg.psd_project(Pu)
+    if np.linalg.norm(P - Pu, "fro") <= 1e-12 * (1.0 + np.linalg.norm(Pu, "fro")):
+        return P  # Pu was PSD up to rounding
 
     def grad_obj(P):
         R1 = At.T @ P + P @ Ac + C1
@@ -316,11 +309,6 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
             state.converged = True
             break
     return state
-
-
-def induced_gain(spec: AttackSpec, P: np.ndarray) -> np.ndarray:
-    """The gain -Rhat^-1 Bhat^T P the learner would extract from P."""
-    return lqr_gain(P, spec.Bhat, spec.Rhat)
 
 
 def generate_poisoned(atilde, bhat, d: BatchDataset) -> BatchDataset:

@@ -134,8 +134,7 @@ def log_indirect(
     """
     F = linalg.as_matrix(F, "F")
     G = linalg.as_matrix(G, "G")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    linalg.require_dt(dt)
     L = F - np.eye(F.shape[0])
     rho = linalg.spectral_radius(L)
     if rho >= 1.0:

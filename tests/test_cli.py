@@ -124,6 +124,20 @@ def test_sysid_missing_file_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_sysid_non_finite_dt_exit_2(tmp_path, sim_dir, dt):
+    d = dataset_read(str(sim_dir / "data.csv"))
+    path = tmp_path / "data.csv"
+    dataset_write(d, str(path))
+    meta = tmp_path / "data.meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "dt": dt}))
+    model = tmp_path / "m.json"
+    res = cli("sysid", "--data", str(path), "--out", str(model))
+    assert res.returncode == 2, res.stderr
+    assert "dt must be positive and finite" in res.stderr
+    assert not model.exists()
+
+
 def test_sysid_degenerate_exit_4(tmp_path):
     d = BatchDataset(xs=np.zeros((30, 2)), us=np.zeros((30, 1)), cs=np.zeros(30), dt=0.1)
     path = str(tmp_path / "zero.csv")

@@ -194,3 +194,8 @@ class TestBatchDataset:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BatchDataset(xs=np.zeros((3, 2)), us=np.zeros((2, 1)), cs=np.zeros(3), dt=0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            BatchDataset(xs=np.zeros((3, 2)), us=np.zeros((3, 1)), cs=np.zeros(3), dt=dt)

@@ -84,6 +84,11 @@ class TestZohPair:
         with pytest.raises(ValueError):
             linalg.zoh_pair(np.eye(2), np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            linalg.zoh_pair(np.eye(2), np.eye(2), dt)
+
 
 class TestLstsq:
     def test_identity(self):

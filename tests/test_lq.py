@@ -7,13 +7,8 @@ import scipy.linalg
 from conftest import random_stabilizable
 from lqpoison import linalg
 from lqpoison.errors import DimensionError, LearnabilityError, StabilityError
-from lqpoison.lq import (
-    LQSystem,
-    care_solve,
-    is_stabilizing,
-    lqr_gain,
-    optimal_value,
-)
+from lqpoison.lq import LQSystem, care_solve, is_stabilizing, lqr_gain
+from lqpoison.poison import AttackSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +75,11 @@ class TestCareSolve:
         with pytest.raises(StabilityError):
             care_solve([[1.0]], [[0.0]], [[1.0]], [[1.0]])
 
+    def test_wrong_sized_q_not_broadcast(self, case1):
+        # a 1x1 Q must not broadcast to the all-ones 4x4 matrix
+        with pytest.raises(DimensionError, match="^Q must be 4x4"):
+            care_solve(case1.system.A, case1.system.B, [[1.0]], case1.system.R)
+
     def test_deterministic(self, case1):
         s = case1.system
         a = care_solve(s.A, s.B, s.Q, s.R)
@@ -126,15 +126,11 @@ class TestIsStabilizing:
 
 
 class TestOptimalValue:
-    def test_identity(self):
-        assert optimal_value(np.eye(2), [3.0, 4.0]) == pytest.approx(25.0)
-
-    def test_origin(self):
-        assert optimal_value(np.eye(3), np.zeros(3)) == 0.0
+    """The optimal cost-to-go from x0 is x0' P x0 with P from ``care_solve``."""
 
     def test_scalar_care(self):
         sol = care_solve([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert optimal_value(sol.P, [1.0]) == pytest.approx(1.0 + SQRT2, abs=1e-9)
+        assert sol.P[0, 0] == pytest.approx(1.0 + SQRT2, abs=1e-9)
 
     def test_lower_bounds_trajectory_cost(self):
         # any ZOH-implemented stabilizing policy is an admissible control,
@@ -166,7 +162,7 @@ class TestOptimalValue:
                     if np.linalg.norm(x) <= 1e-9 * np.linalg.norm(x0):
                         break
                 assert np.linalg.norm(x) <= 1e-9 * np.linalg.norm(x0)
-                assert optimal_value(sol.P, x0) <= cost + 1e-9 * (1.0 + cost)
+                assert float(x0 @ sol.P @ x0) <= cost + 1e-9 * (1.0 + cost)
 
 
 class TestLQSystem:
@@ -202,3 +198,37 @@ class TestLQSystem:
                 x0=np.zeros(2),
                 dt=0.0,
             )
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            LQSystem(
+                A=-np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2), x0=np.zeros(2), dt=dt
+            )
+
+
+def _lq_system(A, B, Q, R):
+    return LQSystem(A=A, B=B, Q=Q, R=R, x0=np.zeros(A.shape[0]), dt=0.01)
+
+
+def _attack_spec(A, B, Q, R):
+    Kt = np.zeros((B.shape[1], A.shape[0]))
+    return AttackSpec(Ahat=A, Bhat=B, Qhat=Q, Rhat=R, Ktarget=Kt)
+
+
+@pytest.mark.parametrize("build, names", [
+    (_lq_system, ("Q", "R")),
+    (_attack_spec, ("Qhat", "Rhat")),
+    (care_solve, ("Q", "R")),
+], ids=["LQSystem", "AttackSpec", "care_solve"])
+@pytest.mark.parametrize("wrong", ["Q", "R"])
+def test_wrong_sized_cost_weight_is_named(case1, build, names, wrong):
+    # every entry point checks (A, B, Q, R) the same way and names the culprit
+    A, B, Q, R = case1.system.A, case1.system.B, case1.system.Q, case1.system.R
+    n, m = B.shape
+    if wrong == "Q":
+        Q, name, shape = np.eye(n - 1), names[0], f"{n}x{n}"
+    else:
+        R, name, shape = np.eye(m + 1), names[1], f"{m}x{m}"
+    with pytest.raises(DimensionError, match=f"^{name} must be {shape}, got"):
+        build(A, B, Q, R)

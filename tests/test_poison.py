@@ -5,7 +5,7 @@ import lqpoison.poison as poison
 from lqpoison import linalg
 from lqpoison.data import BatchDataset
 from lqpoison.errors import AdmmDivergenceError, DimensionError
-from lqpoison.lq import care_solve
+from lqpoison.lq import care_solve, lqr_gain
 from lqpoison.poison import (
     AdmmConfig,
     AdmmState,
@@ -15,7 +15,6 @@ from lqpoison.poison import (
     attack_cost,
     constraint_blocks,
     generate_poisoned,
-    induced_gain,
     p_step,
     z_step,
 )
@@ -110,10 +109,10 @@ class StopCall(Exception):
     """Raised by a spy to end the call under test once it has its arguments."""
 
 
-def spy(monkeypatch, name, stop=False):
-    """Record the positional arguments of every ``np.linalg.<name>`` call;
+def spy(monkeypatch, name, stop=False, owner=np.linalg):
+    """Record the positional arguments of every ``owner.<name>`` call;
     with ``stop`` the first call raises ``StopCall`` after recording."""
-    calls, orig = [], getattr(np.linalg, name)
+    calls, orig = [], getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
@@ -121,7 +120,7 @@ def spy(monkeypatch, name, stop=False):
             raise StopCall
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -307,11 +306,11 @@ class TestPStep:
         D, Pu = loop_p_lstsq(state, spec, cfg)
         assert np.linalg.matrix_rank(D) < D.shape[1]
         lstsq_calls = spy(monkeypatch, "lstsq")
-        eig_calls = spy(monkeypatch, "eigvalsh", stop=True)
+        projections = spy(monkeypatch, "psd_project", stop=True, owner=linalg)
         with pytest.raises(StopCall):
             p_step(state, spec, cfg)
         assert len(lstsq_calls) == 1
-        assert np.array_equal(eig_calls[0][0], Pu)  # the minimum-norm answer
+        assert np.array_equal(projections[0][0], Pu)  # the minimum-norm answer
 
 
 def rel_diff(X, ref):
@@ -338,27 +337,22 @@ class TestOperatorsMatchLoopOracles:
             spec, state, cfg = random_admm_point(rng, n, m)
             D, Pu = loop_p_lstsq(state, spec, cfg)
             qr_calls = spy(monkeypatch, "qr")
-            eig_calls = spy(monkeypatch, "eigvalsh", stop=True)
+            projections = spy(monkeypatch, "psd_project", stop=True, owner=linalg)
             with pytest.raises(StopCall):
                 p_step(state, spec, cfg)
             monkeypatch.undo()
             assert np.array_equal(qr_calls[0][0][:, :-1], D)  # [D | rhs]
-            assert rel_diff(eig_calls[0][0], Pu) <= 1e-10
+            assert rel_diff(projections[0][0], Pu) <= 1e-10
 
     def test_p_step_projected_gradient_branch(self, monkeypatch):
         spec, state, cfg = indefinite_2x2_point()
         D, Pu = loop_p_lstsq(state, spec, cfg)
         qr_calls = spy(monkeypatch, "qr")
-        eig_calls = spy(monkeypatch, "eigvalsh")
-        projections = []
-        project = linalg.psd_project
-        monkeypatch.setattr(
-            linalg, "psd_project", lambda M: projections.append(M) or project(M)
-        )
+        projections = spy(monkeypatch, "psd_project", owner=linalg)
         p_step(state, spec, cfg)
         assert len(projections) > 1  # the least-squares branch projects once
         assert np.array_equal(qr_calls[0][0][:, :-1], D)
-        assert rel_diff(eig_calls[0][0], Pu) <= 1e-10
+        assert rel_diff(projections[0][0], Pu) <= 1e-10
 
 
 class TestZStep:
@@ -411,11 +405,12 @@ class TestAdmmSolve:
         W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
         assert np.linalg.norm(W1, "fro") <= 1e-6
         assert np.linalg.norm(W2, "fro") <= 1e-6
-        np.testing.assert_allclose(induced_gain(spec, state.P), nominal, atol=1e-5)
+        K_ind = lqr_gain(state.P, spec.Bhat, spec.Rhat)
+        np.testing.assert_allclose(K_ind, nominal, atol=1e-5)
 
     def test_case1_induced_gain(self, case1_spec):
         state = admm_solve(case1_spec, AdmmConfig())
-        K_ind = induced_gain(case1_spec, state.P)
+        K_ind = lqr_gain(state.P, case1_spec.Bhat, case1_spec.Rhat)
         assert np.max(np.abs(K_ind - case1_spec.Ktarget)) <= 0.2
         assert len(state.residuals) == state.iter
         assert state.primal_residual == state.residuals[-1]
@@ -429,7 +424,7 @@ class TestAdmmSolve:
             Ahat=est.Ahat, Bhat=est.Bhat, Qhat=Qhat, Rhat=Rhat, Ktarget=case2.Ktarget
         )
         state = admm_solve(spec, case2.admm)
-        K_ind = induced_gain(spec, state.P)
+        K_ind = lqr_gain(state.P, spec.Bhat, spec.Rhat)
         rel = np.abs((K_ind - case2.Ktarget) / case2.Ktarget)
         assert np.max(rel) <= 0.05
 

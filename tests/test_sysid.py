@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -123,6 +124,11 @@ class TestLogIndirect:
         F = np.diag([np.exp(0.01), np.exp(0.01)])
         Ahat, _, _ = log_indirect(F, np.ones((2, 1)), 0.01, eps=1e-14, max_iter=2000)
         np.testing.assert_allclose(Ahat, np.eye(2), atol=1e-9)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            log_indirect(np.eye(2), np.ones((2, 1)), dt)
 
     def test_divergent_series(self):
         with pytest.raises(ConvergenceError):
