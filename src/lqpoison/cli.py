@@ -52,7 +52,7 @@ from .pipeline import (
     trajectory_write,
 )
 from .poison import AdmmConfig
-from .sysid import SERIES_EPS, identify, model_write
+from .sysid import SERIES_EPS, SERIES_MAX_TERMS, identify, model_write
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,20 +79,21 @@ def _admm_from_args(args, base: AdmmConfig) -> AdmmConfig:
         mu=base.mu if args.mu is None else args.mu,
         n_iter=base.n_iter if args.iters is None else args.iters,
         primal_tol=base.primal_tol if args.tol is None else args.tol,
-        inner_tol=base.inner_tol,
     )
 
 
-def _load_gain(path: str, n: int | None = None, m: int | None = None) -> np.ndarray:
+def _load_gain(path: str, n: int, m: int) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("gain file root must be a JSON object", field=path)
     key = "Ktarget" if "Ktarget" in doc else "K"
     if key not in doc:
         raise ConfigError("gain file must contain 'Ktarget' or 'K'", field=path)
     K = np.array(doc[key], dtype=float)
     if K.ndim != 2:
         raise ConfigError("gain must be a matrix (array of row arrays)", field=key)
-    if m is not None and K.shape != (m, n):
+    if K.shape != (m, n):
         raise ConfigError(
             f"gain must be {m}x{n}, got {K.shape[0]}x{K.shape[1]}", field=key
         )
@@ -120,12 +121,12 @@ def cmd_sysid(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    d = dataset_read(args.data)
     base = AdmmConfig()
     if args.config:
         scenario, _ = load_scenario(args.config)
         base = scenario.admm
     cfg = _admm_from_args(args, base)
+    d = dataset_read(args.data)
     Kt = _load_gain(args.target, n=d.n, m=d.m)
     result = run_attack(d, Kt, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -253,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-qr", action="store_true", help="also fit the cost weights")
     sp.add_argument("--eps", type=float, default=SERIES_EPS,
                     help=f"log-series stopping tolerance (default {SERIES_EPS:g})")
-    sp.add_argument("--max-iter", type=int, default=500, help="log-series term cap")
+    sp.add_argument("--max-iter", type=int, default=SERIES_MAX_TERMS,
+                    help=f"log-series term cap (default {SERIES_MAX_TERMS})")
     sp.set_defaults(fn=cmd_sysid)
 
     sp = sub.add_parser("attack", help="poison a dataset toward a target gain")

@@ -11,10 +11,13 @@ arrays), a single seed that drives all randomness, and the solver knobs:
       "N": 500,
       "seed": 42,
       "Ktarget": [[...]],
-      "admm": {"mu": 10.0, "n_iter": 500, "primal_tol": 1e-6,
-               "inner_tol": 1e-8},
+      "admm": {"mu": 10.0, "n_iter": 500, "primal_tol": 1e-6},
       "horizon": 1000
     }
+
+Only ``system``, ``N`` and ``Ktarget`` are required. An absent optional
+field takes the default of the dataclass it fills, and unknown keys are
+ignored.
 
 Two configs ship with the package: ``case1`` (a 4-state plant with two
 inputs and an unstable open loop) and ``case2`` (a quarter-car active
@@ -25,6 +28,7 @@ to cross-check the bundled target gain.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -54,18 +58,14 @@ SUSPENSION_TIRE_STIFFNESS = 190000.0  # N/m
 CASE2_ATTACK_SPRING = 2000.0  # N/m, the softened spring the attacker plants
 
 
-def suspension_matrices(
-    spring: float = SUSPENSION_SPRING,
-    body_mass: float = SUSPENSION_BODY_MASS,
-    wheel_mass: float = SUSPENSION_WHEEL_MASS,
-    damper: float = SUSPENSION_DAMPER,
-    tire_stiffness: float = SUSPENSION_TIRE_STIFFNESS,
-) -> tuple[np.ndarray, np.ndarray]:
+def suspension_matrices(spring: float = SUSPENSION_SPRING) -> tuple[np.ndarray, np.ndarray]:
     """State-space (A, B) of the quarter-car model in kN actuator units.
 
     State order: body travel, body velocity, wheel travel, wheel velocity.
+    Only the spring varies; the other constants are the ``SUSPENSION_*`` values.
     """
-    mb, mw, bs, ks, kt = body_mass, wheel_mass, damper, spring, tire_stiffness
+    mb, mw = SUSPENSION_BODY_MASS, SUSPENSION_WHEEL_MASS
+    bs, ks, kt = SUSPENSION_DAMPER, spring, SUSPENSION_TIRE_STIFFNESS
     A = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -78,102 +78,53 @@ def suspension_matrices(
     return A, B
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError("missing required field", field=f"{where}{key}")
-    return doc[key]
+# JSON value -> dataclass field value, by the field's annotation.
+_FROM_JSON = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "np.ndarray": lambda v: np.array(v, dtype=float),
+    "np.ndarray | None": lambda v: None if v is None else np.array(v, dtype=float),
+}
+
+
+def _read(cls, doc, where: str | None, **built):
+    """``cls`` from the JSON object ``doc`` plus the already-built fields ``built``.
+
+    Only the fields ``doc`` has are passed, each converted by its annotation,
+    so an absent field keeps its dataclass default; keys that are not fields
+    are ignored. Errors are raised as a ConfigError naming the section
+    ``where``; the learnability gate's LearnabilityError passes through.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("must be a JSON object", field=where)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in built]
+    for f in fields:
+        if f.name not in doc and f.default is dataclasses.MISSING:
+            label = f"{where}.{f.name}" if where else f.name
+            raise ConfigError("missing required field", field=label)
+    try:
+        given = {f.name: _FROM_JSON[f.type](doc[f.name]) for f in fields if f.name in doc}
+        return cls(**built, **given)
+    except LearnabilityError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e), field=where) from e
 
 
 def scenario_from_dict(doc: dict) -> tuple[Scenario, str]:
     """Build a Scenario from a parsed config document; returns (scenario, name)."""
-    name = doc.get("name", "scenario")
-    sys_doc = _require(doc, "system", "")
-    seed = int(doc.get("seed", 0))
-    try:
-        system = LQSystem(
-            A=np.array(_require(sys_doc, "A", "system."), dtype=float),
-            B=np.array(_require(sys_doc, "B", "system."), dtype=float),
-            Q=np.array(_require(sys_doc, "Q", "system."), dtype=float),
-            R=np.array(_require(sys_doc, "R", "system."), dtype=float),
-            x0=np.array(_require(sys_doc, "x0", "system."), dtype=float),
-            dt=float(_require(sys_doc, "dt", "system.")),
-        )
-    except LearnabilityError:
-        raise
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(str(e), field="system") from e
-
-    exc_doc = doc.get("excitation", {})
-    try:
-        excitation = ExcitationPolicy(
-            kind=exc_doc.get("kind", "iid-uniform"),
-            amplitude=float(exc_doc.get("amplitude", 1.0)),
-            gain=None
-            if exc_doc.get("gain") is None
-            else np.array(exc_doc["gain"], dtype=float),
-            seed=seed,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e), field="excitation") from e
-
-    admm_doc = doc.get("admm", {})
-    try:
-        admm = AdmmConfig(
-            mu=float(admm_doc.get("mu", 10.0)),
-            n_iter=int(admm_doc.get("n_iter", 500)),
-            primal_tol=float(admm_doc.get("primal_tol", 1e-6)),
-            inner_tol=float(admm_doc.get("inner_tol", 1e-8)),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e), field="admm") from e
-
-    try:
-        scenario = Scenario(
-            system=system,
-            excitation=excitation,
-            N=int(_require(doc, "N", "")),
-            Ktarget=np.array(_require(doc, "Ktarget", ""), dtype=float),
-            admm=admm,
-            horizon=int(doc.get("horizon", 1000)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    return scenario, name
-
-
-def scenario_to_dict(s: Scenario, name: str) -> dict:
-    doc = {
-        "name": name,
-        "system": {
-            "A": s.system.A.tolist(),
-            "B": s.system.B.tolist(),
-            "Q": s.system.Q.tolist(),
-            "R": s.system.R.tolist(),
-            "x0": s.system.x0.tolist(),
-            "dt": s.system.dt,
-        },
-        "excitation": {
-            "kind": s.excitation.kind,
-            "amplitude": s.excitation.amplitude,
-        },
-        "N": s.N,
-        "seed": s.excitation.seed,
-        "Ktarget": s.Ktarget.tolist(),
-        "admm": {
-            "mu": s.admm.mu,
-            "n_iter": s.admm.n_iter,
-            "primal_tol": s.admm.primal_tol,
-            "inner_tol": s.admm.inner_tol,
-        },
-        "horizon": s.horizon,
-    }
-    if s.excitation.gain is not None:
-        doc["excitation"]["gain"] = np.asarray(s.excitation.gain).tolist()
-    return doc
+    # The one seed sits at the top level; absent, the policy's default applies.
+    seed = int(doc.get("seed", ExcitationPolicy.seed))
+    scenario = _read(
+        Scenario,
+        doc,
+        None,
+        system=_read(LQSystem, doc.get("system", {}), "system"),
+        excitation=_read(ExcitationPolicy, doc.get("excitation", {}), "excitation", seed=seed),
+        admm=_read(AdmmConfig, doc.get("admm", {}), "admm"),
+    )
+    return scenario, doc.get("name", "scenario")
 
 
 def load_scenario(path: str) -> tuple[Scenario, str]:

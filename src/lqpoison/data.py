@@ -162,16 +162,15 @@ def indexed_csv_lines(
         yield fmt.format(k, k * dt, *row)
 
 
+def _dataset_header(n: int, m: int) -> list[str]:
+    """Dataset CSV columns: k, t, x0..x{n-1}, u0..u{m-1}, c."""
+    return ["k", "t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)] + ["c"]
+
+
 def dataset_write(d: BatchDataset, path: str) -> None:
     """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar, atomically."""
-    cols = (
-        ["k", "t"]
-        + [f"x{i}" for i in range(d.n)]
-        + [f"u{i}" for i in range(d.m)]
-        + ["c"]
-    )
     rows = np.column_stack([d.xs, d.us, d.cs])
-    write_atomic(path, indexed_csv_lines(cols, d.dt, rows))
+    write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, rows))
     meta = {"dt": d.dt, "n": d.n, "m": d.m, "seed": d.seed}
     write_atomic(_meta_path(path), [json.dumps(meta, sort_keys=True) + "\n"])
 
@@ -196,9 +195,7 @@ def dataset_read(path: str) -> BatchDataset:
         lines = fh.read().splitlines()
     if not lines:
         raise DatasetFormatError("empty dataset file", line=1)
-    expected_header = (
-        ["k", "t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)] + ["c"]
-    )
+    expected_header = _dataset_header(n, m)
     header = lines[0].split(",")
     if header != expected_header:
         raise DatasetFormatError(

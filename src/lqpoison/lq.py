@@ -27,6 +27,9 @@ from .errors import (
     StabilityError,
 )
 
+CARE_TOL = 1e-10  # Riccati residual tolerance, relative to 1 + ||P||_F
+CARE_MAX_ITER = 100  # Newton-Kleinman step cap
+
 
 def lq_matrices(A, B, Q, R, names=("A", "B", "Q", "R")):
     """Coerce (A, B, Q, R) to float matrices and check they pose an LQ problem.
@@ -125,7 +128,7 @@ def _bass_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return -B.T @ np.linalg.pinv(W, hermitian=True)
 
 
-def care_solve(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100) -> RiccatiSolution:
+def care_solve(A, B, Q, R) -> RiccatiSolution:
     """Stabilizing solution of the CARE by Newton-Kleinman iteration.
 
     Each iterate K_i must stabilize A + B K_i; the Lyapunov equation
@@ -149,17 +152,17 @@ def care_solve(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100) -> RiccatiSo
 
     P = np.eye(n)
     res_norm = float("inf")
-    for it in range(1, max_iter + 1):
+    for it in range(1, CARE_MAX_ITER + 1):
         Acl = A + B @ K
         P = lyap_solve(Acl, Q + K.T @ R @ K)
         K = -Rinv @ (B.T @ P)
         res = A.T @ P + P @ A - P @ B @ Rinv @ B.T @ P + Q
         res_norm = float(np.linalg.norm(res, "fro"))
-        if res_norm <= tol * (1.0 + np.linalg.norm(P, "fro")):
+        if res_norm <= CARE_TOL * (1.0 + np.linalg.norm(P, "fro")):
             break
     else:
         raise ConvergenceError(
-            f"Riccati iteration did not converge in {max_iter} steps "
+            f"Riccati iteration did not converge in {CARE_MAX_ITER} steps "
             f"(residual {res_norm:.3e})",
             residual=res_norm,
         )

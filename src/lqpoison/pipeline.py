@@ -46,6 +46,7 @@ from .sysid import SysIdEstimate, identify
 
 DIVERGENCE_NORM = 1e9
 ROLLOUT_BLOCK = 256  # closed-loop steps advanced per batched matmul
+SETTLE_FRAC = 0.05  # settled once ||x|| stays below this fraction of ||x0||
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,11 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     return ClosedLoopResult(states=states, cost=cost, diverged=diverged)
 
 
-def settling_step(states: np.ndarray, frac: float = 0.05) -> int | None:
-    """First step index after which ||x|| stays below frac * ||x0||, if any."""
+def settling_step(states: np.ndarray) -> int | None:
+    """First step index after which ||x|| stays below SETTLE_FRAC * ||x0||, if any."""
     norms = np.linalg.norm(states, axis=1)
     tail_max = np.maximum.accumulate(norms[::-1])[::-1]  # max of norms[k:]
-    settled = np.flatnonzero(tail_max < frac * norms[0])
+    settled = np.flatnonzero(tail_max < SETTLE_FRAC * norms[0])
     return int(settled[0]) if settled.size else None
 
 

@@ -36,6 +36,7 @@ tolerance reports converged=False instead of raising.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,7 @@ from .lq import care_solve, lq_matrices
 
 DIVERGENCE_LIMIT = 1e6
 MAX_INNER_ITER = 5000
+INNER_TOL = 1e-8  # P-step projected-gradient stationarity tolerance
 # The P-step solves its least-squares system by QR unless the smallest |R_ii|
 # is within this factor of the largest; then it takes the SVD solve. Since
 # sigma_min(D) <= min |R_ii|, a small ratio proves D nearly rank deficient; a
@@ -97,11 +99,12 @@ class AdmmConfig:
     mu: float = 10.0
     n_iter: int = 500
     primal_tol: float = 1e-6
-    inner_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not self.primal_tol >= 0:
+            raise ValueError(f"primal_tol must be non-negative, got {self.primal_tol}")
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
 
@@ -200,7 +203,7 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     (zero gradient implies projected-gradient stationarity). Otherwise an
     accelerated projected gradient loop with exact Lipschitz step
     (2 ||D||_2^2 = 2 ||R_D||_2^2) runs until the gradient-mapping norm drops
-    below ``cfg.inner_tol``.
+    below ``INNER_TOL``.
     """
     At = state.Atilde
     Ac = At + spec.Bhat @ spec.Ktarget
@@ -252,11 +255,11 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
         Y = Pn + ((tk - 1.0) / tk1) * (Pn - P)
         P, f, tk = Pn, fn, tk1
         gm = np.linalg.norm(P - linalg.psd_project(P - step * Gn), "fro") / step
-        if gm <= cfg.inner_tol:
+        if gm <= INNER_TOL:
             return P
     raise ConvergenceError(
         f"P-step projected gradient hit {MAX_INNER_ITER} iterations "
-        f"(stationarity {gm:.3e} > {cfg.inner_tol:.1e})",
+        f"(stationarity {gm:.3e} > {INNER_TOL:.1e})",
         residual=float(gm),
     )
 

@@ -23,7 +23,6 @@ symmetry null-space in the normal equations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .errors import (
 )
 
 SERIES_EPS = 1e-10  # log-series stopping tolerance (Frobenius norm of a term)
+SERIES_MAX_TERMS = 500  # log-series term cap
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _log_series(L: np.ndarray, eps: float, max_iter: int) -> tuple[np.ndarray, i
 
 
 def log_indirect(
-    F, G, dt: float, eps: float = SERIES_EPS, max_iter: int = 500
+    F, G, dt: float, eps: float = SERIES_EPS, max_iter: int = SERIES_MAX_TERMS
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Continuous (A, B) from a discrete (F, G) via the matrix-log series.
 
@@ -193,7 +193,8 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def identify(
-    d: BatchDataset, eps: float = SERIES_EPS, max_iter: int = 500, with_qr: bool = False
+    d: BatchDataset, eps: float = SERIES_EPS, max_iter: int = SERIES_MAX_TERMS,
+    with_qr: bool = False,
 ) -> SysIdEstimate:
     """Full identification chain: (F, G) fit, log conversion, optional (Q, R)."""
     model = estimate_fg(d)
@@ -218,15 +219,3 @@ def model_write(est: SysIdEstimate, dt: float, path: str) -> None:
         "Rhat": None if est.Rhat is None else est.Rhat.tolist(),
     }
     write_json(path, doc)
-
-
-def model_read(path: str) -> tuple[SysIdEstimate, float]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    est = SysIdEstimate(
-        Ahat=np.array(doc["Ahat"], dtype=float),
-        Bhat=np.array(doc["Bhat"], dtype=float),
-        Qhat=None if doc.get("Qhat") is None else np.array(doc["Qhat"], dtype=float),
-        Rhat=None if doc.get("Rhat") is None else np.array(doc["Rhat"], dtype=float),
-    )
-    return est, float(doc["dt"])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_simulate_writes_n_rows(sim_dir):
 
 
 def test_simulate_bad_dt_exit_2(tmp_path, case1_config):
-    doc = json.load(open(case1_config))
+    doc = json.loads(Path(case1_config).read_text())
     doc["system"]["dt"] = -0.5
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
@@ -61,7 +62,7 @@ def test_simulate_bad_dt_exit_2(tmp_path, case1_config):
 
 
 def test_simulate_learnability_exit_3(tmp_path, case1_config):
-    doc = json.load(open(case1_config))
+    doc = json.loads(Path(case1_config).read_text())
     doc["system"]["A"] = (2.0 * np.eye(4)).tolist()
     doc["system"]["dt"] = 1.0
     cfg = tmp_path / "fast.json"
@@ -115,7 +116,7 @@ def test_sysid_recovers_generator(tmp_path):
     model = str(tmp_path / "m.json")
     res = cli("sysid", "--data", data, "--out", model)
     assert res.returncode == 0, res.stderr
-    got = json.load(open(model))
+    got = json.loads(Path(model).read_text())
     assert np.max(np.abs(np.array(got["Ahat"]) - np.array(doc["system"]["A"]))) <= 1e-5
 
 
@@ -151,8 +152,8 @@ def test_sysid_default_series_tolerance_recovers_a(tmp_path, sim_dir, case1_conf
     model = str(tmp_path / "m.json")
     res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", model)
     assert res.returncode == 0, res.stderr
-    A = np.array(json.load(open(case1_config))["system"]["A"])
-    assert np.max(np.abs(np.array(json.load(open(model))["Ahat"]) - A)) <= 1e-10
+    A = np.array(json.loads(Path(case1_config).read_text())["system"]["A"])
+    assert np.max(np.abs(np.array(json.loads(Path(model).read_text())["Ahat"]) - A)) <= 1e-10
 
 
 def test_sysid_term_cap_exit_5(tmp_path, sim_dir):
@@ -176,7 +177,7 @@ def test_sysid_negative_control_weight_exit_4(tmp_path, sim_dir):
 
 def test_attack_self_target_exit_0(tmp_path, sim_dir, case1_config):
     d = dataset_read(str(sim_dir / "data.csv"))
-    doc = json.load(open(case1_config))
+    doc = json.loads(Path(case1_config).read_text())
     _, sol = run_learner(d, np.array(doc["system"]["Q"]), np.array(doc["system"]["R"]))
     target = tmp_path / "self.json"
     target.write_text(json.dumps({"Ktarget": sol.K.tolist()}))
@@ -184,20 +185,20 @@ def test_attack_self_target_exit_0(tmp_path, sim_dir, case1_config):
     res = cli("attack", "--data", str(sim_dir / "data.csv"), "--target", str(target),
               "--out", out)
     assert res.returncode == 0, res.stderr
-    report = json.load(open(f"{out}/attack_report.json"))
+    report = json.loads(Path(f"{out}/attack_report.json").read_text())
     assert report["attack_cost"] <= 1e-10
     assert report["converged"] is True
 
 
 def test_attack_case1_target_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
-    doc = json.load(open(case1_config))
+    doc = json.loads(Path(case1_config).read_text())
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"Ktarget": doc["Ktarget"]}))
     out = str(tmp_path / "out")
     res = cli("attack", "--config", case1_config, "--data", str(sim_dir / "data.csv"),
               "--target", str(target), "--out", out)
     assert res.returncode == 5  # stalls above primal_tol but still succeeds
-    report = json.load(open(f"{out}/attack_report.json"))
+    report = json.loads(Path(f"{out}/attack_report.json").read_text())
     assert report["converged"] is False
     assert report["gain_error"] <= 0.2 * np.sqrt(2 * 4)
     err = np.abs(np.array(report["Atilde"]) - np.array(doc["system"]["A"]))
@@ -205,7 +206,7 @@ def test_attack_case1_target_exit_5_with_outputs(tmp_path, sim_dir, case1_config
 
     # u and c columns must be byte-identical between clean and poisoned CSVs
     def columns(path, picks):
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         idx = [rows[0].split(",").index(c) for c in picks]
         return [tuple(r.split(",")[i] for i in idx) for r in rows[1:]]
 
@@ -230,9 +231,58 @@ def test_evaluate(tmp_path, case1_config):
     res = cli("evaluate", "--config", case1_config, "--gain", str(gain),
               "--out", out, "--horizon", "50")
     assert res.returncode == 0, res.stderr
-    lines = open(f"{out}/trajectory.csv").read().splitlines()
+    lines = Path(f"{out}/trajectory.csv").read_text().splitlines()
     assert lines[0] == "step,t,x0,x1,x2,x3"
     assert len(lines) == 52  # header + horizon + initial state
+
+
+@pytest.mark.parametrize("section,value", [("excitation", []), ("admm", []),
+                                           ("excitation", 3), ("system", None)])
+def test_simulate_section_not_an_object_exit_2(tmp_path, case1_config, section, value):
+    doc = json.loads(Path(case1_config).read_text())
+    doc[section] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "d.csv"
+    res = cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert f"error: {section}: must be a JSON object" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("root", [3, None, "K"])
+def test_evaluate_gain_root_not_an_object_exit_2(tmp_path, case1_config, root):
+    gain = tmp_path / "gain.json"
+    gain.write_text(json.dumps(root))
+    out = tmp_path / "ev"
+    res = cli("evaluate", "--config", case1_config, "--gain", str(gain), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert f"error: {gain}: gain file root must be a JSON object" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--mu", "nan", "mu"), ("--mu", "inf", "mu"),
+    ("--tol", "nan", "primal_tol"), ("--tol", "-1", "primal_tol"),
+])
+def test_reproduce_bad_admm_setting_exit_2_before_work(tmp_path, flag, value, field):
+    out = tmp_path / "r"
+    res = cli("reproduce", "case1", "--out", str(out), flag, value)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert f"error: {field} must be" in res.stderr
+    assert res.stdout == "" and not out.exists()
+
+
+def test_attack_bad_mu_exit_2_without_outputs(tmp_path, sim_dir, case1_config):
+    target = tmp_path / "target.json"
+    Kt = json.loads(Path(case1_config).read_text())["Ktarget"]
+    target.write_text(json.dumps({"Ktarget": Kt}))
+    out = tmp_path / "out"
+    res = cli("attack", "--data", str(sim_dir / "data.csv"), "--target", str(target),
+              "--out", str(out), "--mu", "nan")
+    assert res.returncode == 2, res.stderr
+    assert "error: mu must be positive and finite, got nan" in res.stderr
+    assert not out.exists()
 
 
 def test_reproduce_unknown_case_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,9 +144,9 @@ class TestDatasetIO:
     def test_header_mismatch(self, tmp_path, case1_data):
         path = str(tmp_path / "d.csv")
         dataset_write(case1_data, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[0] = "k,t,x0,x1,u0,c"  # wrong column count for n=4, m=2
-        open(path, "w").write("\n".join(lines))
+        Path(path).write_text("\n".join(lines))
         with pytest.raises(DatasetFormatError) as ei:
             dataset_read(path)
         assert ei.value.line == 1
@@ -153,9 +154,9 @@ class TestDatasetIO:
     def test_bad_row_reports_line(self, tmp_path, case1_data):
         path = str(tmp_path / "d.csv")
         dataset_write(case1_data, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0]  # drop a column from row k=2
-        open(path, "w").write("\n".join(lines))
+        Path(path).write_text("\n".join(lines))
         with pytest.raises(DatasetFormatError) as ei:
             dataset_read(path)
         assert ei.value.line == 4
@@ -164,11 +165,11 @@ class TestDatasetIO:
     def test_non_finite_value_reports_line(self, tmp_path, case1_data, value):
         path = str(tmp_path / "d.csv")
         dataset_write(case1_data, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         parts = lines[3].split(",")
         parts[3] = value  # x1 of row k=2
         lines[3] = ",".join(parts)
-        open(path, "w").write("\n".join(lines))
+        Path(path).write_text("\n".join(lines))
         with pytest.raises(DatasetFormatError, match=f"'{value}' in column x1") as ei:
             dataset_read(path)
         assert ei.value.line == 4

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from lqpoison.errors import IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.pipeline import (
     DIVERGENCE_NORM,
+    SETTLE_FRAC,
     ClosedLoopResult,
     Scenario,
     evaluate_closed_loop,
@@ -197,9 +199,9 @@ class TestBlockRolloutMatchesSequential:
             evaluate_closed_loop(s, np.zeros((s.m, s.n)), -1)
 
 
-def settling_step_brute(states, frac=0.05):
+def settling_step_brute(states):
     norms = np.linalg.norm(states, axis=1)
-    below = norms < frac * norms[0]
+    below = norms < SETTLE_FRAC * norms[0]
     for k in range(len(norms)):
         if below[k:].all():
             return k
@@ -296,9 +298,9 @@ class TestReportWrite:
             "poisoned_trajectory.csv", "attack_cost.csv",
         ):
             assert os.path.exists(os.path.join(outdir, name))
-        header = open(os.path.join(outdir, "clean_trajectory.csv")).readline().strip()
+        header = Path(outdir, "clean_trajectory.csv").read_text().splitlines()[0]
         assert header == "step,t,x0,x1,x2,x3"
-        header = open(os.path.join(outdir, "attack_cost.csv")).readline().strip()
+        header = Path(outdir, "attack_cost.csv").read_text().splitlines()[0]
         assert header == "step,cumulative_cost"
 
     def test_trajectory_csv_bytes(self, tmp_path):
@@ -319,10 +321,7 @@ class TestReportWrite:
         report_write(report, d1, case1.system.dt)
         report_write(report, d2, case1.system.dt)
         for name in ("report.json", "clean_trajectory.csv", "attack_cost.csv"):
-            assert (
-                open(os.path.join(d1, name), "rb").read()
-                == open(os.path.join(d2, name), "rb").read()
-            )
+            assert Path(d1, name).read_bytes() == Path(d2, name).read_bytes()
 
 
 class TestScenarioValidation:

@@ -525,3 +525,16 @@ class TestAttackSpecValidation:
                 Rhat=case1_spec.Rhat,
                 Ktarget=case1_spec.Ktarget,
             )
+
+
+class TestAdmmConfigValidation:
+    @pytest.mark.parametrize("mu", [0.0, -1.0, float("inf"), float("nan")])
+    def test_mu_must_be_positive_and_finite(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            AdmmConfig(mu=mu)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_primal_tol_must_be_non_negative(self, tol):
+        assert AdmmConfig(mu=1e-300, primal_tol=0.0).primal_tol == 0.0  # the boundary
+        with pytest.raises(ValueError, match="primal_tol must be non-negative"):
+            AdmmConfig(primal_tol=tol)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -14,7 +15,6 @@ from lqpoison.sysid import (
     estimate_qr,
     identify,
     log_indirect,
-    model_read,
     model_write,
 )
 from lqpoison.sysid import _quad_features
@@ -242,18 +242,17 @@ class TestPipelineContinuity:
 class TestModelIO:
     def test_round_trip(self, tmp_path, case1_data):
         est = identify(case1_data, eps=1e-12, with_qr=True)
-        path = str(tmp_path / "model.json")
-        model_write(est, case1_data.dt, path)
-        back, dt = model_read(path)
-        assert dt == case1_data.dt
-        np.testing.assert_array_equal(back.Ahat, est.Ahat)
-        np.testing.assert_array_equal(back.Bhat, est.Bhat)
-        np.testing.assert_array_equal(back.Qhat, est.Qhat)
-        np.testing.assert_array_equal(back.Rhat, est.Rhat)
+        path = tmp_path / "model.json"
+        model_write(est, case1_data.dt, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["dt"] == case1_data.dt
+        assert (doc["n"], doc["m"]) == (case1_data.n, case1_data.m)
+        for key in ("Ahat", "Bhat", "Qhat", "Rhat"):
+            np.testing.assert_array_equal(np.array(doc[key]), getattr(est, key))
 
     def test_optional_qr_omitted(self, tmp_path, case1_data):
         est = identify(case1_data, eps=1e-12)
-        path = str(tmp_path / "model.json")
-        model_write(est, case1_data.dt, path)
-        back, _ = model_read(path)
-        assert back.Qhat is None and back.Rhat is None
+        path = tmp_path / "model.json"
+        model_write(est, case1_data.dt, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["Qhat"] is None and doc["Rhat"] is None
