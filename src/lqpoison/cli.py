@@ -188,33 +188,33 @@ def cmd_reproduce(args) -> int:
             print(f"stage {stage} failed: {type(e).__name__}: {e}", file=sys.stderr)
         return _exit_code(next(iter(report.errors.values())))
 
+    Khat = report.learn_poisoned[1].K
     kstar_ref = CASE1_KSTAR_REF if args.case == "case1" else CASE2_KSTAR_REF
-    kstar_dev = float(np.max(np.abs(report.Kstar - kstar_ref)))
+    kstar_dev = float(np.max(np.abs(report.optimal_gain.K - kstar_ref)))
     print(f"{name}: report written to {args.out}")
     print(f"  optimal gain vs 2-decimal reference: max |diff| {kstar_dev:.4f}")
 
     failures = []
     if args.case == "case1":
-        dev = float(np.max(np.abs(report.Khat_poisoned - report.Ktarget)))
+        dev = float(np.max(np.abs(Khat - report.Ktarget)))
         ok = dev <= 0.2
         print(f"  [{'PASS' if ok else 'FAIL'}] poisoned gain within 0.2 of target "
               f"(max |diff| {dev:.4f})")
         if not ok:
-            failures.append(("poisoned gain", report.Khat_poisoned, report.Ktarget))
-        cs = settling_step(report.clean_trajectory)
-        ps = settling_step(report.poisoned_trajectory)
+            failures.append(("poisoned gain", Khat, report.Ktarget))
+        cs, ps = (settling_step(res.states) for res in report.evaluate)
         ok2 = cs is not None and (ps is None or ps > cs)
         print(f"  [{'PASS' if ok2 else 'FAIL'}] poisoned loop settles later than clean "
               f"(clean {cs}, poisoned {'never' if ps is None else ps})")
         if not ok2:
             failures.append(("settling", None, None))
     else:
-        rel = np.abs((report.Khat_poisoned - report.Ktarget) / report.Ktarget)
+        rel = np.abs((Khat - report.Ktarget) / report.Ktarget)
         ok = bool(np.max(rel) <= 0.05)
         print(f"  [{'PASS' if ok else 'FAIL'}] poisoned gain within 5% of target "
               f"per element (max rel {float(np.max(rel)):.4%})")
         if not ok:
-            failures.append(("poisoned gain", report.Khat_poisoned, report.Ktarget))
+            failures.append(("poisoned gain", Khat, report.Ktarget))
         A_phys, B_phys = suspension_matrices(spring=CASE2_ATTACK_SPRING)
         K_phys = care_solve(A_phys, B_phys, scenario.system.Q, scenario.system.R).K
         dev = float(np.max(np.abs(K_phys - report.Ktarget)))
@@ -223,8 +223,8 @@ def cmd_reproduce(args) -> int:
               f"physics (max |diff| {dev:.4f})")
         if not ok2:
             failures.append(("physics cross-check", K_phys, report.Ktarget))
-    print(f"  attack converged: {report.converged} "
-          f"(final residual {report.admm_residuals[-1]:.3e})")
+    print(f"  attack converged: {report.attack.converged} "
+          f"(final residual {report.attack.residuals[-1]:.3e})")
 
     if failures:
         for label, K, ref in failures:

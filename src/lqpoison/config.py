@@ -115,7 +115,10 @@ def _read(cls, doc, where: str | None, **built):
 def scenario_from_dict(doc: dict) -> tuple[Scenario, str]:
     """Build a Scenario from a parsed config document; returns (scenario, name)."""
     # The one seed sits at the top level; absent, the policy's default applies.
-    seed = int(doc.get("seed", ExcitationPolicy.seed))
+    try:
+        seed = int(doc.get("seed", ExcitationPolicy.seed))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e), field="seed") from e
     scenario = _read(
         Scenario,
         doc,

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import linalg
-from .errors import DatasetFormatError
+from .errors import DatasetFormatError, DimensionError
 from .lq import LQSystem
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
@@ -49,8 +49,8 @@ class ExcitationPolicy:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
         if self.kind == "gain-plus-dither" and self.gain is None:
             raise ValueError("gain-plus-dither requires a gain matrix")
 
@@ -106,7 +106,11 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
     F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
     rng = np.random.Generator(np.random.PCG64(policy.seed))
     n, m = sys.n, sys.m
-    gain = None if policy.gain is None else np.asarray(policy.gain, dtype=float)
+    gain = None
+    if policy.kind == "gain-plus-dither":
+        gain = linalg.as_matrix(policy.gain, "excitation gain")
+        if gain.shape != (m, n):
+            raise DimensionError(f"excitation gain must be {m}x{n}, got {gain.shape}")
     xs = np.empty((N, n))
     us = np.empty((N, m))
     cs = np.empty(N)

@@ -4,7 +4,8 @@ A scenario run produces the full story: collect clean data, emulate the
 learner on it (identification + Riccati solve with the true cost weights),
 synthesize the attack, re-run the learner on the poisoned data, and compare
 closed-loop behaviour of both learned gains on the true plant. Results are
-collected in a ``ScenarioReport`` and written as JSON plus plot-ready CSVs.
+kept in a ``ScenarioReport`` as each stage returned them, under the stage's
+label, and written as JSON plus plot-ready CSVs.
 
 Closed-loop rollouts advance in blocks: with M = F + G K, the next
 ``ROLLOUT_BLOCK`` states after x_k are M^1 x_k ... M^b x_k, taken from a
@@ -80,21 +81,15 @@ class ClosedLoopResult:
 
 @dataclass
 class ScenarioReport:
+    """Each stage's result under its label; None if the stage failed or never ran."""
+
     name: str
-    Kstar: np.ndarray | None = None
-    Khat_clean: np.ndarray | None = None
-    Atilde: np.ndarray | None = None
-    Khat_poisoned: np.ndarray | None = None
-    Ktarget: np.ndarray | None = None
-    gain_error_to_target: float | None = None
-    attack_cost: float | None = None
-    attack_cost_series: np.ndarray | None = None
-    converged: bool = False
-    admm_residuals: list[float] = field(default_factory=list)
-    clean_trajectory: np.ndarray | None = None
-    poisoned_trajectory: np.ndarray | None = None
-    clean_cost: float | None = None
-    poisoned_cost: float | None = None
+    Ktarget: np.ndarray
+    optimal_gain: RiccatiSolution | None = None
+    learn_clean: tuple[SysIdEstimate, RiccatiSolution] | None = None
+    attack: AttackResult | None = None
+    learn_poisoned: tuple[SysIdEstimate, RiccatiSolution] | None = None
+    evaluate: tuple[ClosedLoopResult, ClosedLoopResult] | None = None
     timings: dict[str, float] = field(default_factory=dict)
     errors: dict[str, Exception] = field(default_factory=dict)  # stage -> what it raised
 
@@ -199,7 +194,7 @@ def settling_step(states: np.ndarray) -> int | None:
 
 
 def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
-    """Run all stages; a stage failure is recorded and truncates the run."""
+    """Run all stages; a failure is recorded and skips the stages that need its result."""
     report = ScenarioReport(name=name, Ktarget=s.Ktarget)
     sys = s.system
 
@@ -214,55 +209,22 @@ def run_scenario(s: Scenario, name: str = "scenario") -> ScenarioReport:
             report.timings[label] = time.perf_counter() - t0
         return out
 
-    sol_true = stage("optimal_gain", lambda: care_solve(sys.A, sys.B, sys.Q, sys.R))
-    if sol_true is not None:
-        report.Kstar = sol_true.K
-
+    report.optimal_gain = stage("optimal_gain", lambda: care_solve(sys.A, sys.B, sys.Q, sys.R))
     d = stage("simulate", lambda: simulate_zoh(sys, s.excitation, s.N))
-    if d is None:
-        return report
-
-    clean = stage("learn_clean", lambda: run_learner(d, sys.Q, sys.R))
-    if clean is None:
-        return report
-    report.Khat_clean = clean[1].K
-
-    attack = stage("attack", lambda: run_attack(d, s.Ktarget, s.admm))
-    if attack is None:
-        return report
-    report.Atilde = attack.Atilde
-    report.converged = attack.converged
-    report.admm_residuals = list(attack.residuals)
-    report.attack_cost = attack.attack_cost
-    report.attack_cost_series = attack.attack_cost_series
-
-    poisoned = stage(
-        "learn_poisoned", lambda: run_learner(attack.poisoned, sys.Q, sys.R)
-    )
-    if poisoned is None:
-        return report
-    report.Khat_poisoned = poisoned[1].K
-    report.gain_error_to_target = float(
-        np.linalg.norm(report.Khat_poisoned - s.Ktarget, "fro")
-    )
-
-    evals = stage(
-        "evaluate",
-        lambda: (
-            evaluate_closed_loop(sys, report.Khat_clean, s.horizon),
-            evaluate_closed_loop(sys, report.Khat_poisoned, s.horizon),
-        ),
-    )
-    if evals is not None:
-        report.clean_trajectory = evals[0].states
-        report.clean_cost = evals[0].cost
-        report.poisoned_trajectory = evals[1].states
-        report.poisoned_cost = evals[1].cost
+    if d is not None:
+        report.learn_clean = stage("learn_clean", lambda: run_learner(d, sys.Q, sys.R))
+    if report.learn_clean is not None:
+        report.attack = stage("attack", lambda: run_attack(d, s.Ktarget, s.admm))
+    if report.attack is not None:
+        report.learn_poisoned = stage(
+            "learn_poisoned", lambda: run_learner(report.attack.poisoned, sys.Q, sys.R)
+        )
+    if report.learn_poisoned is not None:
+        gains = (report.learn_clean[1].K, report.learn_poisoned[1].K)
+        report.evaluate = stage(
+            "evaluate", lambda: tuple(evaluate_closed_loop(sys, K, s.horizon) for K in gains)
+        )
     return report
-
-
-def _mat(M) -> list | None:
-    return None if M is None else np.asarray(M).tolist()
 
 
 def trajectory_write(path: str, states: np.ndarray, dt: float) -> None:
@@ -276,34 +238,41 @@ def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
     os.makedirs(outdir, exist_ok=True)
     doc = {
         "scenario": report.name,
-        "Kstar": _mat(report.Kstar),
-        "Khat_clean": _mat(report.Khat_clean),
-        "Atilde": _mat(report.Atilde),
-        "Khat_poisoned": _mat(report.Khat_poisoned),
-        "Ktarget": _mat(report.Ktarget),
-        "gain_error_to_target": report.gain_error_to_target,
-        "attack_cost": report.attack_cost,
-        "converged": report.converged,
-        "admm_residuals": report.admm_residuals,
+        "Kstar": None,
+        "Khat_clean": None,
+        "Atilde": None,
+        "Khat_poisoned": None,
+        "Ktarget": report.Ktarget.tolist(),
+        "gain_error_to_target": None,
+        "attack_cost": None,
+        "converged": False,
+        "admm_residuals": [],
     }
+    if report.optimal_gain is not None:
+        doc["Kstar"] = report.optimal_gain.K.tolist()
+    if report.learn_clean is not None:
+        doc["Khat_clean"] = report.learn_clean[1].K.tolist()
+    attack = report.attack
+    if attack is not None:
+        doc["Atilde"] = attack.Atilde.tolist()
+        doc["attack_cost"] = attack.attack_cost
+        doc["converged"] = attack.converged
+        doc["admm_residuals"] = attack.residuals
+    if report.learn_poisoned is not None:
+        Khat = report.learn_poisoned[1].K
+        doc["Khat_poisoned"] = Khat.tolist()
+        doc["gain_error_to_target"] = float(np.linalg.norm(Khat - report.Ktarget, "fro"))
     if report.errors:
         doc["errors"] = {
             label: f"{type(e).__name__}: {e}" for label, e in report.errors.items()
         }
     write_json(os.path.join(outdir, "report.json"), doc)
     write_json(os.path.join(outdir, "timings.json"), {"timings_s": report.timings})
-    if report.clean_trajectory is not None:
-        trajectory_write(
-            os.path.join(outdir, "clean_trajectory.csv"), report.clean_trajectory, dt
-        )
-    if report.poisoned_trajectory is not None:
-        trajectory_write(
-            os.path.join(outdir, "poisoned_trajectory.csv"),
-            report.poisoned_trajectory,
-            dt,
-        )
-    if report.attack_cost_series is not None:
-        series = report.attack_cost_series.tolist()
+    if report.evaluate is not None:
+        for label, res in zip(("clean", "poisoned"), report.evaluate):
+            trajectory_write(os.path.join(outdir, f"{label}_trajectory.csv"), res.states, dt)
+    if attack is not None:
+        series = attack.attack_cost_series.tolist()
         write_atomic(
             os.path.join(outdir, "attack_cost.csv"),
             ["step,cumulative_cost\n"] + [f"{k},{v!r}\n" for k, v in enumerate(series)],

@@ -118,7 +118,6 @@ class AdmmState:
     Z1: np.ndarray
     Z2: np.ndarray
     iter: int = 0
-    primal_residual: float = float("inf")
     converged: bool = False
     residuals: list[float] = field(default_factory=list)
 
@@ -306,7 +305,6 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
             )
         state.Z1, state.Z2 = z_step(state, W1, W2, cfg)
         state.iter = i
-        state.primal_residual = r
         state.residuals.append(r)
         if r <= cfg.primal_tol:
             state.converged = True

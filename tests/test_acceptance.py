@@ -188,8 +188,7 @@ def test_criterion_4_case2_attack(case2):
 
 
 def test_criterion_5_poisoned_settles_later(case1_report):
-    clean = settling_step(case1_report.clean_trajectory)
-    poisoned = settling_step(case1_report.poisoned_trajectory)
+    clean, poisoned = (settling_step(res.states) for res in case1_report.evaluate)
     ok = clean is not None and (poisoned is None or poisoned > clean)
     assert _line(
         "5",

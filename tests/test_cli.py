@@ -250,6 +250,47 @@ def test_simulate_section_not_an_object_exit_2(tmp_path, case1_config, section, 
     assert not out.exists()
 
 
+def simulate_with(tmp_path, config, **changes):
+    """Run ``simulate`` on ``config`` with top-level keys replaced; return (result, out)."""
+    doc = json.loads(Path(config).read_text())
+    doc.update(changes)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "d.csv"
+    return cli("simulate", "--config", str(cfg), "--out", str(out)), out
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", ["iid-uniform", "prbs"])
+def test_simulate_non_finite_amplitude_exit_2(tmp_path, case1_config, kind, amplitude):
+    res, out = simulate_with(
+        tmp_path, case1_config, excitation={"kind": kind, "amplitude": amplitude}
+    )
+    assert res.returncode == 2, res.stderr
+    assert "amplitude must be positive and finite" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [None, [42], "forty-two"])
+def test_simulate_bad_seed_exit_2(tmp_path, case1_config, seed):
+    res, out = simulate_with(tmp_path, case1_config, seed=seed)
+    assert res.returncode == 2, res.stderr
+    assert "error: seed: " in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gain,message", [
+    ([[1.0, 0.0, 0.0, 0.0]], "excitation gain must be 2x4, got (1, 4)"),
+    ([[float("nan")] * 4] * 2, "excitation gain has non-finite entries"),
+])
+def test_simulate_bad_dither_gain_exit_2(tmp_path, case1_config, gain, message):
+    excitation = {"kind": "gain-plus-dither", "amplitude": 0.5, "gain": gain}
+    res, out = simulate_with(tmp_path, case1_config, excitation=excitation)
+    assert res.returncode == 2, res.stderr
+    assert f"error: {message}" in res.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("root", [3, None, "K"])
 def test_evaluate_gain_root_not_an_object_exit_2(tmp_path, case1_config, root):
     gain = tmp_path / "gain.json"

@@ -14,7 +14,7 @@ from lqpoison.data import (
     dataset_write,
     simulate_zoh,
 )
-from lqpoison.errors import DatasetFormatError
+from lqpoison.errors import DatasetFormatError, DimensionError
 from lqpoison.lq import LQSystem
 
 
@@ -85,11 +85,19 @@ class TestSimulateZoh:
         dither = d.us - d.xs @ gain.T
         assert np.max(np.abs(dither)) <= 0.2
 
+    def test_dither_gain_checked(self):
+        sys = integrator_system()
+        for gain, err in (([[1.0, 2.0]], DimensionError), ([[np.nan]], ValueError)):
+            policy = ExcitationPolicy(kind="gain-plus-dither", gain=np.array(gain))
+            with pytest.raises(err, match="excitation gain"):
+                simulate_zoh(sys, policy, 10)
+
 
 class TestExcitationPolicy:
     def test_bad_amplitude(self):
-        with pytest.raises(ValueError):
-            ExcitationPolicy(amplitude=0.0)
+        for amplitude in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+                ExcitationPolicy(amplitude=amplitude)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

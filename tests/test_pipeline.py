@@ -244,14 +244,16 @@ class TestRunScenario:
     def test_case1_report_consistency(self, case1):
         report = run_scenario(case1, "case1")
         assert report.errors == {}
-        recomputed = float(
-            np.linalg.norm(report.Khat_poisoned - report.Ktarget, "fro")
+        attack = report.attack
+        assert abs(attack.attack_cost - attack.attack_cost_series[-1]) <= 1e-12 * (
+            1.0 + attack.attack_cost
         )
-        assert abs(report.gain_error_to_target - recomputed) <= 1e-12
-        assert abs(report.attack_cost - report.attack_cost_series[-1]) <= 1e-12 * (
-            1.0 + report.attack_cost
-        )
-        assert report.clean_trajectory.shape[0] == case1.horizon + 1
+        assert report.evaluate[0].states.shape[0] == case1.horizon + 1
+        s = case1.system
+        assert np.array_equal(report.optimal_gain.K, care_solve(s.A, s.B, s.Q, s.R).K)
+        for est, sol in (report.learn_clean, report.learn_poisoned):
+            assert est.series_terms >= 1 and sol.iterations >= 1
+            assert np.array_equal(sol.K, care_solve(est.Ahat, est.Bhat, s.Q, s.R).K)
         assert set(report.timings) == {
             "optimal_gain", "simulate", "learn_clean", "attack",
             "learn_poisoned", "evaluate",
@@ -260,23 +262,42 @@ class TestRunScenario:
     def test_learner_determinism(self, case1):
         a = run_scenario(case1, "case1")
         b = run_scenario(case1, "case1")
-        assert np.array_equal(a.Khat_clean, b.Khat_clean)
-        assert np.array_equal(a.Khat_poisoned, b.Khat_poisoned)
-        assert np.array_equal(a.Atilde, b.Atilde)
+        assert np.array_equal(a.learn_clean[1].K, b.learn_clean[1].K)
+        assert np.array_equal(a.learn_poisoned[1].K, b.learn_poisoned[1].K)
+        assert np.array_equal(a.attack.Atilde, b.attack.Atilde)
 
-    def test_partial_report_on_stage_failure(self, case1):
+    def test_partial_report_on_stage_failure(self, tmp_path, case1):
         import dataclasses
 
         bad = dataclasses.replace(case1, Ktarget=np.ones((3, 3)))
         report = run_scenario(bad, "broken")
-        assert "attack" in report.errors
-        assert report.Khat_clean is not None
-        assert report.Khat_poisoned is None
+        assert list(report.errors) == ["attack"]
+        assert report.learn_clean is not None
+        assert report.attack is None
+        assert report.learn_poisoned is None and report.evaluate is None
+        outdir = tmp_path / "out"
+        report_write(report, str(outdir), case1.system.dt)
+        assert sorted(os.listdir(outdir)) == ["report.json", "timings.json"]
+        doc = json.loads((outdir / "report.json").read_text())
+        assert doc.pop("Kstar") == report.optimal_gain.K.tolist()
+        assert doc.pop("Khat_clean") == report.learn_clean[1].K.tolist()
+        e = report.errors["attack"]
+        assert doc.pop("errors") == {"attack": f"{type(e).__name__}: {e}"}
+        assert doc == {
+            "scenario": "broken",
+            "Atilde": None,
+            "Khat_poisoned": None,
+            "Ktarget": np.ones((3, 3)).tolist(),
+            "gain_error_to_target": None,
+            "attack_cost": None,
+            "converged": False,
+            "admm_residuals": [],
+        }
 
     def test_attack_never_benefits_victim(self, case1, case2):
         for scenario, name in ((case1, "case1"), (case2, "case2")):
-            report = run_scenario(scenario, name)
-            assert report.poisoned_cost >= report.clean_cost
+            clean, poisoned = run_scenario(scenario, name).evaluate
+            assert poisoned.cost >= clean.cost
 
 
 class TestReportWrite:
@@ -292,7 +313,12 @@ class TestReportWrite:
             "admm_residuals",
         }
         assert doc["scenario"] == "case1"
-        np.testing.assert_allclose(np.array(doc["Khat_poisoned"]), report.Khat_poisoned)
+        Khat_poisoned = report.learn_poisoned[1].K
+        np.testing.assert_allclose(np.array(doc["Khat_poisoned"]), Khat_poisoned)
+        recomputed = float(np.linalg.norm(Khat_poisoned - report.Ktarget, "fro"))
+        assert doc["gain_error_to_target"] == recomputed
+        assert doc["attack_cost"] == report.attack.attack_cost
+        assert doc["admm_residuals"] == report.attack.residuals
         for name in (
             "timings.json", "clean_trajectory.csv",
             "poisoned_trajectory.csv", "attack_cost.csv",

@@ -399,7 +399,7 @@ class TestAdmmSolve:
         state = admm_solve(spec, AdmmConfig())
         assert state.converged
         assert np.linalg.norm(state.Atilde - spec.Ahat, "fro") <= 1e-6
-        assert state.primal_residual <= 1e-6
+        assert state.residuals[-1] <= 1e-6
         # feasibility at convergence: both blocks within the primal tolerance,
         # so the gain the learner extracts from P is the target
         W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
@@ -413,7 +413,6 @@ class TestAdmmSolve:
         K_ind = lqr_gain(state.P, case1_spec.Bhat, case1_spec.Rhat)
         assert np.max(np.abs(K_ind - case1_spec.Ktarget)) <= 0.2
         assert len(state.residuals) == state.iter
-        assert state.primal_residual == state.residuals[-1]
 
     def test_case2_induced_gain(self, case2, case2_data):
         from lqpoison.sysid import estimate_qr
