@@ -10,7 +10,8 @@ Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 the
 sampling-interval learnability gate, 4 unidentifiable data or a fitted
 cost weight without its required structure, 5 an iterative solver did not
 converge (a stalled attack still writes its outputs), 6 reproduction check
-failed. A failed ``reproduce`` stage exits with its error's code.
+failed, 7 no stabilizing LQR solution. A failed ``reproduce`` stage exits
+with its error's code.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     EstimationError,
     IdentifiabilityError,
     LearnabilityError,
+    StabilityError,
 )
 from .lq import care_solve
 from .pipeline import (
@@ -60,6 +62,7 @@ EXIT_LEARNABILITY = 3
 EXIT_IDENTIFIABILITY = 4
 EXIT_NONCONVERGED = 5
 EXIT_CHECK_FAILED = 6
+EXIT_NOT_STABILIZABLE = 7
 
 
 def _exit_code(e: Exception) -> int:
@@ -69,6 +72,8 @@ def _exit_code(e: Exception) -> int:
         return EXIT_IDENTIFIABILITY
     if isinstance(e, (AdmmDivergenceError, ConvergenceError)):
         return EXIT_NONCONVERGED
+    if isinstance(e, StabilityError):
+        return EXIT_NOT_STABILIZABLE
     if isinstance(e, (ValueError, OSError, KeyError)):
         return EXIT_USAGE
     return 1

@@ -34,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import ExcitationPolicy
+from .data import ExcitationPolicy, json_int
 from .errors import ConfigError, LearnabilityError
 from .lq import LQSystem
 from .pipeline import Scenario
@@ -81,7 +81,7 @@ def suspension_matrices(spring: float = SUSPENSION_SPRING) -> tuple[np.ndarray, 
 # JSON value -> dataclass field value, by the field's annotation.
 _FROM_JSON = {
     "float": float,
-    "int": int,
+    "int": json_int,
     "str": str,
     "np.ndarray": lambda v: np.array(v, dtype=float),
     "np.ndarray | None": lambda v: None if v is None else np.array(v, dtype=float),
@@ -93,18 +93,26 @@ def _read(cls, doc, where: str | None, **built):
 
     Only the fields ``doc`` has are passed, each converted by its annotation,
     so an absent field keeps its dataclass default; keys that are not fields
-    are ignored. Errors are raised as a ConfigError naming the section
-    ``where``; the learnability gate's LearnabilityError passes through.
+    are ignored. A value that does not convert is a ConfigError naming its
+    field; one the dataclass refuses is a ConfigError naming the section
+    ``where``. The learnability gate's LearnabilityError passes through.
     """
     if not isinstance(doc, dict):
         raise ConfigError("must be a JSON object", field=where)
-    fields = [f for f in dataclasses.fields(cls) if f.name not in built]
-    for f in fields:
-        if f.name not in doc and f.default is dataclasses.MISSING:
-            label = f"{where}.{f.name}" if where else f.name
-            raise ConfigError("missing required field", field=label)
+    given = {}
+    for f in dataclasses.fields(cls):
+        if f.name in built:
+            continue
+        label = f"{where}.{f.name}" if where else f.name
+        if f.name not in doc:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError("missing required field", field=label)
+            continue
+        try:
+            given[f.name] = _FROM_JSON[f.type](doc[f.name])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(str(e), field=label) from e
     try:
-        given = {f.name: _FROM_JSON[f.type](doc[f.name]) for f in fields if f.name in doc}
         return cls(**built, **given)
     except LearnabilityError:
         raise
@@ -116,7 +124,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, str]:
     """Build a Scenario from a parsed config document; returns (scenario, name)."""
     # The one seed sits at the top level; absent, the policy's default applies.
     try:
-        seed = int(doc.get("seed", ExcitationPolicy.seed))
+        seed = json_int(doc.get("seed", ExcitationPolicy.seed), minimum=0)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e), field="seed") from e
     scenario = _read(

@@ -4,11 +4,16 @@ A dataset is the ordered collection {(x_k, u_k, c_k)} with x_k the state at
 time k*dt, u_k the input held constant on [k*dt, (k+1)*dt), and c_k the
 instantaneous quadratic cost. Generation uses the exact ZOH discretization
 x_{k+1} = F x_k + G u_k, so the data is exactly consistent with the model
-class the identification stage fits (no integrator error, no noise).
+class the identification stage fits (no integrator error, no noise). The
+excitation is drawn in one batch and the states come from
+``linalg.driven_rollout``; no step runs in a per-sample Python loop.
 
 Datasets serialize to CSV with a JSON metadata sidecar. Floats are written
-as shortest round-trip decimals so read(write(d)) == d bit for bit. Every
-file the package writes goes through ``write_atomic`` (JSON documents via
+as shortest round-trip decimals so read(write(d)) == d bit for bit. A read
+parses the body with one ``np.loadtxt`` call; only a body that call does
+not take cleanly is parsed again line by line, and that loop exists to
+name the first bad line in its ``DatasetFormatError``. Every file the
+package writes goes through ``write_atomic`` (JSON documents via
 ``write_json``), and every indexed CSV, datasets and closed-loop
 trajectories alike, is formatted by ``indexed_csv_lines``.
 """
@@ -99,34 +104,42 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
 
     States propagate exactly by (F, G) = zoh_pair(A, B, dt); costs are the
     exact quadratic x^T Q x + u^T R u at each sample instant. Deterministic
-    given the policy seed.
+    given the policy seed: the N x m excitation is drawn in one call, which
+    yields the same numbers as N draws of m in sample order.
     """
     if N < 2:
         raise ValueError(f"need at least 2 samples, got N={N}")
     F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
     rng = np.random.Generator(np.random.PCG64(policy.seed))
     n, m = sys.n, sys.m
-    gain = None
+    a = policy.amplitude
+    if policy.kind == "prbs":
+        us = a * (2.0 * rng.integers(0, 2, size=(N, m)) - 1.0)
+    else:
+        us = rng.uniform(-a, a, size=(N, m))
     if policy.kind == "gain-plus-dither":
         gain = linalg.as_matrix(policy.gain, "excitation gain")
         if gain.shape != (m, n):
             raise DimensionError(f"excitation gain must be {m}x{n}, got {gain.shape}")
-    xs = np.empty((N, n))
-    us = np.empty((N, m))
-    cs = np.empty(N)
-    x = sys.x0.copy()
-    for k in range(N):
-        if policy.kind == "iid-uniform":
-            u = rng.uniform(-policy.amplitude, policy.amplitude, size=m)
-        elif policy.kind == "prbs":
-            u = policy.amplitude * (2.0 * rng.integers(0, 2, size=m) - 1.0)
-        else:  # gain-plus-dither
-            u = gain @ x + rng.uniform(-policy.amplitude, policy.amplitude, size=m)
-        xs[k] = x
-        us[k] = u
-        cs[k] = x @ sys.Q @ x + u @ sys.R @ u
-        x = F @ x + G @ u
-    return BatchDataset(xs=xs, us=us, cs=cs, dt=sys.dt, seed=policy.seed)
+        # u_k = gain x_k + dither_k, so x_{k+1} = (F + G gain) x_k + G dither_k
+        xs = linalg.driven_rollout(F + G @ gain, sys.x0, us[:-1] @ G.T)
+        us = xs @ gain.T + us
+    else:
+        xs = linalg.driven_rollout(F, sys.x0, us[:-1] @ G.T)
+    return BatchDataset(xs=xs, us=us, cs=sys.stage_costs(xs, us), dt=sys.dt, seed=policy.seed)
+
+
+def json_int(value, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer, and at least ``minimum`` if one is given.
+
+    Bools and floats raise ``ValueError`` instead of being truncated as
+    ``int()`` would (``int(2.9) == 2``); the caller names the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be at least {minimum}, got {value}")
+    return value
 
 
 def _meta_path(path: str) -> str:
@@ -179,41 +192,37 @@ def dataset_write(d: BatchDataset, path: str) -> None:
     write_atomic(_meta_path(path), [json.dumps(meta, sort_keys=True) + "\n"])
 
 
-def dataset_read(path: str) -> BatchDataset:
-    """Read a dataset written by ``dataset_write``."""
-    meta_file = _meta_path(path)
-    if not os.path.exists(meta_file):
-        raise DatasetFormatError(f"missing metadata sidecar {meta_file}")
-    with open(meta_file, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"bad metadata JSON: {e}") from e
-    try:
-        dt, n, m = float(meta["dt"]), int(meta["n"]), int(meta["m"])
-        seed = meta.get("seed")
-    except (KeyError, TypeError, ValueError) as e:
-        raise DatasetFormatError(f"metadata missing/invalid field: {e}") from e
+def _fast_values(body: list[str], width: int) -> np.ndarray | None:
+    """The (N, width) t,x*,u*,c values of a well-formed body, else None.
 
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("empty dataset file", line=1)
-    expected_header = _dataset_header(n, m)
-    header = lines[0].split(",")
-    if header != expected_header:
-        raise DatasetFormatError(
-            f"header mismatch: expected {','.join(expected_header)!r}", line=1
-        )
-    ncols = len(expected_header)
-    xs, us, cs = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    One ``np.loadtxt`` pass. It converts floats with the same C routine as
+    ``float`` and rejects an int written ``1.0`` as ``int`` does, and what it
+    accepts is a subset of what they accept, so a body it takes parses to
+    the same bits as the line loop. The result is used only when every row
+    is a finite sample with k = 0, 1, 2, ... in order.
+    """
+    if not any(body):  # loadtxt warns on input with no rows
+        return None
+    dtype = np.dtype([("k", np.int64), ("v", np.float64, (width,))])
+    try:
+        rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not (np.array_equal(rec["k"], np.arange(len(rec))) and np.isfinite(rec["v"]).all()):
+        return None
+    return rec["v"]
+
+
+def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
+    """The body parsed line by line; raises DatasetFormatError at the first bad line."""
+    rows = []
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != ncols:
+        if len(parts) != len(header):
             raise DatasetFormatError(
-                f"expected {ncols} columns, got {len(parts)}", line=lineno
+                f"expected {len(header)} columns, got {len(parts)}", line=lineno
             )
         try:
             k = int(parts[0])
@@ -226,15 +235,54 @@ def dataset_read(path: str) -> BatchDataset:
                 f"non-finite value {parts[col + 1]!r} in column {header[col + 1]}",
                 line=lineno,
             )
-        if k != len(xs):
+        if k != len(rows):
             raise DatasetFormatError(
-                f"sample index {k} out of order (expected {len(xs)})", line=lineno
+                f"sample index {k} out of order (expected {len(rows)})", line=lineno
             )
-        xs.append(row[1 : 1 + n])
-        us.append(row[1 + n : 1 + n + m])
-        cs.append(row[-1])
-    if not xs:
+        rows.append(row)
+    if not rows:
         raise DatasetFormatError("dataset has no sample rows", line=2)
+    return np.array(rows)
+
+
+def dataset_read(path: str) -> BatchDataset:
+    """Read a dataset written by ``dataset_write``."""
+    meta_file = _meta_path(path)
+    if not os.path.exists(meta_file):
+        raise DatasetFormatError(f"missing metadata sidecar {meta_file}")
+    with open(meta_file, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"bad metadata JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise DatasetFormatError("metadata must be a JSON object")
+
+    def field(key, convert):
+        if key not in meta:
+            raise DatasetFormatError(f"metadata field {key} is missing")
+        try:
+            return convert(meta[key])
+        except (TypeError, ValueError) as e:
+            raise DatasetFormatError(f"metadata field {key}: {e}") from e
+
+    dt = field("dt", float)
+    n, m = (field(key, lambda v: json_int(v, minimum=1)) for key in ("n", "m"))
+    seed = meta.get("seed")
+    if seed is not None:
+        seed = field("seed", lambda v: json_int(v, minimum=0))
+
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DatasetFormatError("empty dataset file", line=1)
+    header = _dataset_header(n, m)
+    if lines[0].split(",") != header:
+        raise DatasetFormatError(f"header mismatch: expected {','.join(header)!r}", line=1)
+    values = _fast_values(lines[1:], n + m + 2)
+    if values is None:
+        values = _checked_values(lines[1:], header)
     return BatchDataset(
-        xs=np.array(xs), us=np.array(us), cs=np.array(cs), dt=dt, seed=seed
+        xs=values[:, 1 : 1 + n].copy(), us=values[:, 1 + n : 1 + n + m].copy(),
+        cs=values[:, -1].copy(), dt=dt, seed=seed,
     )

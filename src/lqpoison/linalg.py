@@ -1,7 +1,8 @@
 """Dense real-matrix kernels used throughout the package.
 
 Everything here is domain-free: the sampling-interval check, matrix
-exponentials, zero-order-hold discretization, least squares, the
+exponentials, zero-order-hold discretization, tables of matrix powers and
+the blocked rollout of a driven linear recursion, least squares, the
 coordinates of a symmetric matrix, symmetric eigendecompositions,
 projection onto the positive-semidefinite cone, and spectral quantities.
 Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
@@ -22,6 +23,7 @@ from .errors import AsymmetryError, DimensionError, RankDeficiencyError
 
 SYM_RTOL = 1e-8  # relative asymmetry allowed before sym_eig refuses
 PSD_EIG_FLOOR = -1e-10  # relative eigenvalue slack when checking "PSD" numerically
+ROLLOUT_BLOCK = 256  # most rollout steps taken from one table of matrix powers
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -91,6 +93,55 @@ def zoh_pair(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     M[:n, n:] = B
     E = expm(M, dt)
     return E[:n, :n], E[:n, n:]
+
+
+def power_table(M: np.ndarray, count: int) -> np.ndarray:
+    """The leading finite powers M^1, M^2, ... of square M, at most ``count``.
+
+    Far powers of a strongly unstable M may overflow. The table stops before
+    the first power with a non-finite entry (it always holds M^1), so a
+    rollout built on it cannot form inf * 0 and put a NaN in a state the
+    step-by-step recursion keeps finite. Row j of the result is M^(j+1).
+    """
+    n = M.shape[0]
+    pows = np.empty((max(count, 1), n, n))
+    power = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in pows:
+            power = np.matmul(M, power, out=p)
+    finite = np.isfinite(pows).all(axis=(1, 2))
+    return pows if finite.all() else pows[: max(1, int(np.argmin(finite)))]
+
+
+def driven_rollout(F: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """States x_0 ... x_N of x_{k+1} = F x_k + w_k for the N rows of ``w``.
+
+    The states are split into blocks of b = ``ROLLOUT_BLOCK`` steps (fewer
+    if ``power_table`` stops early). The zero-initial-state response inside
+    each block is built for all blocks at once, one step of the block per
+    Python iteration; the block starts are then chained, one block per
+    iteration; and F^i times each start is added in one batched matmul.
+    That is b + N/b Python steps instead of N.
+    """
+    N, n = w.shape
+    pows = power_table(F, min(ROLLOUT_BLOCK, N))
+    b = len(pows)
+    nb = -(-(N + 1) // b)  # blocks covering the N + 1 states
+    W = np.zeros((nb * b, n))
+    W[:N] = w
+    W = W.reshape(nb, b, n)
+    Z = np.empty((nb, b + 1, n))  # Z[j, i]: state i of block j from a zero start
+    Z[:, 0] = 0.0
+    for i in range(b):
+        np.matmul(Z[:, i], F.T, out=Z[:, i + 1])
+        Z[:, i + 1] += W[:, i]
+    starts = np.empty((nb, n))
+    starts[0] = x0
+    for j in range(nb - 1):
+        starts[j + 1] = pows[b - 1] @ starts[j] + Z[j, b]
+    shifts = np.concatenate([np.eye(n)[None], pows[: b - 1]])  # F^0 ... F^(b-1)
+    X = Z[:, :b] + np.einsum("ikl,jl->jik", shifts, starts)
+    return X.reshape(nb * b, n)[: N + 1]
 
 
 def lstsq(A, b) -> np.ndarray:

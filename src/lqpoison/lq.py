@@ -92,6 +92,10 @@ class LQSystem:
     def m(self) -> int:
         return self.B.shape[1]
 
+    def stage_costs(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """x_k^T Q x_k + u_k^T R u_k for each row pair of ``xs`` and ``us``."""
+        return np.einsum("ki,ki->k", xs @ self.Q, xs) + np.einsum("ki,ki->k", us @ self.R, us)
+
 
 @dataclass(frozen=True)
 class RiccatiSolution:

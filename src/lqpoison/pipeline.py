@@ -8,8 +8,8 @@ kept in a ``ScenarioReport`` as each stage returned them, under the stage's
 label, and written as JSON plus plot-ready CSVs.
 
 Closed-loop rollouts advance in blocks: with M = F + G K, the next
-``ROLLOUT_BLOCK`` states after x_k are M^1 x_k ... M^b x_k, taken from a
-precomputed table of powers in one batched matmul. The divergence cut is
+``linalg.ROLLOUT_BLOCK`` states after x_k are M^1 x_k ... M^b x_k, taken
+from ``linalg.power_table`` in one batched matmul. The divergence cut is
 still found at the exact step.
 
 The report JSON is byte-deterministic for a fixed config and seed; wall
@@ -46,7 +46,6 @@ from .poison import (
 from .sysid import SysIdEstimate, identify
 
 DIVERGENCE_NORM = 1e9
-ROLLOUT_BLOCK = 256  # closed-loop steps advanced per batched matmul
 SETTLE_FRAC = 0.05  # settled once ||x|| stays below this fraction of ||x0||
 
 
@@ -142,7 +141,7 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     """Simulate the true plant under u = K x with ZOH at the plant's dt.
 
     The states x_{k+1} = M x_k, M = F + G K, are filled in blocks of up to
-    ``ROLLOUT_BLOCK`` rows: each block is M^1..M^c applied to the block's
+    ``linalg.ROLLOUT_BLOCK`` rows: each block is M^1..M^c applied to the block's
     first state in one batched matmul. The cost is the Riemann sum of
     (x^T Q x + u^T R u) dt over every state but the last.
 
@@ -159,16 +158,10 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     states = np.empty((horizon + 1, sys.n))
     states[0] = sys.x0
     diverged = False
-    # Far powers of a strongly unstable M may overflow. Blocks use only the
-    # leading finite powers, so inf * 0 cannot put a NaN in a row the
-    # step-by-step recursion keeps finite; rows past the cut are discarded.
+    pows = linalg.power_table(M, min(linalg.ROLLOUT_BLOCK, horizon))
+    b = len(pows)
+    # Rows past the divergence cut may overflow; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        pows = np.empty((min(ROLLOUT_BLOCK, horizon), sys.n, sys.n))
-        power = np.eye(sys.n)
-        for p in pows:  # pows[j] = M^(j+1)
-            power = np.matmul(M, power, out=p)
-        finite = np.isfinite(pows).all(axis=(1, 2))
-        b = max(1, len(pows) if finite.all() else int(np.argmin(finite)))
         for k in range(0, horizon, b):
             c = min(b, horizon - k)
             block = states[k + 1 : k + 1 + c]
@@ -179,9 +172,7 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
                 diverged = True
                 break
     X = states[:-1]
-    U = X @ K.T
-    stage = np.einsum("ki,ki->k", X @ sys.Q, X) + np.einsum("ki,ki->k", U @ sys.R, U)
-    cost = float(np.sum(stage) * sys.dt)
+    cost = float(np.sum(sys.stage_costs(X, X @ K.T)) * sys.dt)
     return ClosedLoopResult(states=states, cost=cost, diverged=diverged)
 
 

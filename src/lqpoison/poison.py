@@ -327,11 +327,7 @@ def generate_poisoned(atilde, bhat, d: BatchDataset) -> BatchDataset:
             f"(n={d.n}, m={d.m})"
         )
     F, G = linalg.zoh_pair(atilde, bhat, d.dt)
-    xs = np.empty_like(d.xs)
-    x = d.xs[0].copy()
-    for k in range(d.N):
-        xs[k] = x
-        x = F @ x + G @ d.us[k]
+    xs = linalg.driven_rollout(F, d.xs[0], d.us[:-1] @ G.T)
     return BatchDataset(xs=xs, us=d.us.copy(), cs=d.cs.copy(), dt=d.dt, seed=d.seed)
 
 

@@ -355,3 +355,18 @@ def test_reproduce_stage_failure_exits_with_its_code(tmp_path):
     errors = json.loads((out / "report.json").read_text())["errors"]
     assert list(errors) == ["attack"]
     assert errors["attack"].startswith("ConvergenceError: P-step projected gradient")
+
+
+def test_reproduce_without_stabilizing_solution_exit_7(tmp_path, monkeypatch, capsys):
+    from lqpoison import cli as cli_module, pipeline
+    from lqpoison.errors import StabilityError
+
+    def no_solution(*args, **kwargs):
+        raise StabilityError("no stabilizing solution")
+
+    monkeypatch.setattr(pipeline, "care_solve", no_solution)
+    out = tmp_path / "out"
+    assert cli_module.main(["reproduce", "case1", "--out", str(out)]) == 7
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["errors"]["optimal_gain"] == "StabilityError: no stabilizing solution"
+    assert "stage optimal_gain failed: StabilityError" in capsys.readouterr().err

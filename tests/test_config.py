@@ -109,3 +109,21 @@ def test_admm_field_check_names_section_and_field(field, value):
     doc["admm"][field] = value
     with pytest.raises(ConfigError, match=f"^admm: {field} must be"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [1.5, 500.0, True, "7"])
+@pytest.mark.parametrize("path", [("N",), ("horizon",), ("admm", "n_iter"), ("seed",)])
+def test_integer_fields_take_only_json_integers(path, value):
+    doc = bundled_doc("case1")
+    *section, key = path
+    (doc[section[0]] if section else doc)[key] = value
+    with pytest.raises(ConfigError, match=f"^{'.'.join(path)}: must be an integer") as ei:
+        scenario_from_dict(doc)
+    assert ei.value.field == ".".join(path)
+
+
+def test_negative_seed_rejected():
+    doc = bundled_doc("case1")
+    doc["seed"] = -3
+    with pytest.raises(ConfigError, match="^seed: must be at least 0, got -3"):
+        scenario_from_dict(doc)

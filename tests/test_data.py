@@ -1,12 +1,13 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lqpoison import linalg
+from lqpoison import data, linalg
 from lqpoison.data import (
     BatchDataset,
     ExcitationPolicy,
@@ -16,6 +17,26 @@ from lqpoison.data import (
 )
 from lqpoison.errors import DatasetFormatError, DimensionError
 from lqpoison.lq import LQSystem
+
+
+def simulate_zoh_stepwise(sys, policy, N):
+    """Reference: the per-sample loop, one draw of m inputs per step."""
+    F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
+    rng = np.random.Generator(np.random.PCG64(policy.seed))
+    a = policy.amplitude
+    xs, us = np.empty((N, sys.n)), np.empty((N, sys.m))
+    x = sys.x0.copy()
+    for k in range(N):
+        if policy.kind == "iid-uniform":
+            u = rng.uniform(-a, a, size=sys.m)
+        elif policy.kind == "prbs":
+            u = a * (2.0 * rng.integers(0, 2, size=sys.m) - 1.0)
+        else:
+            u = policy.gain @ x + rng.uniform(-a, a, size=sys.m)
+        xs[k], us[k] = x, u
+        x = F @ x + G @ u
+    cs = np.array([x @ sys.Q @ x + u @ sys.R @ u for x, u in zip(xs, us)])
+    return xs, us, cs
 
 
 def integrator_system(n=2, dt=0.1):
@@ -84,6 +105,38 @@ class TestSimulateZoh:
         )
         dither = d.us - d.xs @ gain.T
         assert np.max(np.abs(dither)) <= 0.2
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("kind", ["iid-uniform", "prbs", "gain-plus-dither"])
+    def test_matches_per_step_loop(self, kind, m):
+        rng = np.random.default_rng(m)
+        n = 4
+        sys = LQSystem(
+            A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)), Q=np.eye(n),
+            R=np.eye(m), x0=rng.normal(size=n), dt=0.05,
+        )
+        gain = -0.2 * rng.normal(size=(m, n)) if kind == "gain-plus-dither" else None
+        policy = ExcitationPolicy(kind=kind, amplitude=0.7, gain=gain, seed=11)
+        xs, us, cs = simulate_zoh_stepwise(sys, policy, 700)
+        d = simulate_zoh(sys, policy, 700)
+        scale = np.maximum.accumulate(np.linalg.norm(xs, axis=1))
+        assert np.all(np.linalg.norm(d.xs - xs, axis=1) <= 1e-12 * scale)
+        np.testing.assert_allclose(d.us, us, rtol=1e-12, atol=1e-12 * np.abs(us).max())
+        np.testing.assert_allclose(d.cs, cs, rtol=1e-12)
+        if kind != "gain-plus-dither":
+            assert np.array_equal(d.us, us)  # the draws themselves, bit for bit
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_batch_draws_follow_per_step_order(self, m):
+        def gen():
+            return np.random.Generator(np.random.PCG64(5))
+        for draw in (
+            lambda g, size: g.uniform(-0.3, 0.3, size=size),
+            lambda g, size: g.integers(0, 2, size=size),
+        ):
+            g = gen()
+            steps = np.array([draw(g, m) for _ in range(257)])
+            assert np.array_equal(draw(gen(), (257, m)), steps)
 
     def test_dither_gain_checked(self):
         sys = integrator_system()
@@ -188,6 +241,104 @@ class TestDatasetIO:
         (tmp_path / "e.meta.json").write_text('{"dt": 0.1, "n": 1, "m": 1, "seed": 0}')
         with pytest.raises(DatasetFormatError):
             dataset_read(str(path))
+
+    def test_fast_and_line_parse_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(6)
+        N, n, m = 200, 3, 2
+        scale = np.logspace(-300, 300, N)[:, None]
+        xs = rng.normal(size=(N, n)) * scale
+        xs[3, :2] = [0.0, -0.0]
+        d = BatchDataset(
+            xs=xs, us=rng.normal(size=(N, m)), cs=rng.normal(size=N), dt=0.01, seed=1
+        )
+        path = str(tmp_path / "d.csv")
+        dataset_write(d, path)
+        lines = Path(path).read_text().splitlines()
+        fast = data._fast_values(lines[1:], n + m + 2)
+        slow = data._checked_values(lines[1:], lines[0].split(","))
+        assert fast is not None
+        assert fast.shape == slow.shape == (N, n + m + 2)
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+    def _edited(self, tmp_path, case1_data, edit):
+        """A case1 dataset file with ``edit`` applied to its list of lines."""
+        path = str(tmp_path / "d.csv")
+        dataset_write(case1_data, path)
+        lines = Path(path).read_text().splitlines()
+        edit(lines)
+        Path(path).write_text("\n".join(lines) + "\n")
+        return path, lines
+
+    def test_index_written_as_float_is_rejected(self, tmp_path, case1_data):
+        def edit(lines):
+            lines[2] = "1.0" + lines[2][1:]
+        path, lines = self._edited(tmp_path, case1_data, edit)
+        assert data._fast_values(lines[1:], 8) is None
+        with pytest.raises(DatasetFormatError, match="bad number") as ei:
+            dataset_read(path)
+        assert ei.value.line == 3
+
+    def test_whitespace_line_is_skipped(self, tmp_path, case1_data):
+        path, lines = self._edited(tmp_path, case1_data, lambda lines: lines.insert(5, "  \t"))
+        assert data._fast_values(lines[1:], 8) is None
+        back = dataset_read(path)
+        assert np.array_equal(back.xs, case1_data.xs)
+        assert np.array_equal(back.cs, case1_data.cs)
+
+    def test_underscore_token_takes_line_parse(self, tmp_path, case1_data):
+        def edit(lines):
+            parts = lines[11].split(",")
+            parts[0], parts[2] = "1_0", "1_5.25"  # k = 10, x0 = 15.25, as int()/float() read them
+            lines[11] = ",".join(parts)
+        path, lines = self._edited(tmp_path, case1_data, edit)
+        assert data._fast_values(lines[1:], 8) is None
+        back = dataset_read(path)
+        assert back.xs[10, 0] == 15.25
+        assert np.array_equal(np.delete(back.xs, 10, 0), np.delete(case1_data.xs, 10, 0))
+
+    def test_nan_takes_line_parse_and_reports_line(self, tmp_path, case1_data):
+        def edit(lines):
+            parts = lines[7].split(",")
+            parts[4] = "NaN"
+            lines[7] = ",".join(parts)
+        path, lines = self._edited(tmp_path, case1_data, edit)
+        assert data._fast_values(lines[1:], 8) is None
+        with pytest.raises(DatasetFormatError, match="'NaN' in column x2") as ei:
+            dataset_read(path)
+        assert ei.value.line == 8
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_empty_body_no_warning(self, tmp_path, body):
+        path = tmp_path / "e.csv"
+        path.write_text("k,t,x0,u0,c\n" + body)
+        (tmp_path / "e.meta.json").write_text('{"dt": 0.1, "n": 1, "m": 1, "seed": 0}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="no sample rows"):
+                dataset_read(str(path))
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_sidecar_dimensions_must_be_integers(self, tmp_path, key, value):
+        path = tmp_path / "d.csv"
+        path.write_text("k,t,x0,x1,u0,u1,c\n0,0.0,1.0,2.0,3.0,4.0,5.0\n")
+        meta = {"dt": 0.1, "n": 2, "m": 2, "seed": 0, key: value}
+        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match=f"^metadata field {key}: must be"):
+            dataset_read(str(path))
+
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, "3", -1])
+    def test_sidecar_seed_must_be_a_non_negative_integer(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
+        meta = {"dt": 0.1, "n": 1, "m": 1, "seed": value}
+        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match="^metadata field seed: must be"):
+            dataset_read(str(path))
+        meta["seed"] = None
+        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
+        assert dataset_read(str(path)).seed is None
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -229,3 +229,61 @@ class TestSpectral:
 
         Acl = case2.system.A + case2.system.B @ CASE2_KSTAR_REF
         assert linalg.spectral_abscissa(Acl) < 0
+
+
+def step_rollout(F, x0, w):
+    """Reference: x_{k+1} = F x_k + w_k one step at a time."""
+    xs = np.empty((len(w) + 1, len(x0)))
+    xs[0] = x0
+    for k in range(len(w)):
+        xs[k + 1] = F @ xs[k] + w[k]
+    return xs
+
+
+def scaled_to_radius(rho, n=4, seed=0):
+    M = np.random.default_rng(seed).normal(size=(n, n))
+    return M * (rho / linalg.spectral_radius(M))
+
+
+class TestPowerTable:
+    def test_powers(self):
+        M = scaled_to_radius(0.9)
+        pows = linalg.power_table(M, 5)
+        assert pows.shape == (5, 4, 4)
+        for j, P in enumerate(pows):
+            np.testing.assert_allclose(P, np.linalg.matrix_power(M, j + 1), rtol=1e-13, atol=1e-15)
+
+    def test_stops_before_first_overflow(self):
+        pows = linalg.power_table(np.diag([1e120, 0.5]), 256)
+        assert len(pows) == 2  # M^3 overflows
+        assert np.isfinite(pows).all()
+
+    def test_always_holds_m(self):
+        M = np.diag([1e200, 0.5])
+        pows = linalg.power_table(M, 256)
+        assert len(pows) == 1 and np.array_equal(pows[0], M)
+
+
+class TestDrivenRollout:
+    @pytest.mark.parametrize("rho", [0.98, 1.002])
+    @pytest.mark.parametrize(
+        "N", [1, 2, linalg.ROLLOUT_BLOCK, linalg.ROLLOUT_BLOCK + 1, 5000]
+    )
+    def test_matches_step_recursion(self, rho, N):
+        rng = np.random.default_rng(N)
+        F = scaled_to_radius(rho)
+        x0, w = rng.normal(size=4), rng.normal(size=(N, 4))
+        ref = step_rollout(F, x0, w)
+        got = linalg.driven_rollout(F, x0, w)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[0], x0)
+        scale = np.maximum.accumulate(np.linalg.norm(ref, axis=1))
+        assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
+
+    def test_overflowing_power_keeps_finite_row_finite(self):
+        # F^2 overflows but x0 = e2 never excites the first mode, so the
+        # recursion decays; no inf * 0 may put a NaN in those rows.
+        F = np.diag([1e200, 0.5])
+        got = linalg.driven_rollout(F, np.array([0.0, 1.0]), np.zeros((600, 2)))
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, step_rollout(F, np.array([0.0, 1.0]), np.zeros((600, 2))))
