@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -33,8 +32,16 @@ from .config import (
     load_bundled,
     load_scenario,
     suspension_matrices,
+    with_seed,
 )
-from .data import dataset_read, dataset_write, simulate_zoh, write_json
+from .data import (
+    dataset_read,
+    dataset_write,
+    json_array,
+    read_json_object,
+    simulate_zoh,
+    write_json,
+)
 from .errors import (
     AdmmDivergenceError,
     ConfigError,
@@ -88,14 +95,14 @@ def _admm_from_args(args, base: AdmmConfig) -> AdmmConfig:
 
 
 def _load_gain(path: str, n: int, m: int) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("gain file root must be a JSON object", field=path)
+    doc = read_json_object(path, ConfigError, "gain file")
     key = "Ktarget" if "Ktarget" in doc else "K"
     if key not in doc:
         raise ConfigError("gain file must contain 'Ktarget' or 'K'", field=path)
-    K = np.array(doc[key], dtype=float)
+    try:
+        K = json_array(doc[key])
+    except ValueError as e:
+        raise ConfigError(str(e), field=key) from e
     if K.ndim != 2:
         raise ConfigError("gain must be a matrix (array of row arrays)", field=key)
     if K.shape != (m, n):
@@ -107,10 +114,8 @@ def _load_gain(path: str, n: int, m: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     scenario, name = load_scenario(args.config)
-    policy = scenario.excitation
-    if args.seed is not None:
-        policy = dataclasses.replace(policy, seed=args.seed)
-    d = simulate_zoh(scenario.system, policy, scenario.N)
+    scenario = with_seed(scenario, args.seed)
+    d = simulate_zoh(scenario.system, scenario.excitation, scenario.N)
     dataset_write(d, args.out)
     print(f"{name}: wrote {d.N} samples (n={d.n}, m={d.m}, dt={d.dt}) to {args.out}")
     return EXIT_OK
@@ -181,10 +186,7 @@ def _print_diff_table(label: str, K: np.ndarray, ref: np.ndarray) -> None:
 
 def cmd_reproduce(args) -> int:
     scenario, name = load_bundled(args.case)
-    if args.seed is not None:
-        scenario = dataclasses.replace(
-            scenario, excitation=dataclasses.replace(scenario.excitation, seed=args.seed)
-        )
+    scenario = with_seed(scenario, args.seed)
     scenario = dataclasses.replace(scenario, admm=_admm_from_args(args, scenario.admm))
     report = run_scenario(scenario, name)
     report_write(report, args.out, scenario.system.dt)
@@ -247,10 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="collect a batch dataset from a configured plant")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    admm = argparse.ArgumentParser(add_help=False)
+    admm.add_argument("--mu", type=float, default=None, help="ADMM penalty parameter")
+    admm.add_argument("--iters", type=int, default=None, help="ADMM iteration count")
+    admm.add_argument("--tol", type=float, default=None, help="ADMM primal tolerance")
+
+    sp = sub.add_parser("simulate", parents=[seed],
+                        help="collect a batch dataset from a configured plant")
     sp.add_argument("--config", required=True, help="scenario config JSON")
     sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("sysid", help="identify a continuous model from a dataset")
@@ -263,14 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"log-series term cap (default {SERIES_MAX_TERMS})")
     sp.set_defaults(fn=cmd_sysid)
 
-    sp = sub.add_parser("attack", help="poison a dataset toward a target gain")
+    sp = sub.add_parser("attack", parents=[admm], help="poison a dataset toward a target gain")
     sp.add_argument("--config", default=None, help="scenario config JSON (solver defaults)")
     sp.add_argument("--data", required=True, help="clean dataset CSV path")
     sp.add_argument("--target", required=True, help="target-gain JSON ({'Ktarget': [[...]]})")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--mu", type=float, default=None, help="ADMM penalty parameter")
-    sp.add_argument("--iters", type=int, default=None, help="ADMM iteration count")
-    sp.add_argument("--tol", type=float, default=None, help="ADMM primal tolerance")
     sp.set_defaults(fn=cmd_attack)
 
     sp = sub.add_parser("evaluate", help="closed-loop rollout of a gain on the true plant")
@@ -280,14 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=int, default=None, help="override config horizon")
     sp.set_defaults(fn=cmd_evaluate)
 
-    sp = sub.add_parser("reproduce", help="run a bundled case study end to end")
+    sp = sub.add_parser("reproduce", parents=[seed, admm],
+                        help="run a bundled case study end to end")
     sp.add_argument("case", metavar="case",
                     help=f"one of: {', '.join(BUNDLED_CASES)}")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--seed", type=int, default=None, help="override the bundled seed")
-    sp.add_argument("--mu", type=float, default=None, help="ADMM penalty parameter")
-    sp.add_argument("--iters", type=int, default=None, help="ADMM iteration count")
-    sp.add_argument("--tol", type=float, default=None, help="ADMM primal tolerance")
     sp.set_defaults(fn=cmd_reproduce)
     return p
 

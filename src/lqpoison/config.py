@@ -34,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import ExcitationPolicy, json_int
+from .data import ExcitationPolicy, json_array, json_int, json_number, read_json_object
 from .errors import ConfigError, LearnabilityError
 from .lq import LQSystem
 from .pipeline import Scenario
@@ -80,11 +80,11 @@ def suspension_matrices(spring: float = SUSPENSION_SPRING) -> tuple[np.ndarray, 
 
 # JSON value -> dataclass field value, by the field's annotation.
 _FROM_JSON = {
-    "float": float,
+    "float": json_number,
     "int": json_int,
     "str": str,
-    "np.ndarray": lambda v: np.array(v, dtype=float),
-    "np.ndarray | None": lambda v: None if v is None else np.array(v, dtype=float),
+    "np.ndarray": json_array,
+    "np.ndarray | None": lambda v: None if v is None else json_array(v),
 }
 
 
@@ -123,10 +123,7 @@ def _read(cls, doc, where: str | None, **built):
 def scenario_from_dict(doc: dict) -> tuple[Scenario, str]:
     """Build a Scenario from a parsed config document; returns (scenario, name)."""
     # The one seed sits at the top level; absent, the policy's default applies.
-    try:
-        seed = json_int(doc.get("seed", ExcitationPolicy.seed), minimum=0)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e), field="seed") from e
+    seed = _seed(doc.get("seed", ExcitationPolicy.seed))
     scenario = _read(
         Scenario,
         doc,
@@ -138,17 +135,23 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, str]:
     return scenario, doc.get("name", "scenario")
 
 
-def load_scenario(path: str) -> tuple[Scenario, str]:
+def _seed(value) -> int:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return scenario_from_dict(doc)
+        return json_int(value, minimum=0)
+    except ValueError as e:
+        raise ConfigError(str(e), field="seed") from e
+
+
+def with_seed(scenario: Scenario, seed: int | None) -> Scenario:
+    """``scenario`` with its seed replaced by ``seed``, unless that is None."""
+    if seed is None:
+        return scenario
+    excitation = dataclasses.replace(scenario.excitation, seed=_seed(seed))
+    return dataclasses.replace(scenario, excitation=excitation)
+
+
+def load_scenario(path: str) -> tuple[Scenario, str]:
+    return scenario_from_dict(read_json_object(path, ConfigError, "config"))
 
 
 def load_bundled(case: str) -> tuple[Scenario, str]:

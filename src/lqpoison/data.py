@@ -6,7 +6,7 @@ instantaneous quadratic cost. Generation uses the exact ZOH discretization
 x_{k+1} = F x_k + G u_k, so the data is exactly consistent with the model
 class the identification stage fits (no integrator error, no noise). The
 excitation is drawn in one batch and the states come from
-``linalg.driven_rollout``; no step runs in a per-sample Python loop.
+``linalg.rollout``; no step runs in a per-sample Python loop.
 
 Datasets serialize to CSV with a JSON metadata sidecar. Floats are written
 as shortest round-trip decimals so read(write(d)) == d bit for bit. A read
@@ -30,9 +30,10 @@ import numpy as np
 
 from . import linalg
 from .errors import DatasetFormatError, DimensionError
-from .lq import LQSystem
+from .lq import LQSystem, require_plant_kept
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
+CSV_CHUNK_ROWS = 4096  # rows converted to Python floats at a time when writing
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class ExcitationPolicy:
 
 @dataclass(frozen=True)
 class BatchDataset:
-    """N samples of (state, held input, instantaneous cost) at spacing dt."""
+    """N finite samples of (state, held input, instantaneous cost) at spacing dt."""
 
     xs: np.ndarray  # (N, n)
     us: np.ndarray  # (N, m)
@@ -71,11 +72,11 @@ class BatchDataset:
     seed: int | None = None
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        us = np.asarray(self.us, dtype=float)
+        xs = linalg.as_matrix(self.xs, "xs")
+        us = linalg.as_matrix(self.us, "us")
         cs = np.asarray(self.cs, dtype=float).reshape(-1)
-        if xs.ndim != 2 or us.ndim != 2:
-            raise ValueError("xs and us must be 2-D arrays")
+        if not np.isfinite(cs).all():
+            raise ValueError("cs has non-finite entries")
         if not (len(xs) == len(us) == len(cs)):
             raise ValueError("xs, us, cs must have the same length")
         linalg.require_dt(self.dt)
@@ -117,16 +118,21 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
         us = a * (2.0 * rng.integers(0, 2, size=(N, m)) - 1.0)
     else:
         us = rng.uniform(-a, a, size=(N, m))
-    if policy.kind == "gain-plus-dither":
-        gain = linalg.as_matrix(policy.gain, "excitation gain")
-        if gain.shape != (m, n):
-            raise DimensionError(f"excitation gain must be {m}x{n}, got {gain.shape}")
-        # u_k = gain x_k + dither_k, so x_{k+1} = (F + G gain) x_k + G dither_k
-        xs = linalg.driven_rollout(F + G @ gain, sys.x0, us[:-1] @ G.T)
-        us = xs @ gain.T + us
-    else:
-        xs = linalg.driven_rollout(F, sys.x0, us[:-1] @ G.T)
-    return BatchDataset(xs=xs, us=us, cs=sys.stage_costs(xs, us), dt=sys.dt, seed=policy.seed)
+    # A run that overflows is refused by BatchDataset, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if policy.kind == "gain-plus-dither":
+            gain = linalg.as_matrix(policy.gain, "excitation gain")
+            if gain.shape != (m, n):
+                raise DimensionError(f"excitation gain must be {m}x{n}, got {gain.shape}")
+            # u_k = gain x_k + dither_k, so x_{k+1} = (F + G gain) x_k + G dither_k
+            GK = G @ gain
+            xs = linalg.rollout(F + GK, sys.x0, N - 1, us[:-1] @ G.T)
+            require_plant_kept(F, GK, xs[:-1], "excitation gain")
+            us = xs @ gain.T + us
+        else:
+            xs = linalg.rollout(F, sys.x0, N - 1, us[:-1] @ G.T)
+        cs = sys.stage_costs(xs, us)
+    return BatchDataset(xs=xs, us=us, cs=cs, dt=sys.dt, seed=policy.seed)
 
 
 def json_int(value, minimum: int | None = None) -> int:
@@ -140,6 +146,45 @@ def json_int(value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def json_number(value) -> float:
+    """``value`` as a float if it is a JSON number.
+
+    Bools and strings raise ``ValueError`` instead of being converted as
+    ``float()`` would (``float(True) == 1.0``); the caller names the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"must be a number in the float range, got {value}") from None
+
+
+def json_array(value) -> np.ndarray:
+    """``value`` as a float array if it is a JSON number or nested arrays of them."""
+
+    def numbers(v):
+        return [numbers(x) for x in v] if isinstance(v, list) else json_number(v)
+
+    return np.array(numbers(value), dtype=float)
+
+
+def read_json_object(path: str, error: type[ValueError], what: str) -> dict:
+    """The JSON object in the file ``path``, read as ``what``.
+
+    A file that cannot be read or parsed, or whose root is not an object,
+    raises ``error`` (an exception class taking one message) naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
+        raise error(f"{path}: cannot read {what}: {e}") from e
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} root must be a JSON object")
+    return doc
 
 
 def _meta_path(path: str) -> str:
@@ -171,12 +216,15 @@ def indexed_csv_lines(
     """CSV lines: ``header``, then ``k,k*dt,row...`` for each row of ``rows``.
 
     Floats are formatted with ``repr``, the shortest decimal that reads back
-    to the same double, so parsing the file recovers ``rows`` exactly.
+    to the same double, so parsing the file recovers ``rows`` exactly. Rows
+    become Python floats ``CSV_CHUNK_ROWS`` at a time, so a long rollout is
+    never held as Python objects all at once.
     """
     yield ",".join(header) + "\n"
     fmt = "{},{!r}" + ",{!r}" * rows.shape[1] + "\n"
-    for k, row in enumerate(rows.tolist()):
-        yield fmt.format(k, k * dt, *row)
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        for k, row in enumerate(rows[start : start + CSV_CHUNK_ROWS].tolist(), start):
+            yield fmt.format(k, k * dt, *row)
 
 
 def _dataset_header(n: int, m: int) -> list[str]:
@@ -247,16 +295,7 @@ def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
 
 def dataset_read(path: str) -> BatchDataset:
     """Read a dataset written by ``dataset_write``."""
-    meta_file = _meta_path(path)
-    if not os.path.exists(meta_file):
-        raise DatasetFormatError(f"missing metadata sidecar {meta_file}")
-    with open(meta_file, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"bad metadata JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise DatasetFormatError("metadata must be a JSON object")
+    meta = read_json_object(_meta_path(path), DatasetFormatError, "metadata sidecar")
 
     def field(key, convert):
         if key not in meta:
@@ -266,7 +305,7 @@ def dataset_read(path: str) -> BatchDataset:
         except (TypeError, ValueError) as e:
             raise DatasetFormatError(f"metadata field {key}: {e}") from e
 
-    dt = field("dt", float)
+    dt = field("dt", json_number)
     n, m = (field(key, lambda v: json_int(v, minimum=1)) for key in ("n", "m"))
     seed = meta.get("seed")
     if seed is not None:

@@ -2,7 +2,7 @@
 
 Everything here is domain-free: the sampling-interval check, matrix
 exponentials, zero-order-hold discretization, tables of matrix powers and
-the blocked rollout of a driven linear recursion, least squares, the
+the blocked rollout of a linear recursion, free or driven, least squares, the
 coordinates of a symmetric matrix, symmetric eigendecompositions,
 projection onto the positive-semidefinite cone, and spectral quantities.
 Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
@@ -113,34 +113,41 @@ def power_table(M: np.ndarray, count: int) -> np.ndarray:
     return pows if finite.all() else pows[: max(1, int(np.argmin(finite)))]
 
 
-def driven_rollout(F: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """States x_0 ... x_N of x_{k+1} = F x_k + w_k for the N rows of ``w``.
+def rollout(F: np.ndarray, x0: np.ndarray, N: int, w: np.ndarray | None = None) -> np.ndarray:
+    """States x_0 ... x_N of x_{k+1} = F x_k + w_k, or of x_{k+1} = F x_k with no ``w``.
 
     The states are split into blocks of b = ``ROLLOUT_BLOCK`` steps (fewer
-    if ``power_table`` stops early). The zero-initial-state response inside
-    each block is built for all blocks at once, one step of the block per
-    Python iteration; the block starts are then chained, one block per
-    iteration; and F^i times each start is added in one batched matmul.
-    That is b + N/b Python steps instead of N.
+    if ``power_table`` stops early). With an input, the zero-initial-state
+    response inside each block is built for all blocks at once, one step of
+    the block per Python iteration; without one that pass is skipped. The
+    block starts are then chained, one block per iteration, and F^i times
+    each start is added in one batched matmul. That is at most b + N/b
+    Python steps instead of N.
     """
-    N, n = w.shape
+    n = len(x0)
     pows = power_table(F, min(ROLLOUT_BLOCK, N))
     b = len(pows)
     nb = -(-(N + 1) // b)  # blocks covering the N + 1 states
-    W = np.zeros((nb * b, n))
-    W[:N] = w
-    W = W.reshape(nb, b, n)
-    Z = np.empty((nb, b + 1, n))  # Z[j, i]: state i of block j from a zero start
-    Z[:, 0] = 0.0
-    for i in range(b):
-        np.matmul(Z[:, i], F.T, out=Z[:, i + 1])
-        Z[:, i + 1] += W[:, i]
+    Z = None
+    if w is not None:
+        W = np.zeros((nb * b, n))
+        W[:N] = w
+        W = W.reshape(nb, b, n)
+        Z = np.empty((nb, b + 1, n))  # Z[j, i]: state i of block j from a zero start
+        Z[:, 0] = 0.0
+        for i in range(b):
+            np.matmul(Z[:, i], F.T, out=Z[:, i + 1])
+            Z[:, i + 1] += W[:, i]
     starts = np.empty((nb, n))
     starts[0] = x0
     for j in range(nb - 1):
-        starts[j + 1] = pows[b - 1] @ starts[j] + Z[j, b]
+        starts[j + 1] = pows[b - 1] @ starts[j]
+        if Z is not None:
+            starts[j + 1] += Z[j, b]
     shifts = np.concatenate([np.eye(n)[None], pows[: b - 1]])  # F^0 ... F^(b-1)
-    X = Z[:, :b] + np.einsum("ikl,jl->jik", shifts, starts)
+    X = np.einsum("ikl,jl->jik", shifts, starts)
+    if Z is not None:
+        X += Z[:, :b]
     return X.reshape(nb * b, n)[: N + 1]
 
 

@@ -185,6 +185,30 @@ def lqr_gain(P, B, R) -> np.ndarray:
     return -np.linalg.solve(R, B.T @ P)
 
 
+def require_plant_kept(F: np.ndarray, GK: np.ndarray, states: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` if the loop matrix F + G K rounds the plant's step away.
+
+    A rollout of x_{k+1} = (F + G K) x_k stands for F x_k + G (K x_k). At a
+    state x where eps * || |G K| |x| || exceeds ||F x||, the rounding of
+    (F + G K) x is as large as the plant's own step F x, so the rollout says
+    nothing about the plant: a huge K with K x_0 = 0 would seem to settle at
+    once. Only the given ``states`` are checked, and none of them when
+    eps * ||G K||_F < sigma_min(F) makes every state pass.
+    """
+    eps = np.finfo(float).eps
+    absGK = np.abs(GK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eps * np.linalg.norm(absGK) < np.linalg.svd(F, compute_uv=False)[-1]:
+            return
+        rounding = eps * np.linalg.norm(np.abs(states) @ absGK.T, axis=1)
+        lost = rounding > np.linalg.norm(states @ F.T, axis=1)
+    if lost.any():
+        raise ValueError(
+            f"{name} is too large for the plant: F + G K rounds the plant's step "
+            f"F x away at step {int(np.argmax(lost))}"
+        )
+
+
 def is_stabilizing(A, B, K) -> bool:
     """True iff A + B K has all eigenvalues in the open left half-plane."""
     A = linalg.as_matrix(A, "A")

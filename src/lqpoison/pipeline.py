@@ -7,11 +7,6 @@ closed-loop behaviour of both learned gains on the true plant. Results are
 kept in a ``ScenarioReport`` as each stage returned them, under the stage's
 label, and written as JSON plus plot-ready CSVs.
 
-Closed-loop rollouts advance in blocks: with M = F + G K, the next
-``linalg.ROLLOUT_BLOCK`` states after x_k are M^1 x_k ... M^b x_k, taken
-from ``linalg.power_table`` in one batched matmul. The divergence cut is
-still found at the exact step.
-
 The report JSON is byte-deterministic for a fixed config and seed; wall
 clock timings go to a separate ``timings.json`` sidecar so reruns produce
 identical reports.
@@ -34,7 +29,7 @@ from .data import (
     write_atomic,
     write_json,
 )
-from .lq import LQSystem, RiccatiSolution, care_solve, lqr_gain
+from .lq import LQSystem, RiccatiSolution, care_solve, lqr_gain, require_plant_kept
 from .poison import (
     AdmmConfig,
     AttackResult,
@@ -140,38 +135,31 @@ def run_attack(
 def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     """Simulate the true plant under u = K x with ZOH at the plant's dt.
 
-    The states x_{k+1} = M x_k, M = F + G K, are filled in blocks of up to
-    ``linalg.ROLLOUT_BLOCK`` rows: each block is M^1..M^c applied to the block's
-    first state in one batched matmul. The cost is the Riemann sum of
-    (x^T Q x + u^T R u) dt over every state but the last.
+    The states x_{k+1} = M x_k, M = F + G K, come from ``linalg.rollout``.
+    The cost is the Riemann sum of (x^T Q x + u^T R u) dt over every state
+    but the last.
 
     An unstable loop is truncated at the first state whose norm is not
     within ``DIVERGENCE_NORM`` (a non-finite norm counts as past it); that
     state is kept and the run is flagged, not raised: diverging is a
-    legitimate outcome the caller wants to see.
+    legitimate outcome the caller wants to see. A gain so large that M
+    loses the plant's step at a kept state is refused
+    (``lq.require_plant_kept``).
     """
     K = linalg.as_matrix(K, "K")
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
-    M = F + G @ K
-    states = np.empty((horizon + 1, sys.n))
-    states[0] = sys.x0
-    diverged = False
-    pows = linalg.power_table(M, min(linalg.ROLLOUT_BLOCK, horizon))
-    b = len(pows)
+    GK = G @ K
     # Rows past the divergence cut may overflow; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, horizon, b):
-            c = min(b, horizon - k)
-            block = states[k + 1 : k + 1 + c]
-            np.matmul(pows[:c], states[k], out=block)
-            within = np.linalg.norm(block, axis=1) <= DIVERGENCE_NORM
-            if not within.all():
-                states = states[: k + 2 + int(np.argmin(within))].copy()
-                diverged = True
-                break
+        states = linalg.rollout(F + GK, sys.x0, horizon)
+        within = np.linalg.norm(states[1:], axis=1) <= DIVERGENCE_NORM
+    diverged = not within.all()
+    if diverged:
+        states = states[: int(np.argmin(within)) + 2].copy()
     X = states[:-1]
+    require_plant_kept(F, GK, X, "gain")
     cost = float(np.sum(sys.stage_costs(X, X @ K.T)) * sys.dt)
     return ClosedLoopResult(states=states, cost=cost, diverged=diverged)
 

@@ -201,8 +201,10 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     moves it by no more than rounding, the projection is returned directly
     (zero gradient implies projected-gradient stationarity). Otherwise an
     accelerated projected gradient loop with exact Lipschitz step
-    (2 ||D||_2^2 = 2 ||R_D||_2^2) runs until the gradient-mapping norm drops
-    below ``INNER_TOL``.
+    (2 ||D||_2^2 = 2 ||R_D||_2^2) runs from that projection, dropping its
+    momentum whenever it points uphill (the gradient restart of O'Donoghue
+    and Candes, 2015), until the gradient-mapping norm drops below
+    ``INNER_TOL``.
     """
     At = state.Atilde
     Ac = At + spec.Bhat @ spec.Ktarget
@@ -228,32 +230,24 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     if np.linalg.norm(P - Pu, "fro") <= 1e-12 * (1.0 + np.linalg.norm(Pu, "fro")):
         return P  # Pu was PSD up to rounding
 
-    def grad_obj(P):
+    def grad(P):
         R1 = At.T @ P + P @ Ac + C1
         R2 = Bh.T @ P + C2
         g = 2.0 * (At @ R1 + R1 @ Ac.T + Bh @ R2)
-        return float(np.sum(R1 * R1) + np.sum(R2 * R2)), 0.5 * (g + g.T)
+        return 0.5 * (g + g.T)
 
     lip = 2.0 * np.linalg.norm(Rd, 2) ** 2  # ||D||_2 = ||Rd||_2
     step = 1.0 / lip
-    P = linalg.psd_project(state.P)
-    Y = P.copy()
+    Y = P.copy()  # warm start: the projected least-squares minimizer
     tk = 1.0
-    f, _ = grad_obj(P)
     for _ in range(MAX_INNER_ITER):
-        _, Gy = grad_obj(Y)
-        Pn = linalg.psd_project(Y - step * Gy)
-        fn, Gn = grad_obj(Pn)
-        if fn > f:  # momentum overshoot: restart from the last monotone point
-            Y = P.copy()
+        Pn = linalg.psd_project(Y - step * grad(Y))
+        if np.sum((Y - Pn) * (Pn - P)) > 0:  # momentum points uphill: drop it
             tk = 1.0
-            _, Gy = grad_obj(Y)
-            Pn = linalg.psd_project(Y - step * Gy)
-            fn, Gn = grad_obj(Pn)
         tk1 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         Y = Pn + ((tk - 1.0) / tk1) * (Pn - P)
-        P, f, tk = Pn, fn, tk1
-        gm = np.linalg.norm(P - linalg.psd_project(P - step * Gn), "fro") / step
+        P, tk = Pn, tk1
+        gm = np.linalg.norm(P - linalg.psd_project(P - step * grad(P)), "fro") / step
         if gm <= INNER_TOL:
             return P
     raise ConvergenceError(
@@ -317,7 +311,8 @@ def generate_poisoned(atilde, bhat, d: BatchDataset) -> BatchDataset:
 
     The planted system is discretized exactly (same ZOH, same dt) and driven
     by the original input sequence from the original initial state; inputs
-    and costs are copied through untouched.
+    and costs are copied through untouched. Planted dynamics whose states
+    overflow raise ``ValueError``.
     """
     atilde = linalg.as_matrix(atilde, "atilde")
     bhat = linalg.as_matrix(bhat, "bhat")
@@ -327,7 +322,8 @@ def generate_poisoned(atilde, bhat, d: BatchDataset) -> BatchDataset:
             f"(n={d.n}, m={d.m})"
         )
     F, G = linalg.zoh_pair(atilde, bhat, d.dt)
-    xs = linalg.driven_rollout(F, d.xs[0], d.us[:-1] @ G.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # BatchDataset refuses overflow
+        xs = linalg.rollout(F, d.xs[0], d.N - 1, d.us[:-1] @ G.T)
     return BatchDataset(xs=xs, us=d.us.copy(), cs=d.cs.copy(), dt=d.dt, seed=d.seed)
 
 

@@ -370,3 +370,71 @@ def test_reproduce_without_stabilizing_solution_exit_7(tmp_path, monkeypatch, ca
     doc = json.loads((out / "report.json").read_text())
     assert doc["errors"]["optimal_gain"] == "StabilityError: no stabilizing solution"
     assert "stage optimal_gain failed: StabilityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+def test_negative_seed_override_exit_2_without_outputs(tmp_path, case1_config, command):
+    out = tmp_path / "out"
+    args = (["simulate", "--config", case1_config] if command == "simulate"
+            else ["reproduce", "case1"])
+    res = cli(*args, "--out", str(out), "--seed", "-3")
+    assert res.returncode == 2, res.stderr
+    assert "error: seed: must be at least 0, got -3" in res.stderr
+    assert res.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value,field", [
+    ("admm", "mu", True, "admm.mu"),
+    ("system", "dt", "0.01", "system.dt"),
+    ("excitation", "amplitude", "1", "excitation.amplitude"),
+    ("system", "A", [["1", True, 0.0, 0.0]] * 4, "system.A"),
+])
+def test_simulate_non_number_exit_2(tmp_path, case1_config, section, key, value, field):
+    doc = json.loads(Path(case1_config).read_text())
+    res, out = simulate_with(tmp_path, case1_config, **{section: {**doc[section], key: value}})
+    assert res.returncode == 2, res.stderr
+    assert f"error: {field}: must be a number" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["1", True])
+def test_evaluate_gain_entry_not_a_number_exit_2(tmp_path, case1_config, entry):
+    gain = tmp_path / "gain.json"
+    gain.write_text(json.dumps({"K": [[entry, 0.0, 0.0, 0.0], [0.0] * 4]}))
+    out = tmp_path / "ev"
+    res = cli("evaluate", "--config", case1_config, "--gain", str(gain), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "error: K: must be a number" in res.stderr
+    assert not out.exists()
+
+
+def test_sysid_sidecar_dt_not_a_number_exit_2(tmp_path, sim_dir):
+    path = tmp_path / "data.csv"
+    path.write_text((sim_dir / "data.csv").read_text())
+    meta = json.loads((sim_dir / "data.meta.json").read_text())
+    (tmp_path / "data.meta.json").write_text(json.dumps({**meta, "dt": "0.01"}))
+    model = tmp_path / "m.json"
+    res = cli("sysid", "--data", str(path), "--out", str(model))
+    assert res.returncode == 2, res.stderr
+    assert "error: metadata field dt: must be a number" in res.stderr
+    assert not model.exists()
+
+
+def test_simulate_non_finite_costs_exit_2_without_dataset(tmp_path, case1_config):
+    # x0 = 1e200 * 1 keeps the states finite, but x^T Q x overflows
+    doc = json.loads(Path(case1_config).read_text())
+    res, out = simulate_with(tmp_path, case1_config, system={**doc["system"], "x0": [1e200] * 4})
+    assert res.returncode == 2, res.stderr
+    assert "error: cs has non-finite entries" in res.stderr
+    assert "Warning" not in res.stderr
+    assert not out.exists() and not (tmp_path / "d.meta.json").exists()
+
+
+def test_evaluate_gain_that_loses_the_plant_exit_2(tmp_path, case1_config):
+    gain = tmp_path / "gain.json"
+    gain.write_text(json.dumps({"K": [[1e200] * 4, [0.0] * 4]}))
+    out = tmp_path / "ev"
+    res = cli("evaluate", "--config", case1_config, "--gain", str(gain), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "error: gain is too large for the plant" in res.stderr
+    assert not out.exists()

@@ -11,7 +11,7 @@ from lqpoison.config import (
     scenario_from_dict,
     suspension_matrices,
 )
-from lqpoison.data import ExcitationPolicy
+from lqpoison.data import ExcitationPolicy, json_number
 from lqpoison.errors import ConfigError
 from lqpoison.pipeline import Scenario
 from lqpoison.poison import AdmmConfig
@@ -120,6 +120,45 @@ def test_integer_fields_take_only_json_integers(path, value):
     with pytest.raises(ConfigError, match=f"^{'.'.join(path)}: must be an integer") as ei:
         scenario_from_dict(doc)
     assert ei.value.field == ".".join(path)
+
+
+@pytest.mark.parametrize("value", [True, "0.01", None, [1.0]])
+@pytest.mark.parametrize("path", [("system", "dt"), ("excitation", "amplitude"),
+                                  ("admm", "mu"), ("admm", "primal_tol")])
+def test_float_fields_take_only_json_numbers(path, value):
+    doc = bundled_doc("case1")
+    doc[path[0]][path[1]] = value
+    with pytest.raises(ConfigError, match=f"^{'.'.join(path)}: must be a number") as ei:
+        scenario_from_dict(doc)
+    assert ei.value.field == ".".join(path)
+
+
+@pytest.mark.parametrize("value", [True, "1", None])
+@pytest.mark.parametrize("path", [("system", "A"), ("system", "B"), ("system", "Q"),
+                                  ("system", "R"), ("system", "x0"), ("Ktarget",),
+                                  ("excitation", "gain")])
+def test_matrix_entries_take_only_json_numbers(path, value):
+    doc = bundled_doc("case1")
+    doc["excitation"]["gain"] = np.zeros((2, 4)).tolist()
+    *section, key = path
+    parent = doc[section[0]] if section else doc
+    entries = parent[key]
+    if isinstance(entries[-1], list):
+        entries = entries[-1]
+    entries[-1] = value
+    with pytest.raises(ConfigError, match=f"^{'.'.join(path)}: must be a number"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [0, 3, -2.5, 1e300])
+def test_json_number_takes_numbers(value):
+    assert json_number(value) == value and type(json_number(value)) is float
+
+
+@pytest.mark.parametrize("value", [False, "1", None, [1.0], {"v": 1.0}, 10**400])
+def test_json_number_refuses_everything_else(value):
+    with pytest.raises(ValueError, match="^must be a number"):
+        json_number(value)
 
 
 def test_negative_seed_rejected():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -340,6 +341,23 @@ class TestDatasetIO:
         (tmp_path / "d.meta.json").write_text(json.dumps(meta))
         assert dataset_read(str(path)).seed is None
 
+    @pytest.mark.parametrize("value", [True, "0.1", None, [0.1]])
+    def test_sidecar_dt_must_be_a_json_number(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
+        (tmp_path / "d.meta.json").write_text(json.dumps({"dt": value, "n": 1, "m": 1}))
+        with pytest.raises(DatasetFormatError, match="^metadata field dt: must be a number"):
+            dataset_read(str(path))
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_bad_sidecar_names_the_file(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
+        meta = tmp_path / "d.meta.json"
+        meta.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(meta))}: "):
+            dataset_read(str(path))
+
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("k,t,x0,u0,c\n")
@@ -350,6 +368,14 @@ class TestDatasetIO:
 class TestBatchDataset:
     def test_sample_access(self, case1_data):
         assert len(case1_data) == case1_data.N == 500
+
+    @pytest.mark.parametrize("name", ["xs", "us", "cs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, name, bad):
+        arrays = {"xs": np.zeros((3, 2)), "us": np.zeros((3, 1)), "cs": np.zeros(3)}
+        arrays[name][-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            BatchDataset(**arrays, dt=0.1)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -274,7 +274,7 @@ class TestDrivenRollout:
         F = scaled_to_radius(rho)
         x0, w = rng.normal(size=4), rng.normal(size=(N, 4))
         ref = step_rollout(F, x0, w)
-        got = linalg.driven_rollout(F, x0, w)
+        got = linalg.rollout(F, x0, N, w)
         assert got.shape == ref.shape
         assert np.array_equal(got[0], x0)
         scale = np.maximum.accumulate(np.linalg.norm(ref, axis=1))
@@ -284,6 +284,6 @@ class TestDrivenRollout:
         # F^2 overflows but x0 = e2 never excites the first mode, so the
         # recursion decays; no inf * 0 may put a NaN in those rows.
         F = np.diag([1e200, 0.5])
-        got = linalg.driven_rollout(F, np.array([0.0, 1.0]), np.zeros((600, 2)))
+        got = linalg.rollout(F, np.array([0.0, 1.0]), 600, np.zeros((600, 2)))
         assert np.isfinite(got).all()
         np.testing.assert_array_equal(got, step_rollout(F, np.array([0.0, 1.0]), np.zeros((600, 2))))

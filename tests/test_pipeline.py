@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lqpoison import linalg
-from lqpoison.data import BatchDataset, ExcitationPolicy
+from lqpoison.data import CSV_CHUNK_ROWS, BatchDataset, ExcitationPolicy, simulate_zoh
 from lqpoison.errors import IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.pipeline import (
@@ -129,6 +129,28 @@ class TestEvaluateClosedLoop:
         res = evaluate_closed_loop(s, K, 100000)
         assert res.diverged
         assert len(res.states) < 100001
+
+
+class TestGainThatLosesThePlant:
+    """A gain so large that F + G K rounds F away is refused, not rolled out."""
+
+    HUGE = [[1e200] * 4, [0.0] * 4]  # case1's x0 = (0.5, -0.5, 0.5, -0.5) is in its kernel
+
+    def test_refused_where_the_step_recursion_diverges(self, case1):
+        s = case1.system
+        with np.errstate(over="ignore"):  # the oracle's cost overflows
+            assert sequential_rollout(s, self.HUGE, 10).diverged
+        with pytest.raises(ValueError, match="^gain is too large for the plant: .* at step 0$"):
+            evaluate_closed_loop(s, self.HUGE, 1000)
+
+    def test_bundled_target_passes(self, case1):
+        res = assert_matches_oracle(case1.system, case1.Ktarget, case1.horizon)
+        assert res.states.shape == (case1.horizon + 1, case1.system.n)
+
+    def test_dither_gain_refused(self, case1):
+        policy = ExcitationPolicy(kind="gain-plus-dither", amplitude=0.5, gain=np.array(self.HUGE))
+        with pytest.raises(ValueError, match="^excitation gain is too large for the plant"):
+            simulate_zoh(case1.system, policy, 50)
 
 
 class TestBlockRolloutMatchesSequential:
@@ -340,6 +362,15 @@ class TestReportWrite:
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == csv_reference(header, 5e-5, states)
         assert os.listdir(tmp_path) == ["traj.csv"]
+
+    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
+    def test_trajectory_csv_bytes_across_chunks(self, tmp_path, rows):
+        states = np.random.default_rng(rows).normal(size=(rows, 2))
+        path = tmp_path / "traj.csv"
+        trajectory_write(str(path), states, 0.01)
+        ref = csv_reference(["step", "t", "x0", "x1"], 0.01, states)
+        same = path.read_text(encoding="utf-8") == ref
+        assert same  # a bare bool: pytest's diff of two long texts takes minutes
 
     def test_write_is_deterministic(self, tmp_path, case1):
         report = run_scenario(case1, "case1")

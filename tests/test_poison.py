@@ -290,6 +290,22 @@ class TestPStep:
         assert np.linalg.eigvalsh(P).min() >= -1e-10
         assert obj(P) <= obj(linalg.psd_project(Pu)) + 1e-9
 
+    def test_projected_gradient_reaches_tolerance_on_case1_start(self, case1_spec):
+        # Atilde = Ahat, P = I, Z = 0 on case1 takes the projected-gradient
+        # branch; started from P instead of the projected minimizer it stalled
+        # at stationarity 1.6e-7 and raised after MAX_INNER_ITER iterations
+        spec, cfg = case1_spec, AdmmConfig()
+        state = make_state(spec)
+        D, Pu = loop_p_lstsq(state, spec, cfg)
+        assert np.linalg.eigvalsh(Pu).min() < 0  # the branch is taken
+        P = p_step(state, spec, cfg)
+        W1, W2 = constraint_blocks(state.Atilde, P, spec)
+        Ac = state.Atilde + spec.Bhat @ spec.Ktarget
+        G = 2.0 * (state.Atilde @ W1 + W1 @ Ac.T + spec.Bhat @ W2)
+        step = 0.5 / np.linalg.norm(D, 2) ** 2
+        gm = np.linalg.norm(P - linalg.psd_project(P - step * 0.5 * (G + G.T))) / step
+        assert gm <= poison.INNER_TOL
+
     def test_rank_deficient_design_takes_minimum_norm_fallback(self, monkeypatch):
         # Bhat = 0 and a skew Atilde: the first block maps P to the commutator
         # P At - At P, which vanishes at P = I, so D has I in its kernel
@@ -454,6 +470,10 @@ class TestGeneratePoisoned:
         assert np.array_equal(poisoned.us, case1_data.us)
         assert np.array_equal(poisoned.cs, case1_data.cs)
         assert np.array_equal(poisoned.xs[0], case1_data.xs[0])
+
+    def test_overflowing_states_refused(self, case1_data):
+        with pytest.raises(ValueError, match="^xs has non-finite entries"):
+            generate_poisoned(1e3 * np.eye(4), np.ones((4, 2)), case1_data)
 
     def test_dimension_mismatch(self, case1_data):
         with pytest.raises(DimensionError):
