@@ -6,12 +6,14 @@ model from a dataset), ``attack`` (poison a dataset toward a target gain),
 ``reproduce`` (run a bundled case study end to end and gate it against its
 expected tolerances).
 
-Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 the
-sampling-interval learnability gate, 4 unidentifiable data or a fitted
-cost weight without its required structure, 5 an iterative solver did not
-converge (a stalled attack still writes its outputs), 6 reproduction check
-failed, 7 no stabilizing LQR solution. A failed ``reproduce`` stage exits
-with its error's code.
+Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 sampling
+too coarse to learn the plant (an eigenvalue of A has |Im| dt >= pi, or a
+fitted F has no real log), 4 unidentifiable data (too little excitation,
+or a plant mode too fast to resolve at dt) or a fitted cost weight without
+its required structure, 5 an iterative solver did not converge (a stalled
+attack still writes its outputs), 6 reproduction check failed, 7 no
+stabilizing LQR solution. A failed ``reproduce`` stage exits with its
+error's code.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .pipeline import (
     trajectory_write,
 )
 from .poison import AdmmConfig
-from .sysid import SERIES_EPS, SERIES_MAX_TERMS, identify, model_write
+from .sysid import SERIES_EPS, identify, model_write
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,7 +125,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sysid(args) -> int:
     d = dataset_read(args.data)
-    est = identify(d, eps=args.eps, max_iter=args.max_iter, with_qr=args.with_qr)
+    est = identify(d, eps=args.eps, with_qr=args.with_qr)
     model_write(est, d.dt, args.out)
     extra = " with cost weights" if args.with_qr else ""
     print(f"identified model{extra} ({est.series_terms} series terms) -> {args.out}")
@@ -268,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-qr", action="store_true", help="also fit the cost weights")
     sp.add_argument("--eps", type=float, default=SERIES_EPS,
                     help=f"log-series stopping tolerance (default {SERIES_EPS:g})")
-    sp.add_argument("--max-iter", type=int, default=SERIES_MAX_TERMS,
-                    help=f"log-series term cap (default {SERIES_MAX_TERMS})")
     sp.set_defaults(fn=cmd_sysid)
 
     sp = sub.add_parser("attack", parents=[admm], help="poison a dataset toward a target gain")

@@ -34,11 +34,11 @@ class StabilityError(RuntimeError):
 
 
 class LearnabilityError(ValueError):
-    """Sampling interval too coarse for the plant (spectral-radius gate)."""
+    """Sampling interval too coarse for the plant: its sampled data alias A."""
 
 
 class IdentifiabilityError(ValueError):
-    """Dataset does not carry enough excitation to identify the model."""
+    """Dataset cannot identify the model: too little excitation, or a mode too fast for dt."""
 
 
 class EstimationError(RuntimeError):

@@ -242,10 +242,3 @@ def spectral_abscissa(M) -> float:
     A = as_matrix(M, "matrix")
     _require_square(A, "matrix")
     return float(np.max(np.linalg.eigvals(A).real))
-
-
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    A = as_matrix(M, "matrix")
-    _require_square(A, "matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(A))))

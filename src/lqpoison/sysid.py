@@ -2,17 +2,17 @@
 
 Step 1 fits the exact discrete-time model x_{k+1} = F x_k + G u_k by least
 squares over the stacked regressors z_k = [x_k; u_k]. Step 2 converts to
-continuous time through the alternating series
-
-    accum = I - L/2 + L^2/3 - L^3/4 + ...,   L = F - I,
-
-whose limit is log(I + L) L^-1, so A = accum L / dt equals log(F)/dt and
-B = accum G / dt inverts the zero-order-hold integral. The series converges
-exactly when spectral_radius(L) < 1. The plant's learnability gate requires
-this of the true F; the fitted F is checked again before the series runs.
-The series stops at its first term below ``SERIES_EPS`` (one tolerance for
-every caller), and a series that reaches its term cap first raises rather
-than returning a truncated sum.
+continuous time with phi = log(F) (F - I)^-1: A = phi (F - I) / dt is
+log(F)/dt and B = phi G / dt inverts the zero-order-hold integral. phi comes
+from inverse scaling and squaring (Higham, *Functions of Matrices*, 2008,
+ch. 11): principal square roots F_j = F^(1/2^j) until L = F_k - I has
+||L||_F <= 1/2, then the series log(I + L) L^-1 = I - L/2 + L^2/3 - ...,
+then phi = 2^k (series) prod_j (I + F_j)^-1 (all functions of F, so they
+commute). Term j is at most 2^-j, so the series reaches its first term below
+``SERIES_EPS`` within log2(1/eps) + 1 terms. The log exists unless F has an
+eigenvalue on the closed negative real axis, which means the data were
+sampled too coarsely. ``estimate_fg`` refuses an F eigenvalue within the
+fit's rounding n eps cond(Z) ||F||_F (Higham 2002, ch. 20): its log is noise.
 
 Cost-weight estimation (``estimate_qr``) regresses the recorded costs on
 the symmetric quadratic monomials of x and u, in the ``linalg.sym_index``
@@ -23,6 +23,7 @@ symmetry null-space in the normal equations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,14 @@ from .errors import (
     ConvergenceError,
     EstimationError,
     IdentifiabilityError,
+    LearnabilityError,
     RankDeficiencyError,
 )
 
 SERIES_EPS = 1e-10  # log-series stopping tolerance (Frobenius norm of a term)
-SERIES_MAX_TERMS = 500  # log-series term cap
+MAX_SQRTS = 32  # most square roots taken before the series
+DB_MAX_STEPS = 64  # most Denman-Beavers steps per square root
+DB_TOL = 1e-8  # relative Denman-Beavers step after which the root is about DB_TOL^2 off
 
 
 @dataclass(frozen=True)
@@ -93,58 +97,68 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
             f"regressor matrix is rank deficient ({e.rank} < {n + m}); "
             f"unexcited directions: {_deficient_directions(Z, e.rank, labels)}"
         ) from e
-    F = Theta[:n].T
-    G = Theta[n:].T
+    F, G = Theta[:n].T, Theta[n:].T
+    s = np.linalg.svd(Z, compute_uv=False)
+    floor = n * np.finfo(float).eps * s[0] / s[-1] * np.linalg.norm(F)
+    lam = float(np.min(np.abs(np.linalg.eigvals(F))))
+    if lam <= floor:
+        raise IdentifiabilityError(
+            f"fitted F has an eigenvalue of modulus {lam:.3g} <= {floor:.3g}, the fit's rounding: "
+            f"a plant mode decays too fast to resolve at sampling interval dt = {d.dt:g}"
+        )
     resid = float(np.linalg.norm(Z @ Theta - X, "fro") ** 2 / (d.N - 1))
     return DiscreteModel(F=F, G=G, residual=resid)
 
 
-def _log_series(L: np.ndarray, eps: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Alternating series for log(I + L) L^-1; returns (accum, terms).
+def _sqrtm(F: np.ndarray) -> np.ndarray:
+    """Principal square root of F by Denman-Beavers iteration (Higham 2008, (6.15)).
 
-    Stops at the first term whose Frobenius norm is at most ``eps``; if
-    ``max_iter`` terms do not get there, raises ``ConvergenceError``.
+    Y -> F^(1/2) and Z -> F^(-1/2) quadratically, so the step that moves Y by
+    at most ``DB_TOL`` relative leaves it about DB_TOL^2 off, and is the last.
     """
-    n = L.shape[0]
-    accum = np.eye(n)
-    term = np.eye(n)
-    size = 1.0
-    for i in range(max_iter):
-        term = -((i + 1) / (i + 2)) * (L @ term)
-        accum = accum + term
-        size = float(np.linalg.norm(term, "fro"))
-        if size <= eps:
-            return accum, i + 1
-    raise ConvergenceError(
-        f"log series did not reach eps = {eps:.1e} in {max_iter} terms "
-        f"(last term {size:.3e}); raise the term cap",
-        residual=size,
-    )
+    Y, Z = F, np.eye(len(F))
+    for _ in range(DB_MAX_STEPS):
+        Y, Z, Y_prev = 0.5 * (Y + np.linalg.inv(Z)), 0.5 * (Z + np.linalg.inv(Y)), Y
+        if np.linalg.norm(Y - Y_prev) <= DB_TOL * np.linalg.norm(Y):
+            return Y
+    raise ConvergenceError(f"Denman-Beavers square root not reached in {DB_MAX_STEPS} steps")
 
 
-def log_indirect(
-    F, G, dt: float, eps: float = SERIES_EPS, max_iter: int = SERIES_MAX_TERMS
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Continuous (A, B) from a discrete (F, G) via the matrix-log series.
+def log_indirect(F, G, dt: float, eps: float = SERIES_EPS) -> tuple[np.ndarray, np.ndarray, int]:
+    """Continuous (A, B) from a discrete (F, G) by inverse scaling and squaring.
 
     Returns (A, B, terms), ``terms`` being the number of series terms summed.
-    The series stops at the first term whose Frobenius norm is at most
-    ``eps``; the default ``SERIES_EPS`` recovers a well-sampled A to about
-    machine precision.
+    The default ``SERIES_EPS`` recovers a well-sampled A to about machine
+    precision. An F with no real log raises ``LearnabilityError``.
     """
     F = linalg.as_matrix(F, "F")
     G = linalg.as_matrix(G, "G")
     linalg.require_dt(dt)
-    L = F - np.eye(F.shape[0])
-    rho = linalg.spectral_radius(L)
-    if rho >= 1.0:
-        raise ConvergenceError(
-            f"log series diverges: spectral_radius(F - I) = {rho:.4g} >= 1; "
-            "collect data with a smaller sampling interval",
-            residual=rho,
+    if not np.finfo(float).tiny <= eps < np.inf:  # a subnormal eps could stall the series
+        raise ValueError(f"eps must be finite and at least {np.finfo(float).tiny:.4g}, got {eps}")
+    lam = np.linalg.eigvals(F)
+    cut = lam[(lam.imag == 0) & (lam.real <= 0)]
+    if cut.size:
+        raise LearnabilityError(
+            f"F has eigenvalue {cut.real[0]:.4g} <= 0, so it has no real log: the "
+            f"sampling interval dt = {dt:g} is too coarse for the plant"
         )
-    accum, terms = _log_series(L, eps, max_iter)
-    return accum @ L / dt, accum @ G / dt, terms
+    I = np.eye(len(F))
+    roots = [F]
+    while np.linalg.norm(roots[-1] - I) > 0.5:
+        if len(roots) > MAX_SQRTS:
+            raise ConvergenceError(f"F^(1/2^{MAX_SQRTS}) is still farther than 1/2 from I")
+        roots.append(_sqrtm(roots[-1]))
+    L = roots[-1] - I
+    phi = term = I
+    for terms in itertools.count(1):
+        term = -(terms / (terms + 1)) * (L @ term)
+        phi = phi + term
+        if np.linalg.norm(term, "fro") <= eps:
+            break
+    for Fj in roots[1:]:
+        phi = np.linalg.solve(I + Fj, 2.0 * phi)
+    return phi @ (F - I) / dt, phi @ G / dt, terms
 
 
 def _quad_features(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -192,19 +206,14 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def identify(
-    d: BatchDataset, eps: float = SERIES_EPS, max_iter: int = SERIES_MAX_TERMS,
-    with_qr: bool = False,
-) -> SysIdEstimate:
+def identify(d: BatchDataset, eps: float = SERIES_EPS, with_qr: bool = False) -> SysIdEstimate:
     """Full identification chain: (F, G) fit, log conversion, optional (Q, R)."""
     model = estimate_fg(d)
-    Ahat, Bhat, terms = log_indirect(model.F, model.G, d.dt, eps, max_iter)
+    Ahat, Bhat, terms = log_indirect(model.F, model.G, d.dt, eps)
     Qhat = Rhat = None
     if with_qr:
         Qhat, Rhat = estimate_qr(d)
-    return SysIdEstimate(
-        Ahat=Ahat, Bhat=Bhat, Qhat=Qhat, Rhat=Rhat, series_terms=terms
-    )
+    return SysIdEstimate(Ahat=Ahat, Bhat=Bhat, Qhat=Qhat, Rhat=Rhat, series_terms=terms)
 
 
 def model_write(est: SysIdEstimate, dt: float, path: str) -> None:

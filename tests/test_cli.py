@@ -61,37 +61,62 @@ def test_simulate_bad_dt_exit_2(tmp_path, case1_config):
     assert "dt" in res.stderr
 
 
-def test_simulate_learnability_exit_3(tmp_path, case1_config):
-    doc = json.loads(Path(case1_config).read_text())
-    doc["system"]["A"] = (2.0 * np.eye(4)).tolist()
-    doc["system"]["dt"] = 1.0
-    cfg = tmp_path / "fast.json"
-    cfg.write_text(json.dumps(doc))
-    res = cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d.csv"))
-    assert res.returncode == 3
-
-
-def test_simulate_log_series_gate_exit_3(tmp_path):
-    # rho(A) dt = 0.8 passes the aliasing check, but e^0.8 - 1 = 1.226 >= 1
-    # would make the learner's log series diverge in sysid and attack.
+def coarse_config(tmp_path, A, N=100, dt=1.0):
     doc = {
         "system": {
-            "A": [[0.8, 0.0], [0.0, -0.5]],
+            "A": A,
             "B": [[1.0], [0.5]],
             "Q": [[1.0, 0.0], [0.0, 1.0]],
             "R": [[1.0]],
             "x0": [1.0, -1.0],
-            "dt": 1.0,
+            "dt": dt,
         },
-        "N": 100,
+        "N": N,
         "Ktarget": [[0.0, 0.0]],
     }
     cfg = tmp_path / "coarse.json"
     cfg.write_text(json.dumps(doc))
-    res = cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d.csv"))
+    return str(cfg)
+
+
+def test_simulate_aliasing_exit_3(tmp_path):
+    # The one learnability condition: every eigenvalue has |Im| dt < pi.
+    w = 1.1 * np.pi
+    cfg = coarse_config(tmp_path, [[0.0, w], [-w, 0.0]])
+    res = cli("simulate", "--config", cfg, "--out", str(tmp_path / "d.csv"))
     assert res.returncode == 3, res.stderr
-    assert "e^(A dt) - I is 1.226 >= 1" in res.stderr
+    assert "max |Im eig(A)| * dt = 3.456 >= pi" in res.stderr
     assert not (tmp_path / "d.csv").exists()
+    w = 0.9 * np.pi
+    cfg = coarse_config(tmp_path, [[0.0, w], [-w, 0.0]])
+    res = cli("simulate", "--config", cfg, "--out", str(tmp_path / "d.csv"))
+    assert res.returncode == 0, res.stderr
+
+
+def test_coarse_real_mode_simulates_and_identifies(tmp_path):
+    # e^0.8 - 1 = 1.226 > 1, where the log series alone diverges: sysid
+    # takes square roots of F before it.
+    A = [[0.8, 0.0], [0.0, -0.5]]
+    data, model = str(tmp_path / "d.csv"), tmp_path / "m.json"
+    res = cli("simulate", "--config", coarse_config(tmp_path, A, N=20), "--out", data)
+    assert res.returncode == 0, res.stderr
+    res = cli("sysid", "--data", data, "--out", str(model))
+    assert res.returncode == 0, res.stderr
+    Ahat = np.array(json.loads(model.read_text())["Ahat"])
+    assert np.linalg.norm(Ahat - A) <= 1e-8 * np.linalg.norm(A)
+
+
+def test_sysid_unresolved_fast_mode_exit_4(tmp_path):
+    # e^(-1000 * 0.1) is far below the fit's rounding: the gate (no complex
+    # eigenvalue) passes, but the data cannot give that mode back.
+    data, model = str(tmp_path / "d.csv"), tmp_path / "m.json"
+    cfg = coarse_config(tmp_path, [[-1000.0, 0.0], [0.0, -1.0]], N=200, dt=0.1)
+    res = cli("simulate", "--config", cfg, "--out", data)
+    assert res.returncode == 0, res.stderr
+    res = cli("sysid", "--data", data, "--out", str(model))
+    assert res.returncode == 4, res.stderr
+    assert "decays too fast to resolve at sampling interval dt = 0.1" in res.stderr
+    assert not model.exists()
 
 
 def test_sysid_recovers_generator(tmp_path):
@@ -156,12 +181,31 @@ def test_sysid_default_series_tolerance_recovers_a(tmp_path, sim_dir, case1_conf
     assert np.max(np.abs(np.array(json.loads(Path(model).read_text())["Ahat"]) - A)) <= 1e-10
 
 
-def test_sysid_term_cap_exit_5(tmp_path, sim_dir):
+def test_sysid_eps_out_of_range_exit_2(tmp_path, sim_dir):
     model = tmp_path / "m.json"
-    res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", str(model),
-              "--eps", "1e-10", "--max-iter", "3")
-    assert res.returncode == 5, res.stderr
-    assert "log series did not reach eps" in res.stderr
+    for eps in ("nan", "-1", "0", "inf"):
+        res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", str(model),
+                  "--eps", eps)
+        assert res.returncode == 2, (eps, res.stderr)
+        assert "eps must be finite and at least" in res.stderr
+        assert not model.exists()
+
+
+def test_sysid_no_real_log_exit_3(tmp_path):
+    # F has the eigenvalue -0.5, which e^(A dt) never has: the plant was
+    # sampled too coarsely (or is not a sampled continuous-time plant).
+    rng = np.random.default_rng(3)
+    F, G = np.diag([-0.5, 0.9]), np.array([[1.0], [0.5]])
+    us = rng.uniform(-1.0, 1.0, size=(50, 1))
+    xs = np.zeros((50, 2))
+    xs[0] = [1.0, -1.0]
+    for k in range(49):
+        xs[k + 1] = F @ xs[k] + G @ us[k]
+    data, model = str(tmp_path / "d.csv"), tmp_path / "m.json"
+    dataset_write(BatchDataset(xs=xs, us=us, cs=np.zeros(50), dt=0.1), data)
+    res = cli("sysid", "--data", data, "--out", str(model))
+    assert res.returncode == 3, res.stderr
+    assert "sampling interval dt = 0.1" in res.stderr
     assert not model.exists()
 
 

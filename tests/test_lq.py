@@ -166,16 +166,19 @@ class TestOptimalValue:
 
 
 class TestLQSystem:
-    def test_learnability_gate(self):
-        with pytest.raises(LearnabilityError):
-            LQSystem(
-                A=2.0 * np.eye(2),
-                B=np.eye(2),
-                Q=np.eye(2),
-                R=np.eye(2),
-                x0=np.zeros(2),
-                dt=1.0,
-            )
+    def test_learnability_gate_at_pi(self):
+        # The one condition is max |Im eig(A)| dt < pi: a rotation at
+        # omega dt = 1.1 pi aliases and 0.9 pi does not, and a real
+        # eigenvalue never aliases, so A = 2I at dt = 1 is learnable.
+        def plant(A):
+            return LQSystem(A=A, B=np.eye(2), Q=np.eye(2), R=np.eye(2),
+                            x0=np.zeros(2), dt=1.0)
+
+        rotation = np.array([[0.0, np.pi], [-np.pi, 0.0]])
+        with pytest.raises(LearnabilityError, match="= 3.456 >= pi"):
+            plant(1.1 * rotation)
+        plant(0.9 * rotation)
+        plant(2.0 * np.eye(2))
 
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqpoison import linalg
+from lqpoison import linalg, sysid
 from lqpoison.data import BatchDataset, ExcitationPolicy, simulate_zoh
-from lqpoison.errors import ConvergenceError, EstimationError, IdentifiabilityError
+from lqpoison.errors import (
+    ConvergenceError,
+    EstimationError,
+    IdentifiabilityError,
+    LearnabilityError,
+)
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.sysid import (
     estimate_fg,
@@ -122,7 +127,7 @@ class TestLogIndirect:
 
     def test_scalar_diagonal(self):
         F = np.diag([np.exp(0.01), np.exp(0.01)])
-        Ahat, _, _ = log_indirect(F, np.ones((2, 1)), 0.01, eps=1e-14, max_iter=2000)
+        Ahat, _, _ = log_indirect(F, np.ones((2, 1)), 0.01, eps=1e-14)
         np.testing.assert_allclose(Ahat, np.eye(2), atol=1e-9)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
@@ -130,34 +135,103 @@ class TestLogIndirect:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             log_indirect(np.eye(2), np.ones((2, 1)), dt)
 
-    def test_divergent_series(self):
-        with pytest.raises(ConvergenceError):
-            log_indirect(3.0 * np.eye(2), np.ones((2, 1)), 0.1)
+    @pytest.mark.parametrize("A", [np.log(3.0) * np.eye(2), 2.0 * np.eye(2),
+                                   np.diag([0.8, -0.5])])
+    def test_large_real_log_recovered(self, A):
+        # rho(F - I) >= 1 here, where the series alone diverges; square
+        # roots of F bring it within ||F_k - I|| <= 1/2 first.
+        F, G = linalg.zoh_pair(A, np.array([[1.0], [0.5]]), 1.0)
+        Ahat, Bhat, _ = log_indirect(F, G, 1.0)
+        assert np.linalg.norm(Ahat - A) <= 1e-8 * np.linalg.norm(A)
+        np.testing.assert_allclose(Bhat, [[1.0], [0.5]], rtol=1e-8)
 
-    def test_term_cap_raises_instead_of_truncating(self):
-        # rho(F - I) = 0.974 < 1: the series converges, but 100 terms leave
-        # the log about 3e-4 off, far above eps.
-        with pytest.raises(ConvergenceError, match="100 terms"):
-            log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0,
-                         eps=1e-10, max_iter=100)
-        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0,
-                                      eps=1e-10, max_iter=2000)
-        assert 100 < terms < 2000
-        assert abs(Ahat[0, 0] - np.log(1.974)) <= 1e-9
+    @pytest.mark.parametrize("F", [np.diag([-0.5, 0.9]), np.diag([0.0, 0.9])])
+    def test_no_real_log_raises(self, F):
+        with pytest.raises(LearnabilityError, match="sampling interval dt = 0.1"):
+            log_indirect(F, np.ones((2, 1)), 0.1)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 1e-320, math.inf])
+    def test_eps_out_of_range(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            log_indirect(np.eye(2), np.ones((2, 1)), 0.1, eps=eps)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12])
+    def test_series_terms_bounded(self, eps):
+        # rho(F - I) = 0.974: the series alone needs over 100 terms. After a
+        # square root ||L|| <= 1/2 bounds it by log2(1/eps) + 1 terms, 34 at
+        # the default eps.
+        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0, eps=eps)
+        assert terms <= 34
+        assert abs(Ahat[0, 0] - np.log(1.974)) <= max(eps, 1e-12)
+
+    @pytest.mark.parametrize("cap, message", [
+        ("DB_MAX_STEPS", "Denman-Beavers square root not reached in 1 steps"),
+        ("MAX_SQRTS", r"F\^\(1/2\^1\) is still farther than 1/2 from I"),
+    ])
+    def test_root_caps_raise(self, monkeypatch, cap, message):
+        # diag(e^0.8, e^-0.5) needs two square roots, of several steps each.
+        monkeypatch.setattr(sysid, cap, 1)
+        F, G = linalg.zoh_pair(np.diag([0.8, -0.5]), np.ones((2, 1)), 1.0)
+        with pytest.raises(ConvergenceError, match=message):
+            log_indirect(F, G, 1.0)
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             n, m, dt = 3, 1, 0.1
             A = rng.normal(size=(n, n))
-            rho = linalg.spectral_radius(A)
-            A *= 0.3 / (dt * rho)  # puts spectral_radius(A)*dt at 0.3
+            rho = np.max(np.abs(np.linalg.eigvals(A)))
+            A *= 0.3 / (dt * rho)  # puts the spectral radius of A*dt at 0.3
             B = rng.normal(size=(n, m))
             F, G = linalg.zoh_pair(A, B, dt)
-            Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-13, max_iter=2000)
+            Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-13)
             scale = 1.0 + np.max(np.abs(A))
             assert np.max(np.abs(Ahat - A)) <= 1e-6 * scale
             assert np.max(np.abs(Bhat - B)) <= 1e-6 * (1.0 + np.max(np.abs(B)))
+
+
+class TestLearnabilityGate:
+    def test_gate_iff_noise_free_recovery(self):
+        # With real parts |Re lambda| dt <= 3, LQSystem's one condition,
+        # max |Im eig(A)| dt < pi, holds exactly when identify gives A back
+        # from noise-free data: past pi the data alias A. From trial 40 on, a
+        # real mode with lambda dt in [-60, -40] decays below the fit's
+        # rounding within one step: the gate passes it, and identify refuses
+        # the data rather than return a wrong A.
+        rng = np.random.default_rng(12)
+        dt, N = 0.1, 40
+        for trial in range(60):
+            fast = trial >= 40
+            n = int(rng.integers(3 if fast else 2, 5))
+            omega = float(rng.uniform(0.5, 0.95) if trial % 2 else rng.uniform(1.05, 1.5))
+            sigma = float(rng.uniform(-3.0, 3.0))
+            D = np.diag(rng.uniform(-3.0, 3.0, size=n))
+            D[:2, :2] = [[sigma, omega * np.pi], [-omega * np.pi, sigma]]
+            if fast:
+                D[-1, -1] = rng.uniform(-60.0, -40.0)
+            V = rng.normal(size=(n, n))
+            A = V @ D @ np.linalg.inv(V) / dt
+            B = rng.normal(size=(n, n))
+            try:
+                LQSystem(A=A, B=B, Q=np.eye(n), R=np.eye(n), x0=np.zeros(n), dt=dt)
+                accepted = True
+            except LearnabilityError:
+                accepted = False
+            # Noise-free data with bounded states: draw each next state and
+            # solve x_{k+1} = F x_k + G u_k for the input that reaches it.
+            F, G = linalg.zoh_pair(A, B, dt)
+            xs = rng.normal(size=(N, n))
+            us = np.zeros((N, n))
+            us[:-1] = np.linalg.solve(G, (xs[1:] - xs[:-1] @ F.T).T).T
+            data = BatchDataset(xs=xs, us=us, cs=np.zeros(N), dt=dt)
+            assert accepted == (omega < 1.0)
+            if fast:
+                with pytest.raises(IdentifiabilityError, match="decays too fast"):
+                    identify(data)
+                continue
+            est = identify(data)
+            recovered = np.linalg.norm(est.Ahat - A) <= 1e-8 * np.linalg.norm(A)
+            assert recovered == accepted, (trial, omega)
 
 
 class TestEstimateQR:
