@@ -12,8 +12,9 @@ fitted F has no real log), 4 unidentifiable data (too little excitation,
 or a plant mode too fast to resolve at dt) or a fitted cost weight without
 its required structure, 5 an iterative solver did not converge (a stalled
 attack still writes its outputs), 6 reproduction check failed, 7 no
-stabilizing LQR solution. A failed ``reproduce`` stage exits with its
-error's code.
+stabilizing LQR solution. Codes 3, 4, 5 and 7 are the ``exit_code`` of the
+``errors`` class raised (a stalled attack's 5 is the command's own). A
+failed ``reproduce`` stage exits with its error's code.
 """
 
 from __future__ import annotations
@@ -44,15 +45,7 @@ from .data import (
     simulate_zoh,
     write_json,
 )
-from .errors import (
-    AdmmDivergenceError,
-    ConfigError,
-    ConvergenceError,
-    EstimationError,
-    IdentifiabilityError,
-    LearnabilityError,
-    StabilityError,
-)
+from .errors import ConfigError
 from .lq import care_solve
 from .pipeline import (
     evaluate_closed_loop,
@@ -67,25 +60,15 @@ from .sysid import SERIES_EPS, identify, model_write
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_LEARNABILITY = 3
-EXIT_IDENTIFIABILITY = 4
 EXIT_NONCONVERGED = 5
 EXIT_CHECK_FAILED = 6
-EXIT_NOT_STABILIZABLE = 7
 
 
 def _exit_code(e: Exception) -> int:
-    if isinstance(e, LearnabilityError):
-        return EXIT_LEARNABILITY
-    if isinstance(e, (IdentifiabilityError, EstimationError)):
-        return EXIT_IDENTIFIABILITY
-    if isinstance(e, (AdmmDivergenceError, ConvergenceError)):
-        return EXIT_NONCONVERGED
-    if isinstance(e, StabilityError):
-        return EXIT_NOT_STABILIZABLE
-    if isinstance(e, (ValueError, OSError, KeyError)):
-        return EXIT_USAGE
-    return 1
+    """The error class's own ``exit_code``, else 2 for a usage error, else 1."""
+    if hasattr(e, "exit_code"):
+        return e.exit_code
+    return EXIT_USAGE if isinstance(e, (ValueError, OSError, KeyError)) else 1
 
 
 def _admm_from_args(args, base: AdmmConfig) -> AdmmConfig:

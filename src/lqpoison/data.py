@@ -11,8 +11,10 @@ excitation is drawn in one batch and the states come from
 Datasets serialize to CSV with a JSON metadata sidecar. Floats are written
 as shortest round-trip decimals so read(write(d)) == d bit for bit. A read
 parses the body with one ``np.loadtxt`` call; only a body that call does
-not take cleanly is parsed again line by line, and that loop exists to
-name the first bad line in its ``DatasetFormatError``. Every file the
+not take cleanly is parsed again line by line. That loop names the first
+bad line in its ``DatasetFormatError``, and it also accepts what
+``int``/``float`` accept and ``np.loadtxt`` does not, such as whitespace-only
+lines (skipped) and underscored tokens like ``1_0``. Every file the
 package writes goes through ``write_atomic`` (JSON documents via
 ``write_json``), and every indexed CSV, datasets and closed-loop
 trajectories alike, is formatted by ``indexed_csv_lines``.

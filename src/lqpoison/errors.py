@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes, so raising the right class is
-part of the public contract.
+Each class with its own CLI exit code carries it as the class attribute
+``exit_code``, which ``cli._exit_code`` returns; any other ``ValueError``
+(``OSError``, ``KeyError``) exits 2, anything else 1. Raising the right
+class is part of the public contract.
 """
 
 
@@ -24,6 +26,8 @@ class RankDeficiencyError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 
+    exit_code = 5
+
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
@@ -32,21 +36,31 @@ class ConvergenceError(RuntimeError):
 class StabilityError(RuntimeError):
     """No stabilizing solution exists or could be found."""
 
+    exit_code = 7
+
 
 class LearnabilityError(ValueError):
     """Sampling interval too coarse for the plant: its sampled data alias A."""
+
+    exit_code = 3
 
 
 class IdentifiabilityError(ValueError):
     """Dataset cannot identify the model: too little excitation, or a mode too fast for dt."""
 
+    exit_code = 4
+
 
 class EstimationError(RuntimeError):
     """A fitted quantity violates its required structure (e.g. R not PD)."""
 
+    exit_code = 4
+
 
 class AdmmDivergenceError(RuntimeError):
     """ADMM residual blew up; a larger penalty parameter usually helps."""
+
+    exit_code = 5
 
 
 class DatasetFormatError(ValueError):

@@ -4,7 +4,7 @@ Everything here is domain-free: the sampling-interval check, matrix
 exponentials, zero-order-hold discretization, tables of matrix powers and
 the blocked rollout of a linear recursion, free or driven, least squares, the
 coordinates of a symmetric matrix, symmetric eigendecompositions,
-projection onto the positive-semidefinite cone, and spectral quantities.
+projection onto the positive-semidefinite cone, and the spectral abscissa.
 Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
 safe to call concurrently.
 
@@ -14,8 +14,6 @@ general eigenvalues come straight from LAPACK.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,24 +51,32 @@ def expm(M, scale: float = 1.0) -> np.ndarray:
     The scaled matrix is halved k times until its Frobenius norm is at
     most 0.5, a >=20-term Taylor series is summed, and the result is
     squared k times. Adequate and simple at the small orders this package
-    works with.
+    works with. When ||M*scale||_F or the result is not finite, ``ValueError``
+    names the scale (``zoh_pair``'s dt) and no overflow warning escapes.
     """
     A = as_matrix(M, "expm input")
     _require_square(A, "expm input")
-    S = A * float(scale)
-    norm = np.linalg.norm(S, "fro")
-    k = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    S = S / (2.0**k)
-    n = S.shape[0]
-    E = np.eye(n)
-    term = np.eye(n)
-    for i in range(1, 40):
-        term = term @ S / i
-        E = E + term
-        if i >= 20 and np.linalg.norm(term, "fro") < 1e-20 * np.linalg.norm(E, "fro"):
-            break
-    for _ in range(k):
-        E = E @ E
+    E = np.eye(A.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        S = A * float(scale)
+        norm = np.linalg.norm(S, "fro")
+        k = 0 if norm <= 0.5 else np.ceil(np.log2(norm / 0.5))  # inf or NaN on overflow
+        if k < np.inf:
+            k = int(k)
+            S = np.ldexp(S, -k)  # S / 2^k, also where 2^k itself overflows
+            term = E
+            for i in range(1, 40):
+                term = term @ S / i
+                E = E + term
+                if i >= 20 and np.linalg.norm(term, "fro") < 1e-20 * np.linalg.norm(E, "fro"):
+                    break
+            for _ in range(k):
+                E = E @ E
+    if not (k < np.inf and np.isfinite(E).all()):
+        raise ValueError(
+            f"e^(M dt) is not finite at dt = {scale:g} (||M dt||_F = {norm:.3g}); "
+            "the plant is too fast for this sampling interval"
+        )
     return E
 
 
@@ -151,13 +157,13 @@ def rollout(F: np.ndarray, x0: np.ndarray, N: int, w: np.ndarray | None = None) 
     return X.reshape(nb * b, n)[: N + 1]
 
 
-def lstsq(A, b) -> np.ndarray:
-    """Solve min_X ||A X - b||_F for a full-column-rank A.
+def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """Solve min_X ||A X - b||_F for a full-column-rank A; returns (X, s).
 
     Backed by the SVD solver (numpy ``lstsq``), which also reports the
-    numerical rank; a rank-deficient A raises ``RankDeficiencyError``
-    carrying that rank rather than silently returning a minimum-norm
-    solution.
+    numerical rank and the singular values s of A, descending; a
+    rank-deficient A raises ``RankDeficiencyError`` carrying that rank
+    rather than silently returning a minimum-norm solution.
     """
     A = as_matrix(A, "A")
     b_arr = np.asarray(b, dtype=float)
@@ -169,13 +175,13 @@ def lstsq(A, b) -> np.ndarray:
         raise DimensionError(
             f"b has {b_arr.shape[0]} rows, expected {A.shape[0]}"
         )
-    X, _, rank, _ = np.linalg.lstsq(A, b_arr, rcond=None)
+    X, _, rank, s = np.linalg.lstsq(A, b_arr, rcond=None)
     if rank < A.shape[1]:
         raise RankDeficiencyError(
             f"system is rank deficient: numerical rank {rank} < {A.shape[1]} columns",
             rank=int(rank),
         )
-    return X
+    return X, s
 
 
 def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +196,8 @@ def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([d, r]), np.concatenate([d, c])
 
 
-class SymEig(NamedTuple):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(M) -> SymEig:
-    """Eigendecomposition of a (numerically) symmetric matrix.
+def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (w, V) of a (numerically) symmetric matrix.
 
     The input is symmetrized as (M + M^T)/2 before factoring, but an
     asymmetry above ``SYM_RTOL`` relative is refused: silent symmetrization
@@ -211,9 +210,8 @@ def sym_eig(M) -> SymEig:
         raise AsymmetryError(
             f"matrix is asymmetric beyond tolerance (||M - M^T||_F = {skew:.3e})"
         )
-    S = 0.5 * (A + A.T)
-    w, V = np.linalg.eigh(S)
-    return SymEig(eigenvalues=w, eigenvectors=V)
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    return w, V
 
 
 def require_psd(M, name: str, definite: bool = False) -> None:
@@ -223,7 +221,7 @@ def require_psd(M, name: str, definite: bool = False) -> None:
     otherwise it may dip below zero by ``PSD_EIG_FLOOR`` relative to the
     largest, which absorbs rounding in matrices that are PSD by construction.
     """
-    w = sym_eig(M).eigenvalues
+    w = sym_eig(M)[0]
     if definite and w[0] <= 0:
         raise ValueError(f"{name} must be positive definite (min eig {w[0]:.3e})")
     if w[0] < PSD_EIG_FLOOR * (1.0 + abs(w[-1])):

@@ -68,6 +68,8 @@ class LQSystem:
         n = A.shape[0]
         if x0.shape[0] != n:
             raise DimensionError(f"x0 must have length {n}, got {x0.shape[0]}")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 has non-finite entries")
         linalg.require_dt(self.dt)
         omega = float(np.max(np.abs(np.linalg.eigvals(A).imag))) * self.dt
         if omega >= np.pi:

@@ -22,10 +22,11 @@ convex subproblems ADMM-style with penalty mu:
           The unconstrained symmetric minimizer is a small least-squares
           solve over a stacked orthonormal basis of symmetric matrices in
           ``linalg.sym_index`` order, by one Householder QR and a triangular
-          solve (the SVD solve when R's diagonal shows rank deficiency);
-          when it is already PSD (the common case on this problem's
-          trajectories) it is the constrained minimizer outright, otherwise
-          an accelerated projected-gradient loop finishes the job.
+          solve (the SVD solve of the triangle when R's diagonal shows rank
+          deficiency); when it is already PSD (the common case on this
+          problem's trajectories) it is the constrained minimizer outright,
+          otherwise an accelerated projected-gradient loop on the same
+          triangle finishes the job.
   Z-step  plain dual ascent Z <- Z + mu * W on the stacked constraint W.
 
 Feasibility of an arbitrary target gain is not guaranteed (not every gain
@@ -103,8 +104,8 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not self.primal_tol >= 0:
-            raise ValueError(f"primal_tol must be non-negative, got {self.primal_tol}")
+        if not 0 <= self.primal_tol < math.inf:
+            raise ValueError(f"primal_tol must be non-negative and finite, got {self.primal_tol}")
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
 
@@ -192,52 +193,52 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     """Minimize the stacked constraint objective over the PSD cone.
 
     Objective: g(P) = ||At^T P + P Ac + C1||_F^2 + ||Bhat^T P + C2||_F^2
-    over symmetric P >= 0, with Ac = Atilde + Bhat Ktarget. The symmetric
-    unconstrained minimizer solves the least-squares system D coef = rhs in
-    the n(n+1)/2 free parameters: one R-only QR of [D | rhs] gives the
-    triangle R_D and Q^T rhs, so coef = R_D^-1 (Q^T rhs). When R_D's diagonal
-    shows D near rank deficient (``RANK_RTOL``) the SVD's minimum-norm
-    solution is taken instead. If projecting the minimizer onto the PSD cone
-    moves it by no more than rounding, the projection is returned directly
-    (zero gradient implies projected-gradient stationarity). Otherwise an
-    accelerated projected gradient loop with exact Lipschitz step
-    (2 ||D||_2^2 = 2 ||R_D||_2^2) runs from that projection, dropping its
-    momentum whenever it points uphill (the gradient restart of O'Donoghue
-    and Candes, 2015), until the gradient-mapping norm drops below
-    ``INNER_TOL``.
+    over symmetric P >= 0, with Ac = Atilde + Bhat Ktarget. In P's
+    coordinates c in the orthonormal ``_sym_basis`` it is ||D c - rhs||^2,
+    and D is factorised once: one R-only QR of [D | rhs] gives the k x k
+    triangle Rd and q = Q^T rhs, so g = ||Rd c - q||^2 plus the constant
+    R[k, k]^2, and every later step works on (Rd, q) alone. The unconstrained
+    minimizer is c = Rd^-1 q; when Rd's diagonal shows D near rank deficient
+    (``RANK_RTOL``) it is the SVD's minimum-norm solution of Rd c = q, which
+    is D's. If projecting the minimizer onto the PSD cone moves it by no more
+    than rounding, the projection is returned directly (zero gradient implies
+    projected-gradient stationarity). Otherwise an accelerated projected
+    gradient loop runs from that projection, with the gradient H c - h
+    (H = 2 Rd^T Rd, h = 2 Rd^T q) mapped back through the basis and the exact
+    Lipschitz step 1/(2 ||Rd||_2^2). It drops its momentum whenever it points
+    uphill (the gradient restart of O'Donoghue and Candes, 2015) and stops
+    once the gradient-mapping norm drops below ``INNER_TOL``.
     """
     At = state.Atilde
     Ac = At + spec.Bhat @ spec.Ktarget
     C1 = spec.Qhat + state.Z1 / cfg.mu
     C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
-    Bh = spec.Bhat
     basis = _sym_basis(spec.n)
     k = len(basis)
     # column j: the column-major vec of both blocks of the map at basis[j]
     D = np.hstack([
-        M.swapaxes(1, 2).reshape(k, -1) for M in (At.T @ basis + basis @ Ac, Bh.T @ basis)
+        M.swapaxes(1, 2).reshape(k, -1) for M in (At.T @ basis + basis @ Ac, spec.Bhat.T @ basis)
     ]).T
     rhs = -np.concatenate([C1.flatten("F"), C2.flatten("F")])
     R = np.linalg.qr(np.column_stack([D, rhs]), mode="r")
-    Rd = R[:k, :k]
+    Rd, q = R[:k, :k], R[:k, k]
     d = np.abs(np.diag(Rd))
     if d.min() > RANK_RTOL * d.max():
-        coef = np.linalg.solve(Rd, R[:k, k])
+        coef = np.linalg.solve(Rd, q)
     else:  # near rank deficient: the SVD's minimum-norm solution
-        coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+        coef, *_ = np.linalg.lstsq(Rd, q, rcond=None)
     Pu = np.tensordot(coef, basis, 1)
     P = linalg.psd_project(Pu)
     if np.linalg.norm(P - Pu, "fro") <= 1e-12 * (1.0 + np.linalg.norm(Pu, "fro")):
         return P  # Pu was PSD up to rounding
 
-    def grad(P):
-        R1 = At.T @ P + P @ Ac + C1
-        R2 = Bh.T @ P + C2
-        g = 2.0 * (At @ R1 + R1 @ Ac.T + Bh @ R2)
-        return 0.5 * (g + g.T)
+    flat = basis.reshape(k, -1)
+    H, h = 2.0 * Rd.T @ Rd, 2.0 * Rd.T @ q
 
-    lip = 2.0 * np.linalg.norm(Rd, 2) ** 2  # ||D||_2 = ||Rd||_2
-    step = 1.0 / lip
+    def grad(P):  # H c - h at P's coordinates c, as a symmetric matrix
+        return ((H @ (flat @ P.ravel()) - h) @ flat).reshape(P.shape)
+
+    step = 0.5 / np.linalg.norm(Rd, 2) ** 2
     Y = P.copy()  # warm start: the projected least-squares minimizer
     tk = 1.0
     for _ in range(MAX_INNER_ITER):

@@ -90,7 +90,7 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
     Z = np.hstack([d.xs[:-1], d.us[:-1]])
     X = d.xs[1:]
     try:
-        Theta = linalg.lstsq(Z, X)
+        Theta, s = linalg.lstsq(Z, X)
     except RankDeficiencyError as e:
         labels = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
         raise IdentifiabilityError(
@@ -98,7 +98,6 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
             f"unexcited directions: {_deficient_directions(Z, e.rank, labels)}"
         ) from e
     F, G = Theta[:n].T, Theta[n:].T
-    s = np.linalg.svd(Z, compute_uv=False)
     floor = n * np.finfo(float).eps * s[0] / s[-1] * np.linalg.norm(F)
     lam = float(np.min(np.abs(np.linalg.eigvals(F))))
     if lam <= floor:
@@ -187,7 +186,7 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
             f"need at least {n_params} samples to fit cost weights, got {d.N}"
         )
     try:
-        theta = linalg.lstsq(Phi, d.cs)
+        theta, _ = linalg.lstsq(Phi, d.cs)
     except RankDeficiencyError as e:
         raise IdentifiabilityError(
             f"quadratic features are rank deficient ({e.rank} < {n_params}); "

@@ -349,6 +349,7 @@ def test_evaluate_gain_root_not_an_object_exit_2(tmp_path, case1_config, root):
 @pytest.mark.parametrize("flag,value,field", [
     ("--mu", "nan", "mu"), ("--mu", "inf", "mu"),
     ("--tol", "nan", "primal_tol"), ("--tol", "-1", "primal_tol"),
+    ("--tol", "inf", "primal_tol"),
 ])
 def test_reproduce_bad_admm_setting_exit_2_before_work(tmp_path, flag, value, field):
     out = tmp_path / "r"
@@ -481,4 +482,37 @@ def test_evaluate_gain_that_loses_the_plant_exit_2(tmp_path, case1_config):
     res = cli("evaluate", "--config", case1_config, "--gain", str(gain), "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert "error: gain is too large for the plant" in res.stderr
+    assert not out.exists()
+
+
+def test_evaluate_non_finite_x0_exit_2_without_trajectory(tmp_path, case1_config):
+    # json.dumps writes the non-standard token NaN, which json.load accepts
+    doc = json.loads(Path(case1_config).read_text())
+    doc["system"]["x0"][0] = float("nan")
+    cfg = tmp_path / "nan_x0.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "ev"
+    res = cli("evaluate", "--config", str(cfg), "--gain", case1_config, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "error: system: x0 has non-finite entries" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("big_a,dt", [(True, 0.01), (False, 1e4)])
+def test_overflowing_exponential_exit_2_without_outputs(tmp_path, case1_config, command,
+                                                        big_a, dt):
+    doc = json.loads(Path(case1_config).read_text())
+    if big_a:  # ||A dt||_F overflows; with dt = 1e4, e^(A dt) does
+        doc["system"]["A"][0][:2] = [1e308, 1e308]
+    doc["system"]["dt"] = dt
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "simulate" else ["--gain", case1_config,
+                                                              "--out", str(out)]
+    res = cli(command, "--config", str(cfg), *args)
+    assert res.returncode == 2, res.stderr
+    assert f"error: e^(M dt) is not finite at dt = {dt:g}" in res.stderr
+    assert "Warning" not in res.stderr
     assert not out.exists()

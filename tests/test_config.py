@@ -161,6 +161,14 @@ def test_json_number_refuses_everything_else(value):
         json_number(value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_x0_names_system(value):
+    doc = bundled_doc("case1")
+    doc["system"]["x0"][0] = value
+    with pytest.raises(ConfigError, match="^system: x0 has non-finite entries"):
+        scenario_from_dict(doc)
+
+
 def test_negative_seed_rejected():
     doc = bundled_doc("case1")
     doc["seed"] = -3

@@ -54,6 +54,15 @@ class TestExpm:
             rhs = linalg.expm(M, s) @ linalg.expm(M, t)
             assert np.linalg.norm(lhs - rhs, "fro") <= 1e-9
 
+    @pytest.mark.parametrize("M,scale", [
+        ([[1e308, 1e308], [0.0, 0.0]], 0.01),  # ||M scale||_F overflows
+        ([[6e307, 0.0], [0.0, 0.0]], 1.0),  # 2^k overflows, k = 1024
+        ([[1.0, 0.0], [0.0, -1.0]], 1e4),  # e^(M scale) overflows
+    ])
+    def test_overflow_refused_naming_scale(self, M, scale):
+        with pytest.raises(ValueError, match=f"not finite at dt = {scale:g}"):
+            linalg.expm(M, scale)
+
     def test_against_scipy(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -93,29 +102,35 @@ class TestZohPair:
 class TestLstsq:
     def test_identity(self):
         v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(linalg.lstsq(np.eye(3), v), v)
+        np.testing.assert_allclose(linalg.lstsq(np.eye(3), v)[0], v)
 
     def test_planted_solution(self):
         rng = np.random.default_rng(21)
         A = rng.normal(size=(20, 4))
         X0 = rng.normal(size=(4, 3))
-        X = linalg.lstsq(A, A @ X0)
+        X, _ = linalg.lstsq(A, A @ X0)
         np.testing.assert_allclose(X, X0, atol=1e-10)
 
     def test_consistent_residual(self):
         rng = np.random.default_rng(22)
         A = rng.normal(size=(30, 5))
         b = A @ rng.normal(size=5)
-        x = linalg.lstsq(A, b)
+        x, _ = linalg.lstsq(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_residual_orthogonality_inconsistent(self):
         rng = np.random.default_rng(24)
         A = rng.normal(size=(30, 5))
         b = rng.normal(size=30)  # not in the range of A
-        x = linalg.lstsq(A, b)
+        x, _ = linalg.lstsq(A, b)
         ortho = np.linalg.norm(A.T @ (A @ x - b))
         assert ortho <= 1e-8 * np.linalg.norm(A) * np.linalg.norm(b)
+
+    def test_singular_values_of_a(self):
+        rng = np.random.default_rng(25)
+        A = rng.normal(size=(30, 5))
+        _, s = linalg.lstsq(A, rng.normal(size=30))
+        np.testing.assert_allclose(s, np.linalg.svd(A, compute_uv=False), rtol=1e-12)
 
     def test_duplicated_column(self):
         rng = np.random.default_rng(23)

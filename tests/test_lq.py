@@ -202,6 +202,12 @@ class TestLQSystem:
                 dt=0.0,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_x0(self, bad):
+        with pytest.raises(ValueError, match="^x0 has non-finite entries"):
+            LQSystem(A=-np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
+                     x0=[bad, 0.0], dt=0.1)
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_rejects_non_finite_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):

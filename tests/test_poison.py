@@ -552,7 +552,7 @@ class TestAdmmConfigValidation:
         with pytest.raises(ValueError, match="mu must be positive and finite"):
             AdmmConfig(mu=mu)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_primal_tol_must_be_non_negative(self, tol):
         assert AdmmConfig(mu=1e-300, primal_tol=0.0).primal_tol == 0.0  # the boundary
         with pytest.raises(ValueError, match="primal_tol must be non-negative"):
