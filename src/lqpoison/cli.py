@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .config import (
     BUNDLED_CASES,
     CASE1_KSTAR_REF,
@@ -85,16 +85,9 @@ def _load_gain(path: str, n: int, m: int) -> np.ndarray:
     if key not in doc:
         raise ConfigError("gain file must contain 'Ktarget' or 'K'", field=path)
     try:
-        K = json_array(doc[key])
+        return linalg.as_matrix(json_array(doc[key]), "gain", (m, n))
     except ValueError as e:
         raise ConfigError(str(e), field=key) from e
-    if K.ndim != 2:
-        raise ConfigError("gain must be a matrix (array of row arrays)", field=key)
-    if K.shape != (m, n):
-        raise ConfigError(
-            f"gain must be {m}x{n}, got {K.shape[0]}x{K.shape[1]}", field=key
-        )
-    return K
 
 
 def cmd_simulate(args) -> int:

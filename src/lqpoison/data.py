@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import linalg
-from .errors import DatasetFormatError, DimensionError
+from .errors import DatasetFormatError
 from .lq import LQSystem, require_plant_kept
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
@@ -123,9 +123,7 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
     # A run that overflows is refused by BatchDataset, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         if policy.kind == "gain-plus-dither":
-            gain = linalg.as_matrix(policy.gain, "excitation gain")
-            if gain.shape != (m, n):
-                raise DimensionError(f"excitation gain must be {m}x{n}, got {gain.shape}")
+            gain = linalg.as_matrix(policy.gain, "excitation gain", (m, n))
             # u_k = gain x_k + dither_k, so x_{k+1} = (F + G gain) x_k + G dither_k
             GK = G @ gain
             xs = linalg.rollout(F + GK, sys.x0, N - 1, us[:-1] @ G.T)
@@ -239,7 +237,7 @@ def dataset_write(d: BatchDataset, path: str) -> None:
     rows = np.column_stack([d.xs, d.us, d.cs])
     write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, rows))
     meta = {"dt": d.dt, "n": d.n, "m": d.m, "seed": d.seed}
-    write_atomic(_meta_path(path), [json.dumps(meta, sort_keys=True) + "\n"])
+    write_json(_meta_path(path), meta)
 
 
 def _fast_values(body: list[str], width: int) -> np.ndarray | None:

@@ -28,10 +28,6 @@ class ConvergenceError(RuntimeError):
 
     exit_code = 5
 
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
-
 
 class StabilityError(RuntimeError):
     """No stabilizing solution exists or could be found."""

@@ -37,11 +37,11 @@ def lq_matrices(A, B, Q, R, names=("A", "B", "Q", "R")):
     A must be n x n, B n x m, Q n x n and positive semidefinite, R m x m and
     positive definite. ``names`` label the four matrices in error messages.
     """
-    A, B, Q, R = (linalg.as_matrix(M, name) for M, name in zip((A, B, Q, R), names))
-    n, m = A.shape[0], B.shape[1]
-    for M, name, shape in zip((A, B, Q, R), names, ((n, n), (n, m), (n, n), (m, m))):
-        if M.shape != shape:
-            raise DimensionError(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
+    n, m = linalg.as_matrix(A, names[0]).shape[0], linalg.as_matrix(B, names[1]).shape[1]
+    A, B, Q, R = (
+        linalg.as_matrix(M, name, shape)
+        for M, name, shape in zip((A, B, Q, R), names, ((n, n), (n, m), (n, n), (m, m)))
+    )
     linalg.require_psd(Q, names[2])
     linalg.require_psd(R, names[3], definite=True)
     return A, B, Q, R
@@ -166,8 +166,7 @@ def care_solve(A, B, Q, R) -> RiccatiSolution:
     else:
         raise ConvergenceError(
             f"Riccati iteration did not converge in {CARE_MAX_ITER} steps "
-            f"(residual {res_norm:.3e})",
-            residual=res_norm,
+            f"(residual {res_norm:.3e})"
         )
 
     if not is_stabilizing(A, B, K):
@@ -176,10 +175,14 @@ def care_solve(A, B, Q, R) -> RiccatiSolution:
 
 
 def lqr_gain(P, B, R) -> np.ndarray:
-    """Feedback gain K = -R^-1 B^T P (sign convention u = K x)."""
-    P = linalg.as_matrix(P, "P")
+    """Feedback gain K = -R^-1 B^T P (sign convention u = K x).
+
+    For an n x m B, P must be n x n and R m x m.
+    """
     B = linalg.as_matrix(B, "B")
-    R = linalg.as_matrix(R, "R")
+    n, m = B.shape
+    P = linalg.as_matrix(P, "P", (n, n))
+    R = linalg.as_matrix(R, "R", (m, m))
     linalg.require_psd(R, "R", definite=True)
     return -np.linalg.solve(R, B.T @ P)
 
@@ -212,9 +215,5 @@ def is_stabilizing(A, B, K) -> bool:
     """True iff A + B K has all eigenvalues in the open left half-plane."""
     A = linalg.as_matrix(A, "A")
     B = linalg.as_matrix(B, "B")
-    K = linalg.as_matrix(K, "K")
-    if B.shape[1] != K.shape[0] or K.shape[1] != A.shape[0]:
-        raise DimensionError(
-            f"A {A.shape}, B {B.shape}, K {K.shape} do not conform"
-        )
+    K = linalg.as_matrix(K, "K", (B.shape[1], A.shape[0]))
     return linalg.spectral_abscissa(A + B @ K) < 0

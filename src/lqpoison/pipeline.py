@@ -54,14 +54,14 @@ class Scenario:
     horizon: int = 1000
 
     def __post_init__(self):
-        if self.N < self.system.n + self.system.m + 1:
-            raise ValueError(
-                f"N={self.N} too small for identification "
-                f"(need {self.system.n + self.system.m + 1})"
-            )
-        object.__setattr__(
-            self, "Ktarget", linalg.as_matrix(self.Ktarget, "Ktarget")
-        )
+        n, m = self.system.n, self.system.m
+        if self.N < n + m + 1:
+            raise ValueError(f"N={self.N} too small for identification (need {n + m + 1})")
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        object.__setattr__(self, "Ktarget", linalg.as_matrix(self.Ktarget, "Ktarget", (m, n)))
+        if self.excitation.kind == "gain-plus-dither":
+            linalg.as_matrix(self.excitation.gain, "excitation gain", (m, n))
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     loses the plant's step at a kept state is refused
     (``lq.require_plant_kept``).
     """
-    K = linalg.as_matrix(K, "K")
+    K = linalg.as_matrix(K, "K", (sys.m, sys.n))
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)

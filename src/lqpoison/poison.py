@@ -78,10 +78,7 @@ class AttackSpec:
             self.Ahat, self.Bhat, self.Qhat, self.Rhat,
             names=("Ahat", "Bhat", "Qhat", "Rhat"),
         )
-        Kt = linalg.as_matrix(self.Ktarget, "Ktarget")
-        n, m = Ahat.shape[0], Bhat.shape[1]
-        if Kt.shape != (m, n):
-            raise DimensionError(f"Ktarget must be {m}x{n}, got {Kt.shape}")
+        Kt = linalg.as_matrix(self.Ktarget, "Ktarget", (Bhat.shape[1], Ahat.shape[0]))
         for name, M in (("Ahat", Ahat), ("Bhat", Bhat), ("Qhat", Qhat),
                         ("Rhat", Rhat), ("Ktarget", Kt)):
             object.__setattr__(self, name, M)
@@ -253,8 +250,7 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
             return P
     raise ConvergenceError(
         f"P-step projected gradient hit {MAX_INNER_ITER} iterations "
-        f"(stationarity {gm:.3e} > {INNER_TOL:.1e})",
-        residual=float(gm),
+        f"(stationarity {gm:.3e} > {INNER_TOL:.1e})"
     )
 
 
@@ -315,13 +311,8 @@ def generate_poisoned(atilde, bhat, d: BatchDataset) -> BatchDataset:
     and costs are copied through untouched. Planted dynamics whose states
     overflow raise ``ValueError``.
     """
-    atilde = linalg.as_matrix(atilde, "atilde")
-    bhat = linalg.as_matrix(bhat, "bhat")
-    if atilde.shape != (d.n, d.n) or bhat.shape != (d.n, d.m):
-        raise DimensionError(
-            f"planted dynamics {atilde.shape}/{bhat.shape} do not match dataset "
-            f"(n={d.n}, m={d.m})"
-        )
+    atilde = linalg.as_matrix(atilde, "atilde", (d.n, d.n))
+    bhat = linalg.as_matrix(bhat, "bhat", (d.n, d.m))
     F, G = linalg.zoh_pair(atilde, bhat, d.dt)
     with np.errstate(over="ignore", invalid="ignore"):  # BatchDataset refuses overflow
         xs = linalg.rollout(F, d.xs[0], d.N - 1, d.us[:-1] @ G.T)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,51 @@ def test_simulate_bad_dither_gain_exit_2(tmp_path, case1_config, gain, message):
     assert res.returncode == 2, res.stderr
     assert f"error: {message}" in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gain,message", [
+    ([1.0, 0.0, 0.0, 0.0], "gain must be 2-D, got ndim=1"),
+    ([[1.0, 0.0, 0.0, 0.0]], "gain must be 2x4, got (1, 4)"),
+], ids=["1-D", "1x4"])
+@pytest.mark.parametrize("key", ["K", "Ktarget"])
+@pytest.mark.parametrize("command", ["attack", "evaluate"])
+def test_wrong_shaped_gain_file_exit_2_without_outputs(tmp_path, sim_dir, case1_config,
+                                                       command, key, gain, message):
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps({key: gain}))
+    if command == "attack":
+        args = ["--data", str(sim_dir / "data.csv"), "--target", str(path)]
+    else:
+        args = ["--config", case1_config, "--gain", str(path)]
+    res = cli(command, *args, "--out", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"error: {key}: {message}\n"
+    assert res.stdout == "" and sorted(os.listdir(tmp_path)) == ["gain.json"]
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"Ktarget": [[1.0, 0.0, 0.0, 0.0]]}, "Ktarget must be 2x4, got (1, 4)"),
+    ({"excitation": {"kind": "gain-plus-dither", "amplitude": 0.5,
+                     "gain": [[1.0, 0.0, 0.0, 0.0]]}},
+     "excitation gain must be 2x4, got (1, 4)"),
+    ({"horizon": -1}, "horizon must be non-negative, got -1"),
+], ids=["Ktarget", "dither-gain", "horizon"])
+@pytest.mark.parametrize("command", ["simulate", "attack", "evaluate"])
+def test_config_refused_at_load_exit_2_without_outputs(tmp_path, sim_dir, case1_config,
+                                                       command, change, message):
+    doc = json.loads(Path(case1_config).read_text())
+    doc.update(change)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    args = {
+        "simulate": [],
+        "attack": ["--data", str(sim_dir / "data.csv"), "--target", case1_config],
+        "evaluate": ["--gain", case1_config],
+    }[command]
+    res = cli(command, "--config", str(cfg), *args, "--out", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == "" and sorted(os.listdir(tmp_path)) == ["bad.json"]
 
 
 @pytest.mark.parametrize("root", [3, None, "K"])

@@ -18,7 +18,44 @@ def taylor_expm(M, terms=20):
     return E
 
 
+def capped_expm(M, scale=1.0):
+    """Oracle: expm with its former stop test, summing up to 39 terms."""
+    S = np.asarray(M, dtype=float) * scale
+    norm = np.linalg.norm(S, "fro")
+    k = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+    S = np.ldexp(S, -k)
+    E = term = np.eye(S.shape[0])
+    for i in range(1, 40):
+        term = term @ S / i
+        E = E + term
+        if i >= 20 and np.linalg.norm(term, "fro") < 1e-20 * np.linalg.norm(E, "fro"):
+            break
+    for _ in range(k):
+        E = E @ E
+    return E
+
+
+class TestAsMatrix:
+    def test_expected_shape_names_the_matrix(self):
+        with pytest.raises(DimensionError, match=r"^K must be 2x4, got \(1, 4\)$"):
+            linalg.as_matrix(np.ones((1, 4)), "K", (2, 4))
+
+    def test_matching_shape_coerces(self):
+        M = linalg.as_matrix([[1, 2, 3], [4, 5, 6]], "M", (2, 3))
+        assert M.dtype == np.float64 and M.shape == (2, 3)
+
+
 class TestExpm:
+    def test_twenty_terms_match_capped_series(self):
+        rng = np.random.default_rng(14)
+        inputs = [(np.zeros((3, 3)), 1.0)]
+        for n in (1, 2, 4, 7, 13):
+            for scale in (1e-8, 1e-3, 1.0, 30.0):
+                inputs.append((rng.normal(size=(n, n)), scale))
+                inputs.append((np.triu(10.0 * rng.normal(size=(n, n))), scale / 10.0))
+        for M, scale in inputs:
+            assert np.array_equal(linalg.expm(M, scale), capped_expm(M, scale))
+
     def test_zero_matrix(self):
         np.testing.assert_allclose(linalg.expm(np.zeros((3, 3)), 1.0), np.eye(3))
 

@@ -107,6 +107,16 @@ class TestLqrGain:
         with pytest.raises(ValueError):
             lqr_gain(np.eye(2), np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("wrong", ["P", "R"])
+    def test_wrong_sized_p_or_r_is_named(self, wrong):
+        P, B, R = np.eye(2), np.eye(2), np.eye(2)
+        if wrong == "P":
+            P = np.eye(3)
+        else:
+            R = np.eye(3)
+        with pytest.raises(DimensionError, match=rf"^{wrong} must be 2x2, got \(3, 3\)$"):
+            lqr_gain(P, B, R)
+
 
 class TestIsStabilizing:
     def test_open_loop_stable(self):

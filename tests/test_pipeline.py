@@ -8,7 +8,7 @@ import pytest
 
 from lqpoison import linalg
 from lqpoison.data import CSV_CHUNK_ROWS, BatchDataset, ExcitationPolicy, simulate_zoh
-from lqpoison.errors import IdentifiabilityError
+from lqpoison.errors import AdmmDivergenceError, DimensionError, IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.pipeline import (
     DIVERGENCE_NORM,
@@ -129,6 +129,10 @@ class TestEvaluateClosedLoop:
         res = evaluate_closed_loop(s, K, 100000)
         assert res.diverged
         assert len(res.states) < 100001
+
+    def test_wrong_sized_gain_is_named(self, case1):
+        with pytest.raises(DimensionError, match=r"^K must be 2x4, got \(1, 3\)$"):
+            evaluate_closed_loop(case1.system, np.ones((1, 3)), 10)
 
 
 class TestGainThatLosesThePlant:
@@ -288,11 +292,12 @@ class TestRunScenario:
         assert np.array_equal(a.learn_poisoned[1].K, b.learn_poisoned[1].K)
         assert np.array_equal(a.attack.Atilde, b.attack.Atilde)
 
-    def test_partial_report_on_stage_failure(self, tmp_path, case1):
-        import dataclasses
+    def test_partial_report_on_stage_failure(self, tmp_path, case1, monkeypatch):
+        def diverge(spec, cfg):
+            raise AdmmDivergenceError("constraint residual exceeded the limit")
 
-        bad = dataclasses.replace(case1, Ktarget=np.ones((3, 3)))
-        report = run_scenario(bad, "broken")
+        monkeypatch.setattr("lqpoison.pipeline.admm_solve", diverge)
+        report = run_scenario(case1, "broken")
         assert list(report.errors) == ["attack"]
         assert report.learn_clean is not None
         assert report.attack is None
@@ -309,7 +314,7 @@ class TestRunScenario:
             "scenario": "broken",
             "Atilde": None,
             "Khat_poisoned": None,
-            "Ktarget": np.ones((3, 3)).tolist(),
+            "Ktarget": case1.Ktarget.tolist(),
             "gain_error_to_target": None,
             "attack_cost": None,
             "converged": False,
@@ -387,3 +392,15 @@ class TestScenarioValidation:
 
         with pytest.raises(ValueError):
             dataclasses.replace(case1, N=4)
+
+    @pytest.mark.parametrize("field,value,error,message", [
+        ("Ktarget", np.ones((1, 4)), DimensionError, r"^Ktarget must be 2x4, got \(1, 4\)$"),
+        ("excitation", ExcitationPolicy(kind="gain-plus-dither", gain=np.ones((1, 4))),
+         DimensionError, r"^excitation gain must be 2x4, got \(1, 4\)$"),
+        ("horizon", -1, ValueError, "^horizon must be non-negative, got -1$"),
+    ], ids=["Ktarget", "dither-gain", "horizon"])
+    def test_field_refused_at_construction(self, case1, field, value, error, message):
+        import dataclasses
+
+        with pytest.raises(error, match=message):
+            dataclasses.replace(case1, **{field: value})
