@@ -6,6 +6,10 @@ model from a dataset), ``attack`` (poison a dataset toward a target gain),
 ``reproduce`` (run a bundled case study end to end and gate it against its
 expected tolerances).
 
+A command that reads a scenario config takes every setting from it: the
+seed, the ADMM settings and the horizon. ``attack`` without ``--config``
+uses ``AdmmConfig()``; ``reproduce --seed`` replaces a bundled case's seed.
+
 Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 sampling
 too coarse to learn the plant (an eigenvalue of A has |Im| dt >= pi, or a
 fitted F has no real log), 4 unidentifiable data (too little excitation,
@@ -20,7 +24,6 @@ failed ``reproduce`` stage exits with its error's code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -71,14 +74,6 @@ def _exit_code(e: Exception) -> int:
     return EXIT_USAGE if isinstance(e, (ValueError, OSError, KeyError)) else 1
 
 
-def _admm_from_args(args, base: AdmmConfig) -> AdmmConfig:
-    return AdmmConfig(
-        mu=base.mu if args.mu is None else args.mu,
-        n_iter=base.n_iter if args.iters is None else args.iters,
-        primal_tol=base.primal_tol if args.tol is None else args.tol,
-    )
-
-
 def _load_gain(path: str, n: int, m: int) -> np.ndarray:
     doc = read_json_object(path, ConfigError, "gain file")
     key = "Ktarget" if "Ktarget" in doc else "K"
@@ -92,7 +87,6 @@ def _load_gain(path: str, n: int, m: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     scenario, name = load_scenario(args.config)
-    scenario = with_seed(scenario, args.seed)
     d = simulate_zoh(scenario.system, scenario.excitation, scenario.N)
     dataset_write(d, args.out)
     print(f"{name}: wrote {d.N} samples (n={d.n}, m={d.m}, dt={d.dt}) to {args.out}")
@@ -109,11 +103,7 @@ def cmd_sysid(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    base = AdmmConfig()
-    if args.config:
-        scenario, _ = load_scenario(args.config)
-        base = scenario.admm
-    cfg = _admm_from_args(args, base)
+    cfg = load_scenario(args.config)[0].admm if args.config else AdmmConfig()
     d = dataset_read(args.data)
     Kt = _load_gain(args.target, n=d.n, m=d.m)
     result = run_attack(d, Kt, cfg)
@@ -139,8 +129,7 @@ def cmd_attack(args) -> int:
 def cmd_evaluate(args) -> int:
     scenario, name = load_scenario(args.config)
     K = _load_gain(args.gain, n=scenario.system.n, m=scenario.system.m)
-    horizon = args.horizon if args.horizon is not None else scenario.horizon
-    res = evaluate_closed_loop(scenario.system, K, horizon)
+    res = evaluate_closed_loop(scenario.system, K, scenario.horizon)
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, "trajectory.csv")
     trajectory_write(out_csv, res.states, scenario.system.dt)
@@ -165,7 +154,6 @@ def _print_diff_table(label: str, K: np.ndarray, ref: np.ndarray) -> None:
 def cmd_reproduce(args) -> int:
     scenario, name = load_bundled(args.case)
     scenario = with_seed(scenario, args.seed)
-    scenario = dataclasses.replace(scenario, admm=_admm_from_args(args, scenario.admm))
     report = run_scenario(scenario, name)
     report_write(report, args.out, scenario.system.dt)
     if report.errors:
@@ -227,15 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    admm = argparse.ArgumentParser(add_help=False)
-    admm.add_argument("--mu", type=float, default=None, help="ADMM penalty parameter")
-    admm.add_argument("--iters", type=int, default=None, help="ADMM iteration count")
-    admm.add_argument("--tol", type=float, default=None, help="ADMM primal tolerance")
-
-    sp = sub.add_parser("simulate", parents=[seed],
-                        help="collect a batch dataset from a configured plant")
+    sp = sub.add_parser("simulate", help="collect a batch dataset from a configured plant")
     sp.add_argument("--config", required=True, help="scenario config JSON")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(fn=cmd_simulate)
@@ -248,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"log-series stopping tolerance (default {SERIES_EPS:g})")
     sp.set_defaults(fn=cmd_sysid)
 
-    sp = sub.add_parser("attack", parents=[admm], help="poison a dataset toward a target gain")
-    sp.add_argument("--config", default=None, help="scenario config JSON (solver defaults)")
+    sp = sub.add_parser("attack", help="poison a dataset toward a target gain")
+    sp.add_argument("--config", default=None, help="scenario config JSON (solver settings)")
     sp.add_argument("--data", required=True, help="clean dataset CSV path")
     sp.add_argument("--target", required=True, help="target-gain JSON ({'Ktarget': [[...]]})")
     sp.add_argument("--out", required=True, help="output directory")
@@ -259,14 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True, help="scenario config JSON")
     sp.add_argument("--gain", required=True, help="gain JSON ({'K': [[...]]})")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--horizon", type=int, default=None, help="override config horizon")
     sp.set_defaults(fn=cmd_evaluate)
 
-    sp = sub.add_parser("reproduce", parents=[seed, admm],
-                        help="run a bundled case study end to end")
+    sp = sub.add_parser("reproduce", help="run a bundled case study end to end")
     sp.add_argument("case", metavar="case",
                     help=f"one of: {', '.join(BUNDLED_CASES)}")
     sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--seed", type=int, default=None, help="replace the case's seed")
     sp.set_defaults(fn=cmd_reproduce)
     return p
 

@@ -44,7 +44,8 @@ class ExcitationPolicy:
 
     ``iid-uniform`` draws each input uniformly from [-amplitude, amplitude],
     ``prbs`` draws random +/-amplitude levels, and ``gain-plus-dither``
-    applies u = gain @ x plus a uniform dither (closed-loop collection).
+    applies u = gain @ x plus a uniform dither (closed-loop collection);
+    only that kind takes a ``gain``.
     All randomness comes from a PCG64 generator seeded with ``seed``, which
     makes datasets reproducible across runs and platforms.
     """
@@ -61,6 +62,8 @@ class ExcitationPolicy:
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
         if self.kind == "gain-plus-dither" and self.gain is None:
             raise ValueError("gain-plus-dither requires a gain matrix")
+        if self.kind != "gain-plus-dither" and self.gain is not None:
+            raise ValueError(f"gain is taken only by gain-plus-dither, not by {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,21 @@ def json_number(value) -> float:
 
 
 def json_array(value) -> np.ndarray:
-    """``value`` as a float array if it is a JSON number or nested arrays of them."""
+    """``value`` as a float array if it is a JSON number, a vector or a matrix.
 
-    def numbers(v):
-        return [numbers(x) for x in v] if isinstance(v, list) else json_number(v)
+    Every array field is a vector or a matrix, so the walk stops at a third
+    level of arrays with a ``ValueError`` that does not echo the value: no
+    input, however deep, makes it recurse further.
+    """
 
-    return np.array(numbers(value), dtype=float)
+    def numbers(v, depth):
+        if not isinstance(v, list):
+            return json_number(v)
+        if depth == 2:
+            raise ValueError("must be a vector or a matrix, got arrays nested deeper")
+        return [numbers(x, depth + 1) for x in v]
+
+    return np.array(numbers(value, 0), dtype=float)
 
 
 def read_json_object(path: str, error: type[ValueError], what: str) -> dict:
@@ -180,7 +192,7 @@ def read_json_object(path: str, error: type[ValueError], what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
+    except (OSError, ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
         raise error(f"{path}: cannot read {what}: {e}") from e
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} root must be a JSON object")

@@ -64,8 +64,10 @@ class LQSystem:
 
     def __post_init__(self):
         A, B, Q, R = lq_matrices(self.A, self.B, self.Q, self.R)
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        x0 = np.asarray(self.x0, dtype=float)
         n = A.shape[0]
+        if x0.ndim != 1:
+            raise DimensionError(f"x0 must be a vector, got ndim={x0.ndim}")
         if x0.shape[0] != n:
             raise DimensionError(f"x0 must have length {n}, got {x0.shape[0]}")
         if not np.isfinite(x0).all():
@@ -213,7 +215,9 @@ def require_plant_kept(F: np.ndarray, GK: np.ndarray, states: np.ndarray, name: 
 
 def is_stabilizing(A, B, K) -> bool:
     """True iff A + B K has all eigenvalues in the open left half-plane."""
-    A = linalg.as_matrix(A, "A")
-    B = linalg.as_matrix(B, "B")
-    K = linalg.as_matrix(K, "K", (B.shape[1], A.shape[0]))
+    n, m = linalg.as_matrix(A, "A").shape[0], linalg.as_matrix(B, "B").shape[1]
+    A, B, K = (
+        linalg.as_matrix(M, name, shape)
+        for M, name, shape in zip((A, B, K), "ABK", ((n, n), (n, m), (m, n)))
+    )
     return linalg.spectral_abscissa(A + B @ K) < 0

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,9 @@ import pytest
 
 from lqpoison.data import BatchDataset, dataset_read, dataset_write
 from lqpoison.pipeline import run_learner
+
+
+CASE1 = json.loads(resources.files("lqpoison").joinpath("scenarios/case1.json").read_text())
 
 
 def cli(*args, cwd=None):
@@ -22,8 +27,6 @@ def cli(*args, cwd=None):
 
 @pytest.fixture(scope="module")
 def case1_config(tmp_path_factory):
-    from importlib import resources
-
     path = tmp_path_factory.mktemp("cfg") / "case1.json"
     path.write_text(
         resources.files("lqpoison").joinpath("scenarios/case1.json").read_text()
@@ -272,9 +275,10 @@ def test_attack_nonconformable_target_exit_2(tmp_path, sim_dir):
 def test_evaluate(tmp_path, case1_config):
     gain = tmp_path / "gain.json"
     gain.write_text(json.dumps({"K": np.zeros((2, 4)).tolist()}))
+    cfg = tmp_path / "h50.json"
+    cfg.write_text(json.dumps({**json.loads(Path(case1_config).read_text()), "horizon": 50}))
     out = str(tmp_path / "ev")
-    res = cli("evaluate", "--config", case1_config, "--gain", str(gain),
-              "--out", out, "--horizon", "50")
+    res = cli("evaluate", "--config", str(cfg), "--gain", str(gain), "--out", out)
     assert res.returncode == 0, res.stderr
     lines = Path(f"{out}/trajectory.csv").read_text().splitlines()
     assert lines[0] == "step,t,x0,x1,x2,x3"
@@ -362,7 +366,12 @@ def test_wrong_shaped_gain_file_exit_2_without_outputs(tmp_path, sim_dir, case1_
                      "gain": [[1.0, 0.0, 0.0, 0.0]]}},
      "excitation gain must be 2x4, got (1, 4)"),
     ({"horizon": -1}, "horizon must be non-negative, got -1"),
-], ids=["Ktarget", "dither-gain", "horizon"])
+    ({"excitation": {"kind": "iid-uniform", "gain": [[1.0]]}},
+     "excitation: gain is taken only by gain-plus-dither, not by iid-uniform"),
+    # four numbers, as case1 has states, but not a vector
+    ({"system": {**CASE1["system"], "x0": [[1.0, 0.0], [0.0, 1.0]]}},
+     "system: x0 must be a vector, got ndim=2"),
+], ids=["Ktarget", "dither-gain", "horizon", "gain-without-dither", "x0-matrix"])
 @pytest.mark.parametrize("command", ["simulate", "attack", "evaluate"])
 def test_config_refused_at_load_exit_2_without_outputs(tmp_path, sim_dir, case1_config,
                                                        command, change, message):
@@ -381,6 +390,69 @@ def test_config_refused_at_load_exit_2_without_outputs(tmp_path, sim_dir, case1_
     assert res.stdout == "" and sorted(os.listdir(tmp_path)) == ["bad.json"]
 
 
+def nested(depth):
+    """JSON text of the number 1.0 inside ``depth`` arrays."""
+    return "[" * depth + "1.0" + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [500, 100_000])
+@pytest.mark.parametrize("where", ["config", "gain file", "metadata sidecar"])
+def test_deeply_nested_array_exit_2_without_outputs(tmp_path, sim_dir, case1_config,
+                                                    where, depth):
+    # 500 deep loads and is refused by the array rule, naming the field;
+    # 100,000 deep is past what json.load parses, and names the file
+    doc = json.loads(Path(case1_config).read_text())
+    if where == "config":
+        doc["system"]["x0"] = "@"
+        path, field = tmp_path / "bad.json", "system.x0"
+        args = ["simulate", "--config", str(path)]
+    elif where == "gain file":
+        doc = {"K": "@"}
+        path, field = tmp_path / "bad.json", "K"
+        args = ["evaluate", "--config", case1_config, "--gain", str(path)]
+    else:
+        doc = json.loads((sim_dir / "data.meta.json").read_text())
+        doc["dt"] = "@"
+        (tmp_path / "bad.csv").write_text((sim_dir / "data.csv").read_text())
+        path, field = tmp_path / "bad.meta.json", "metadata field dt"
+        args = ["sysid", "--data", str(tmp_path / "bad.csv")]
+    path.write_text(json.dumps(doc).replace('"@"', nested(depth)))
+    before = sorted(os.listdir(tmp_path))
+    res = cli(*args, "--out", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    if depth == 500 and where != "metadata sidecar":
+        assert res.stderr == f"error: {field}: must be a vector or a matrix, " \
+                             "got arrays nested deeper\n"
+    elif depth == 500:
+        assert res.stderr.startswith(f"error: {field}: must be a number")
+    else:
+        assert res.stderr.startswith(f"error: {path}: cannot read {where}: "
+                                     "maximum recursion depth exceeded")
+    assert res.stdout == "" and sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "c.json", "--out", "d.csv", "--seed", "1"],
+    ["attack", "--data", "d.csv", "--target", "t.json", "--out", "o", "--mu", "1"],
+    ["attack", "--data", "d.csv", "--target", "t.json", "--out", "o", "--iters", "1"],
+    ["attack", "--data", "d.csv", "--target", "t.json", "--out", "o", "--tol", "1"],
+    ["evaluate", "--config", "c.json", "--gain", "g.json", "--out", "o", "--horizon", "5"],
+    ["reproduce", "case1", "--out", "o", "--mu", "1"],
+    ["reproduce", "case1", "--out", "o", "--iters", "1"],
+    ["reproduce", "case1", "--out", "o", "--tol", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_scenario_setting_flags_are_refused(tmp_path, monkeypatch, capsys, argv):
+    # every scenario setting comes from the config; reproduce takes only --seed
+    from lqpoison import cli as cli_module
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        cli_module.main(argv)
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("root", [3, None, "K"])
 def test_evaluate_gain_root_not_an_object_exit_2(tmp_path, case1_config, root):
     gain = tmp_path / "gain.json"
@@ -392,28 +464,16 @@ def test_evaluate_gain_root_not_an_object_exit_2(tmp_path, case1_config, root):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--mu", "nan", "mu"), ("--mu", "inf", "mu"),
-    ("--tol", "nan", "primal_tol"), ("--tol", "-1", "primal_tol"),
-    ("--tol", "inf", "primal_tol"),
-])
-def test_reproduce_bad_admm_setting_exit_2_before_work(tmp_path, flag, value, field):
-    out = tmp_path / "r"
-    res = cli("reproduce", "case1", "--out", str(out), flag, value)
-    assert res.returncode == 2, res.stdout + res.stderr
-    assert f"error: {field} must be" in res.stderr
-    assert res.stdout == "" and not out.exists()
-
-
 def test_attack_bad_mu_exit_2_without_outputs(tmp_path, sim_dir, case1_config):
-    target = tmp_path / "target.json"
-    Kt = json.loads(Path(case1_config).read_text())["Ktarget"]
-    target.write_text(json.dumps({"Ktarget": Kt}))
+    doc = json.loads(Path(case1_config).read_text())
+    doc["admm"]["mu"] = float("nan")  # json.dumps writes the NaN token
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    res = cli("attack", "--data", str(sim_dir / "data.csv"), "--target", str(target),
-              "--out", str(out), "--mu", "nan")
+    res = cli("attack", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+              "--target", case1_config, "--out", str(out))
     assert res.returncode == 2, res.stderr
-    assert "error: mu must be positive and finite, got nan" in res.stderr
+    assert "error: admm: mu must be positive and finite, got nan" in res.stderr
     assert not out.exists()
 
 
@@ -428,21 +488,37 @@ def test_reproduce_case2_passes(tmp_path):
     assert "[PASS]" in res.stdout and "[FAIL]" not in res.stdout
 
 
-def test_reproduce_failing_check_exit_6(tmp_path):
+def reproduce_case1_with(monkeypatch, capsys, out, **admm):
+    """Run ``reproduce case1`` in-process with the case's ADMM settings changed.
+
+    Returns (exit code, stdout, stderr).
+    """
+    from lqpoison import cli as cli_module
+    from lqpoison.config import load_bundled
+
+    scenario, name = load_bundled("case1")
+    changed = dataclasses.replace(scenario, admm=dataclasses.replace(scenario.admm, **admm))
+    monkeypatch.setattr(cli_module, "load_bundled", lambda case: (changed, name))
+    code = cli_module.main(["reproduce", "case1", "--out", str(out)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reproduce_failing_check_exit_6(tmp_path, monkeypatch, capsys):
     # one ADMM iteration cannot reach the target: the gate must trip
-    res = cli("reproduce", "case1", "--out", str(tmp_path / "r"), "--iters", "1")
-    assert res.returncode == 6
-    assert "[FAIL]" in res.stdout
-    assert "element-wise comparison" in res.stdout
+    code, stdout, _ = reproduce_case1_with(monkeypatch, capsys, tmp_path / "r", n_iter=1)
+    assert code == 6
+    assert "[FAIL]" in stdout
+    assert "element-wise comparison" in stdout
 
 
-def test_reproduce_stage_failure_exits_with_its_code(tmp_path):
+def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, capsys):
     # at mu = 0.05 the P-step's projected-gradient loop hits its cap in the
     # attack stage: a ConvergenceError, so exit 5 as for `attack`, not 1
     out = tmp_path / "r"
-    res = cli("reproduce", "case1", "--out", str(out), "--mu", "0.05")
-    assert res.returncode == 5, res.stderr
-    assert "stage attack failed: ConvergenceError" in res.stderr
+    code, _, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
+    assert code == 5, stderr
+    assert "stage attack failed: ConvergenceError" in stderr
     errors = json.loads((out / "report.json").read_text())["errors"]
     assert list(errors) == ["attack"]
     assert errors["attack"].startswith("ConvergenceError: P-step projected gradient")
@@ -463,12 +539,10 @@ def test_reproduce_without_stabilizing_solution_exit_7(tmp_path, monkeypatch, ca
     assert "stage optimal_gain failed: StabilityError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "reproduce"])
-def test_negative_seed_override_exit_2_without_outputs(tmp_path, case1_config, command):
+@pytest.mark.parametrize("command", ["reproduce"])  # the one command with --seed
+def test_negative_seed_override_exit_2_without_outputs(tmp_path, command):
     out = tmp_path / "out"
-    args = (["simulate", "--config", case1_config] if command == "simulate"
-            else ["reproduce", "case1"])
-    res = cli(*args, "--out", str(out), "--seed", "-3")
+    res = cli(command, "case1", "--out", str(out), "--seed", "-3")
     assert res.returncode == 2, res.stderr
     assert "error: seed: must be at least 0, got -3" in res.stderr
     assert res.stdout == "" and not out.exists()

@@ -11,7 +11,7 @@ from lqpoison.config import (
     scenario_from_dict,
     suspension_matrices,
 )
-from lqpoison.data import ExcitationPolicy, json_number
+from lqpoison.data import ExcitationPolicy, json_array, json_number
 from lqpoison.errors import ConfigError
 from lqpoison.pipeline import Scenario
 from lqpoison.poison import AdmmConfig
@@ -103,7 +103,10 @@ def test_absent_fields_take_dataclass_defaults_and_unknown_keys_are_ignored():
     assert s.admm == AdmmConfig(mu=10.0, n_iter=500, primal_tol=1e-6)
 
 
-@pytest.mark.parametrize("field,value", [("mu", float("nan")), ("primal_tol", -1.0)])
+@pytest.mark.parametrize("field,value", [
+    ("mu", float("nan")), ("mu", float("inf")), ("primal_tol", -1.0),
+    ("primal_tol", float("nan")), ("primal_tol", float("inf")), ("n_iter", 0),
+])
 def test_admm_field_check_names_section_and_field(field, value):
     doc = bundled_doc("case1")
     doc["admm"][field] = value
@@ -139,7 +142,7 @@ def test_float_fields_take_only_json_numbers(path, value):
                                   ("excitation", "gain")])
 def test_matrix_entries_take_only_json_numbers(path, value):
     doc = bundled_doc("case1")
-    doc["excitation"]["gain"] = np.zeros((2, 4)).tolist()
+    doc["excitation"].update(kind="gain-plus-dither", gain=np.zeros((2, 4)).tolist())
     *section, key = path
     parent = doc[section[0]] if section else doc
     entries = parent[key]
@@ -159,6 +162,16 @@ def test_json_number_takes_numbers(value):
 def test_json_number_refuses_everything_else(value):
     with pytest.raises(ValueError, match="^must be a number"):
         json_number(value)
+
+
+@pytest.mark.parametrize("depth", [3, 100_000])
+def test_json_array_walks_at_most_two_levels(depth):
+    value = 1.0
+    for _ in range(depth):  # built in a loop: no recursion here either
+        value = [value]
+    with pytest.raises(ValueError, match="^must be a vector or a matrix, got arrays nested"):
+        json_array(value)
+    assert json_array([[1.0, 2.0]]).shape == (1, 2) and json_array([1.0]).shape == (1,)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

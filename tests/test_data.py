@@ -161,6 +161,12 @@ class TestExcitationPolicy:
         with pytest.raises(ValueError):
             ExcitationPolicy(kind="gain-plus-dither")
 
+    @pytest.mark.parametrize("kind", ["iid-uniform", "prbs"])
+    def test_gain_only_with_dither(self, kind):
+        message = f"^gain is taken only by gain-plus-dither, not by {kind}$"
+        with pytest.raises(ValueError, match=message):
+            ExcitationPolicy(kind=kind, gain=np.ones((1, 2)))
+
 
 class TestDatasetIO:
     def test_round_trip_exact(self, tmp_path, case1_data):
@@ -280,6 +286,16 @@ class TestDatasetIO:
             dataset_read(path)
         assert ei.value.line == 3
 
+    def test_index_out_of_order_reports_line(self, tmp_path, case1_data):
+        def edit(lines):
+            lines[3], lines[4] = lines[4], lines[3]  # samples 2 and 3 swapped
+        path, lines = self._edited(tmp_path, case1_data, edit)
+        assert data._fast_values(lines[1:], 8) is None
+        message = r"sample index 3 out of order \(expected 2\)"
+        with pytest.raises(DatasetFormatError, match=message) as ei:
+            dataset_read(path)
+        assert ei.value.line == 4
+
     def test_whitespace_line_is_skipped(self, tmp_path, case1_data):
         path, lines = self._edited(tmp_path, case1_data, lambda lines: lines.insert(5, "  \t"))
         assert data._fast_values(lines[1:], 8) is None
@@ -349,7 +365,17 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="^metadata field dt: must be a number"):
             dataset_read(str(path))
 
-    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    @pytest.mark.parametrize("key", ["dt", "n", "m"])
+    def test_sidecar_field_missing_is_named(self, tmp_path, key):
+        path = tmp_path / "d.csv"
+        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
+        meta = {"dt": 0.1, "n": 1, "m": 1, "seed": 0}
+        del meta[key]
+        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match=f"^metadata field {key} is missing$"):
+            dataset_read(str(path))
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", "[" * 100_000 + "]" * 100_000])
     def test_bad_sidecar_names_the_file(self, tmp_path, text):
         path = tmp_path / "d.csv"
         path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")

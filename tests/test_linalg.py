@@ -135,6 +135,10 @@ class TestZohPair:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             linalg.zoh_pair(np.eye(2), np.eye(2), dt)
 
+    def test_b_rows_checked_against_a(self):
+        with pytest.raises(DimensionError, match=r"^B must have 2 rows, got \(3, 1\)"):
+            linalg.zoh_pair(np.eye(2), np.ones((3, 1)), 0.1)
+
 
 class TestLstsq:
     def test_identity(self):
@@ -180,6 +184,10 @@ class TestLstsq:
     def test_wide_rejected(self):
         with pytest.raises(DimensionError):
             linalg.lstsq(np.ones((2, 3)), np.ones(2))
+
+    def test_b_rows_checked_against_a(self):
+        with pytest.raises(DimensionError, match="^b has 3 rows, expected 4$"):
+            linalg.lstsq(np.eye(4), np.ones((3, 2)))
 
 
 class TestSymIndex:

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_stabilizable
-from lqpoison import linalg
-from lqpoison.errors import DimensionError, LearnabilityError, StabilityError
+from lqpoison import linalg, lq
+from lqpoison.errors import ConvergenceError, DimensionError, LearnabilityError, StabilityError
 from lqpoison.lq import LQSystem, care_solve, is_stabilizing, lqr_gain
 from lqpoison.poison import AttackSpec
 
@@ -71,6 +72,12 @@ class TestCareSolve:
         K2 = care_solve(A, B, 7.5 * Q, 7.5 * R).K
         assert np.max(np.abs(K1 - K2)) <= 1e-8
 
+    def test_step_cap_raises(self, case1, monkeypatch):
+        monkeypatch.setattr(lq, "CARE_MAX_ITER", 1)
+        s = case1.system
+        with pytest.raises(ConvergenceError, match="did not converge in 1 steps"):
+            care_solve(s.A, s.B, s.Q, s.R)
+
     def test_unstabilizable_pair(self):
         with pytest.raises(StabilityError):
             care_solve([[1.0]], [[0.0]], [[1.0]], [[1.0]])
@@ -133,6 +140,10 @@ class TestIsStabilizing:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             is_stabilizing(np.eye(2), np.eye(2), np.ones((1, 3)))
+
+    def test_b_rows_checked_against_a(self):
+        with pytest.raises(DimensionError, match=r"^B must be 2x2, got \(3, 2\)"):
+            is_stabilizing(np.eye(2), np.ones((3, 2)), np.ones((2, 2)))
 
 
 class TestOptimalValue:
@@ -211,6 +222,15 @@ class TestLQSystem:
                 x0=np.zeros(2),
                 dt=0.0,
             )
+
+    @pytest.mark.parametrize("x0,message", [
+        ([0.0, 0.0, 0.0], "x0 must have length 2, got 3"),
+        ([[1.0, 0.0], [0.0, 1.0]], "x0 must be a vector, got ndim=2"),
+        (0.0, "x0 must be a vector, got ndim=0"),
+    ])
+    def test_x0_must_be_a_state_vector(self, x0, message):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            LQSystem(A=-np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2), x0=x0, dt=0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_x0(self, bad):

@@ -4,7 +4,12 @@ import pytest
 import lqpoison.poison as poison
 from lqpoison import linalg
 from lqpoison.data import BatchDataset
-from lqpoison.errors import AdmmDivergenceError, DimensionError
+from lqpoison.errors import (
+    AdmmDivergenceError,
+    ConvergenceError,
+    DimensionError,
+    StabilityError,
+)
 from lqpoison.lq import care_solve, lqr_gain
 from lqpoison.poison import (
     AdmmConfig,
@@ -442,6 +447,23 @@ class TestAdmmSolve:
         K_ind = lqr_gain(state.P, spec.Bhat, spec.Rhat)
         rel = np.abs((K_ind - case2.Ktarget) / case2.Ktarget)
         assert np.max(rel) <= 0.05
+
+    @pytest.mark.parametrize("error", [ConvergenceError, StabilityError])
+    def test_starts_from_identity_when_nominal_care_fails(self, case1_spec, monkeypatch, error):
+        def no_solution(*args):
+            raise error("no nominal solution")
+
+        starts = []
+
+        def recording_a_step(state, spec, cfg):
+            starts.append(state.P.copy())
+            return a_step(state, spec, cfg)
+
+        monkeypatch.setattr(poison, "care_solve", no_solution)
+        monkeypatch.setattr(poison, "a_step", recording_a_step)
+        state = admm_solve(case1_spec, AdmmConfig(n_iter=1))
+        assert state.iter == 1 and len(starts) == 1
+        assert np.array_equal(starts[0], np.eye(case1_spec.n))
 
     def test_divergence_guard(self, case1_spec, monkeypatch):
         monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
