@@ -17,7 +17,7 @@ or a plant mode too fast to resolve at dt) or a fitted cost weight without
 its required structure, 5 an iterative solver did not converge (a stalled
 attack still writes its outputs), 6 reproduction check failed, 7 no
 stabilizing LQR solution. Codes 3, 4, 5 and 7 are the ``exit_code`` of the
-``errors`` class raised (a stalled attack's 5 is the command's own). A
+``errors`` class raised (a stalled attack exits with ``ConvergenceError``'s). A
 failed ``reproduce`` stage exits with its error's code.
 """
 
@@ -33,11 +33,10 @@ from . import __version__, linalg
 from .config import (
     BUNDLED_CASES,
     CASE1_KSTAR_REF,
-    CASE2_ATTACK_SPRING,
     CASE2_KSTAR_REF,
     load_bundled,
     load_scenario,
-    suspension_matrices,
+    reproduction_checks,
     with_seed,
 )
 from .data import (
@@ -48,8 +47,7 @@ from .data import (
     simulate_zoh,
     write_json,
 )
-from .errors import ConfigError
-from .lq import care_solve
+from .errors import ConfigError, ConvergenceError
 from .pipeline import (
     evaluate_closed_loop,
     report_write,
@@ -63,7 +61,6 @@ from .sysid import SERIES_EPS, identify, model_write
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_NONCONVERGED = 5
 EXIT_CHECK_FAILED = 6
 
 
@@ -109,21 +106,14 @@ def cmd_attack(args) -> int:
     result = run_attack(d, Kt, cfg)
     os.makedirs(args.out, exist_ok=True)
     dataset_write(result.poisoned, os.path.join(args.out, "poisoned.csv"))
-    doc = {
-        "Atilde": result.Atilde.tolist(),
-        "Ktarget": Kt.tolist(),
-        "gain_error": result.gain_error,
-        "attack_cost": result.attack_cost,
-        "converged": result.converged,
-        "admm_residuals": result.residuals,
-    }
+    doc = {"Ktarget": Kt.tolist(), **result.to_json()}
     write_json(os.path.join(args.out, "attack_report.json"), doc)
     status = "converged" if result.converged else "NOT converged"
     print(
         f"attack {status}: residual {result.residuals[-1]:.3e}, "
         f"attack cost {result.attack_cost:.6g} -> {args.out}"
     )
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
+    return EXIT_OK if result.converged else ConvergenceError.exit_code
 
 
 def cmd_evaluate(args) -> int:
@@ -141,70 +131,32 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _print_diff_table(label: str, K: np.ndarray, ref: np.ndarray) -> None:
-    print(f"  {label}: element-wise comparison")
-    for i in range(K.shape[0]):
-        for j in range(K.shape[1]):
-            print(
-                f"    [{i},{j}] got {K[i, j]: .4f}  expected {ref[i, j]: .4f}"
-                f"  |diff| {abs(K[i, j] - ref[i, j]):.4f}"
-            )
-
-
 def cmd_reproduce(args) -> int:
     scenario, name = load_bundled(args.case)
     scenario = with_seed(scenario, args.seed)
     report = run_scenario(scenario, name)
+    if not report.errors:
+        report.checks = reproduction_checks(args.case, report, scenario)
     report_write(report, args.out, scenario.system.dt)
     if report.errors:
         for stage, e in report.errors.items():
             print(f"stage {stage} failed: {type(e).__name__}: {e}", file=sys.stderr)
         return _exit_code(next(iter(report.errors.values())))
 
-    Khat = report.learn_poisoned[1].K
     kstar_ref = CASE1_KSTAR_REF if args.case == "case1" else CASE2_KSTAR_REF
     kstar_dev = float(np.max(np.abs(report.optimal_gain.K - kstar_ref)))
     print(f"{name}: report written to {args.out}")
     print(f"  optimal gain vs 2-decimal reference: max |diff| {kstar_dev:.4f}")
-
-    failures = []
-    if args.case == "case1":
-        dev = float(np.max(np.abs(Khat - report.Ktarget)))
-        ok = dev <= 0.2
-        print(f"  [{'PASS' if ok else 'FAIL'}] poisoned gain within 0.2 of target "
-              f"(max |diff| {dev:.4f})")
-        if not ok:
-            failures.append(("poisoned gain", Khat, report.Ktarget))
-        cs, ps = (settling_step(res.states) for res in report.evaluate)
-        ok2 = cs is not None and (ps is None or ps > cs)
-        print(f"  [{'PASS' if ok2 else 'FAIL'}] poisoned loop settles later than clean "
-              f"(clean {cs}, poisoned {'never' if ps is None else ps})")
-        if not ok2:
-            failures.append(("settling", None, None))
-    else:
-        rel = np.abs((Khat - report.Ktarget) / report.Ktarget)
-        ok = bool(np.max(rel) <= 0.05)
-        print(f"  [{'PASS' if ok else 'FAIL'}] poisoned gain within 5% of target "
-              f"per element (max rel {float(np.max(rel)):.4%})")
-        if not ok:
-            failures.append(("poisoned gain", Khat, report.Ktarget))
-        A_phys, B_phys = suspension_matrices(spring=CASE2_ATTACK_SPRING)
-        K_phys = care_solve(A_phys, B_phys, scenario.system.Q, scenario.system.R).K
-        dev = float(np.max(np.abs(K_phys - report.Ktarget)))
-        ok2 = dev <= 0.05
-        print(f"  [{'PASS' if ok2 else 'FAIL'}] target gain consistent with rebuilt "
-              f"physics (max |diff| {dev:.4f})")
-        if not ok2:
-            failures.append(("physics cross-check", K_phys, report.Ktarget))
+    for label, ok, detail, got, expected in report.checks:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {label} ({detail})")
+        if not ok and got is not None:
+            print(f"  {label}: element-wise comparison")
+            for (i, j), g in np.ndenumerate(got):
+                print(f"    [{i},{j}] got {g: .4f}  expected {expected[i, j]: .4f}"
+                      f"  |diff| {abs(g - expected[i, j]):.4f}")
     print(f"  attack converged: {report.attack.converged} "
           f"(final residual {report.attack.residuals[-1]:.3e})")
-
-    if failures:
-        for label, K, ref in failures:
-            if K is not None:
-                _print_diff_table(label, np.asarray(K), np.asarray(ref))
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if all(ok for _, ok, *_ in report.checks) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,8 +22,8 @@ ignored.
 Two configs ship with the package: ``case1`` (a 4-state plant with two
 inputs and an unstable open loop) and ``case2`` (a quarter-car active
 suspension driven by the actuator force). The suspension matrices can also
-be rebuilt from the physical constants, which the reproduction harness uses
-to cross-check the bundled target gain.
+be rebuilt from the physical constants, which the reproduction gates
+(``reproduction_checks``) use to cross-check the bundled target gain.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from .data import ExcitationPolicy, json_array, json_int, json_number, read_json_object
 from .errors import ConfigError, LearnabilityError
-from .lq import LQSystem
-from .pipeline import Scenario
+from .lq import LQSystem, care_solve
+from .pipeline import Scenario, ScenarioReport, settling_step
 from .poison import AdmmConfig
 
 BUNDLED_CASES = ("case1", "case2")
@@ -76,6 +76,33 @@ def suspension_matrices(spring: float = SUSPENSION_SPRING) -> tuple[np.ndarray, 
     )
     B = np.array([[0.0], [1e3 / mb], [0.0], [-1e3 / mw]])
     return A, B
+
+
+def reproduction_checks(case: str, report: ScenarioReport, scenario: Scenario) -> list[tuple]:
+    """The bundled ``case``'s gates on a report that has every stage's result.
+
+    One (label, ok, detail, got, expected) per gate: ``got`` and ``expected``
+    are the gains the gate compares element-wise, or None for the settling gate.
+    """
+    Khat, Kt = report.learn_poisoned[1].K, report.Ktarget
+    if case == "case1":
+        dev = float(np.max(np.abs(Khat - Kt)))
+        cs, ps = (settling_step(res.states) for res in report.evaluate)
+        return [
+            ("poisoned gain within 0.2 of target", dev <= 0.2, f"max |diff| {dev:.4f}", Khat, Kt),
+            ("poisoned loop settles later than clean", cs is not None and (ps is None or ps > cs),
+             f"clean {cs}, poisoned {'never' if ps is None else ps}", None, None),
+        ]
+    rel = float(np.max(np.abs((Khat - Kt) / Kt)))
+    A_phys, B_phys = suspension_matrices(spring=CASE2_ATTACK_SPRING)
+    K_phys = care_solve(A_phys, B_phys, scenario.system.Q, scenario.system.R).K
+    dev = float(np.max(np.abs(K_phys - Kt)))
+    return [
+        ("poisoned gain within 5% of target per element", rel <= 0.05,
+         f"max rel {rel:.4%}", Khat, Kt),
+        ("target gain consistent with rebuilt physics", dev <= 0.05,
+         f"max |diff| {dev:.4f}", K_phys, Kt),
+    ]
 
 
 # JSON value -> dataclass field value, by the field's annotation.

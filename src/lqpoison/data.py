@@ -17,7 +17,9 @@ bad line in its ``DatasetFormatError``, and it also accepts what
 lines (skipped) and underscored tokens like ``1_0``. Every file the
 package writes goes through ``write_atomic`` (JSON documents via
 ``write_json``), and every indexed CSV, datasets and closed-loop
-trajectories alike, is formatted by ``indexed_csv_lines``.
+trajectories alike, is formatted by ``indexed_csv_lines``; the attack's
+``step,cumulative_cost`` series has no time column and is formatted by
+``pipeline.report_write``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .lq import LQSystem, require_plant_kept
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
 CSV_CHUNK_ROWS = 4096  # rows converted to Python floats at a time when writing
+_JSON_TYPES = {list: "an array", dict: "an object"}  # named in messages: their text may be huge
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,10 @@ class ExcitationPolicy:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        if not 0 < self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+        # the uniform draw on [-amplitude, amplitude] needs its width finite
+        if not (0 < self.amplitude and math.isfinite(2.0 * self.amplitude)):
+            raise ValueError(f"amplitude must be positive and finite, and so must "
+                             f"2*amplitude, got {self.amplitude}")
         if self.kind == "gain-plus-dither" and self.gain is None:
             raise ValueError("gain-plus-dither requires a gain matrix")
         if self.kind != "gain-plus-dither" and self.gain is not None:
@@ -145,7 +150,8 @@ def json_int(value, minimum: int | None = None) -> int:
     ``int()`` would (``int(2.9) == 2``); the caller names the field.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be an integer, got {json.dumps(value)}")
+        shown = _JSON_TYPES.get(type(value)) or json.dumps(value)
+        raise ValueError(f"must be an integer, got {shown}")
     if minimum is not None and value < minimum:
         raise ValueError(f"must be at least {minimum}, got {value}")
     return value
@@ -158,7 +164,8 @@ def json_number(value) -> float:
     ``float()`` would (``float(True) == 1.0``); the caller names the field.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {json.dumps(value)}")
+        shown = _JSON_TYPES.get(type(value)) or json.dumps(value)
+        raise ValueError(f"must be a number, got {shown}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
@@ -186,14 +193,16 @@ def json_array(value) -> np.ndarray:
 def read_json_object(path: str, error: type[ValueError], what: str) -> dict:
     """The JSON object in the file ``path``, read as ``what``.
 
-    A file that cannot be read or parsed, or whose root is not an object,
-    raises ``error`` (an exception class taking one message) naming the file.
+    A file that cannot be read or parsed, nested past the parser's depth, or
+    whose root is not an object, raises ``error`` (an exception class taking
+    one message) naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
-        raise error(f"{path}: cannot read {what}: {e}") from e
+        why = "; the document is nested too deeply" if isinstance(e, RecursionError) else ""
+        raise error(f"{path}: cannot read {what}: {e}{why}") from e
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} root must be a JSON object")
     return doc

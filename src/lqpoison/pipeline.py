@@ -84,6 +84,7 @@ class ScenarioReport:
     attack: AttackResult | None = None
     learn_poisoned: tuple[SysIdEstimate, RiccatiSolution] | None = None
     evaluate: tuple[ClosedLoopResult, ClosedLoopResult] | None = None
+    checks: list[tuple] | None = None  # (label, ok, detail, got, expected) per gate, if run
     timings: dict[str, float] = field(default_factory=dict)
     errors: dict[str, Exception] = field(default_factory=dict)  # stage -> what it raised
 
@@ -213,34 +214,27 @@ def trajectory_write(path: str, states: np.ndarray, dt: float) -> None:
 
 
 def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
-    """Write report.json, timings.json, and the plot-ready CSV series."""
+    """Write report.json, timings.json, and the plot-ready CSV series.
+
+    report.json holds ``scenario``, ``Ktarget`` and the keys of each result
+    the report has; a stage that failed or never ran adds none.
+    """
     os.makedirs(outdir, exist_ok=True)
-    doc = {
-        "scenario": report.name,
-        "Kstar": None,
-        "Khat_clean": None,
-        "Atilde": None,
-        "Khat_poisoned": None,
-        "Ktarget": report.Ktarget.tolist(),
-        "gain_error_to_target": None,
-        "attack_cost": None,
-        "converged": False,
-        "admm_residuals": [],
-    }
+    doc = {"scenario": report.name, "Ktarget": report.Ktarget.tolist()}
     if report.optimal_gain is not None:
         doc["Kstar"] = report.optimal_gain.K.tolist()
     if report.learn_clean is not None:
         doc["Khat_clean"] = report.learn_clean[1].K.tolist()
     attack = report.attack
     if attack is not None:
-        doc["Atilde"] = attack.Atilde.tolist()
-        doc["attack_cost"] = attack.attack_cost
-        doc["converged"] = attack.converged
-        doc["admm_residuals"] = attack.residuals
+        doc.update(attack.to_json())
     if report.learn_poisoned is not None:
         Khat = report.learn_poisoned[1].K
         doc["Khat_poisoned"] = Khat.tolist()
         doc["gain_error_to_target"] = float(np.linalg.norm(Khat - report.Ktarget, "fro"))
+    if report.checks is not None:
+        doc["checks"] = [{"label": label, "ok": ok, "detail": detail}
+                         for label, ok, detail, *_ in report.checks]
     if report.errors:
         doc["errors"] = {
             label: f"{type(e).__name__}: {e}" for label, e in report.errors.items()

@@ -133,6 +133,16 @@ class AttackResult:
     converged: bool
     residuals: list[float] = field(default_factory=list, compare=False)
 
+    def to_json(self) -> dict:
+        """The attack's fields as every output file that holds an attack records them."""
+        return {
+            "Atilde": self.Atilde.tolist(),
+            "gain_error": self.gain_error,
+            "attack_cost": self.attack_cost,
+            "converged": self.converged,
+            "admm_residuals": self.residuals,
+        }
+
 
 def constraint_blocks(
     Atilde: np.ndarray, P: np.ndarray, spec: AttackSpec
@@ -158,7 +168,8 @@ def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     problem splits into one 2x2 problem per pair (i, j), (j, i). With
     Yhat = V^T Ahat V and S = sym(V^T C V), the penalty entry at the optimum
     is T_ij = (lam_i Yhat_ij + lam_j Yhat_ji + S_ij) / (1 + mu (lam_i^2 + lam_j^2))
-    and Y = Yhat - mu diag(lam) T.
+    and Y = Yhat - mu diag(lam) T. A mu so large that these products
+    overflow raises ``ValueError`` naming ``admm.mu``.
     """
     P = 0.5 * (state.P + state.P.T)
     C = P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
@@ -166,8 +177,13 @@ def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     Yh = V.T @ spec.Ahat @ V
     Cv = V.T @ C @ V
     li, lj = lam[:, None], lam[None, :]
-    T = (li * Yh + lj * Yh.T + 0.5 * (Cv + Cv.T)) / (1.0 + cfg.mu * (li * li + lj * lj))
-    return V @ (Yh - cfg.mu * li * T) @ V.T
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            T = (li * Yh + lj * Yh.T + 0.5 * (Cv + Cv.T)) / (1.0 + cfg.mu * (li * li + lj * lj))
+            Y = Yh - cfg.mu * li * T
+    except FloatingPointError:
+        raise ValueError(f"admm.mu = {cfg.mu:g} overflows the A-step; use a smaller mu") from None
+    return V @ Y @ V.T
 
 
 @functools.cache

@@ -225,5 +225,6 @@ def model_write(est: SysIdEstimate, dt: float, path: str) -> None:
         "Bhat": est.Bhat.tolist(),
         "Qhat": None if est.Qhat is None else est.Qhat.tolist(),
         "Rhat": None if est.Rhat is None else est.Rhat.tolist(),
+        "series_terms": est.series_terms,
     }
     write_json(path, doc)

@@ -106,8 +106,11 @@ def test_coarse_real_mode_simulates_and_identifies(tmp_path):
     assert res.returncode == 0, res.stderr
     res = cli("sysid", "--data", data, "--out", str(model))
     assert res.returncode == 0, res.stderr
-    Ahat = np.array(json.loads(model.read_text())["Ahat"])
+    doc = json.loads(model.read_text())
+    Ahat = np.array(doc["Ahat"])
     assert np.linalg.norm(Ahat - A) <= 1e-8 * np.linalg.norm(A)
+    assert set(doc) == {"n", "m", "dt", "Ahat", "Bhat", "Qhat", "Rhat", "series_terms"}
+    assert f"({doc['series_terms']} series terms)" in res.stdout  # as sysid prints it
 
 
 def test_sysid_unresolved_fast_mode_exit_4(tmp_path):
@@ -264,6 +267,26 @@ def test_attack_case1_target_exit_5_with_outputs(tmp_path, sim_dir, case1_config
     )
 
 
+def test_attack_fields_agree_across_writers(tmp_path, sim_dir, case1_config):
+    # `attack` on the case1 dataset and `reproduce case1` run the same attack
+    out = tmp_path / "attack"
+    res = cli("attack", "--config", case1_config, "--data", str(sim_dir / "data.csv"),
+              "--target", case1_config, "--out", str(out))
+    assert res.returncode == 5, res.stderr
+    attack = json.loads((out / "attack_report.json").read_text())
+    res = cli("reproduce", "case1", "--out", str(tmp_path / "r"))
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    fields = set(attack) - {"Ktarget"}
+    assert fields == {"Atilde", "gain_error", "attack_cost", "converged", "admm_residuals"}
+    assert {k: report[k] for k in fields} == {k: attack[k] for k in fields}
+    # report.json records the gates that stdout prints
+    printed = [line for line in res.stdout.splitlines() if line.startswith("  [")]
+    assert printed == [f"  [{'PASS' if c['ok'] else 'FAIL'}] {c['label']} ({c['detail']})"
+                       for c in report["checks"]]
+    assert len(printed) == 2
+
+
 def test_attack_nonconformable_target_exit_2(tmp_path, sim_dir):
     target = tmp_path / "bad.json"
     target.write_text(json.dumps({"Ktarget": [[1.0, 2.0]]}))
@@ -317,6 +340,63 @@ def test_simulate_non_finite_amplitude_exit_2(tmp_path, case1_config, kind, ampl
     )
     assert res.returncode == 2, res.stderr
     assert "amplitude must be positive and finite" in res.stderr
+    assert not out.exists()
+
+
+def test_simulate_amplitude_with_infinite_draw_width_exit_2(tmp_path, case1_config):
+    # 1e308 is finite, but the uniform draw's width 2e308 is not
+    res, out = simulate_with(tmp_path, case1_config, excitation={"amplitude": 1e308})
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("error: excitation: amplitude must be positive and finite, "
+                          "and so must 2*amplitude, got 1e+308\n")
+    assert not out.exists() and not (tmp_path / "d.meta.json").exists()
+
+
+@pytest.mark.parametrize("mu", [1e305, 1e308])
+def test_attack_mu_that_overflows_the_a_step_exit_2(tmp_path, sim_dir, case1_config, capsys,
+                                                    mu):
+    # in process, so pytest's filters turn any RuntimeWarning into an error
+    from lqpoison import cli as cli_module
+
+    cfg = tmp_path / "big_mu.json"
+    cfg.write_text(json.dumps({**CASE1, "admm": {"mu": mu}}))
+    out = tmp_path / "out"
+    code = cli_module.main(["attack", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+                            "--target", case1_config, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: admm.mu = {mu:g} overflows the A-step; " \
+                                      "use a smaller mu\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("seed", "array"), ("seed", "object"), ("dt", "array")])
+def test_nested_value_named_by_its_json_type(tmp_path, sim_dir, case1_config, key, value):
+    message = {"seed": "seed: must be an integer",
+               "dt": "metadata field dt: must be a number"}[key] + f", got an {value}"
+    deep = 1.0
+    for _ in range(300):
+        deep = [deep] if value == "array" else {"v": deep}
+    if key == "seed":
+        res, out = simulate_with(tmp_path, case1_config, seed=deep)
+    else:
+        meta = json.loads((sim_dir / "data.meta.json").read_text())
+        (tmp_path / "d.meta.json").write_text(json.dumps({**meta, "dt": deep}))
+        (tmp_path / "d.csv").write_text((sim_dir / "data.csv").read_text())
+        out = tmp_path / "m.json"
+        res = cli("sysid", "--data", str(tmp_path / "d.csv"), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"error: {message}\n"  # the value itself is not echoed
+    assert not out.exists()
+
+
+def test_config_nested_past_the_parser_exit_2(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(CASE1)[:-1] + ', "extra": ' + '{"a": ' * 2000 + "1" + "}" * 2001)
+    out = tmp_path / "d.csv"
+    res = cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"error: {cfg}: cannot read config: ")
+    assert res.stderr.endswith("; the document is nested too deeply\n")
     assert not out.exists()
 
 
@@ -428,6 +508,7 @@ def test_deeply_nested_array_exit_2_without_outputs(tmp_path, sim_dir, case1_con
     else:
         assert res.stderr.startswith(f"error: {path}: cannot read {where}: "
                                      "maximum recursion depth exceeded")
+        assert res.stderr.endswith("; the document is nested too deeply\n")
     assert res.stdout == "" and sorted(os.listdir(tmp_path)) == before
 
 
@@ -510,6 +591,8 @@ def test_reproduce_failing_check_exit_6(tmp_path, monkeypatch, capsys):
     assert code == 6
     assert "[FAIL]" in stdout
     assert "element-wise comparison" in stdout
+    checks = json.loads((tmp_path / "r" / "report.json").read_text())["checks"]
+    assert [c["ok"] for c in checks].count(False) == stdout.count("[FAIL]")
 
 
 def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, capsys):
@@ -519,7 +602,9 @@ def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, caps
     code, _, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
     assert code == 5, stderr
     assert "stage attack failed: ConvergenceError" in stderr
-    errors = json.loads((out / "report.json").read_text())["errors"]
+    doc = json.loads((out / "report.json").read_text())
+    assert "checks" not in doc  # the gates need every stage's result
+    errors = doc["errors"]
     assert list(errors) == ["attack"]
     assert errors["attack"].startswith("ConvergenceError: P-step projected gradient")
 

@@ -153,6 +153,13 @@ class TestExcitationPolicy:
             with pytest.raises(ValueError, match="amplitude must be positive and finite"):
                 ExcitationPolicy(amplitude=amplitude)
 
+    def test_amplitude_bound_is_a_finite_draw_width(self):
+        # rng.uniform(-a, a) needs 2a finite: the largest such a is max/2
+        largest = np.finfo(float).max / 2
+        assert ExcitationPolicy(amplitude=largest).amplitude == largest
+        with pytest.raises(ValueError, match="and so must 2\\*amplitude, got"):
+            ExcitationPolicy(amplitude=math.nextafter(largest, math.inf))
+
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             ExcitationPolicy(kind="chirp")
