@@ -17,8 +17,10 @@ or a plant mode too fast to resolve at dt) or a fitted cost weight without
 its required structure, 5 an iterative solver did not converge (a stalled
 attack still writes its outputs), 6 reproduction check failed, 7 no
 stabilizing LQR solution. Codes 3, 4, 5 and 7 are the ``exit_code`` of the
-``errors`` class raised (a stalled attack exits with ``ConvergenceError``'s). A
-failed ``reproduce`` stage exits with its error's code.
+one ``errors`` class that has each (a stalled attack exits with
+``ConvergenceError``'s). A failed ``reproduce`` stage exits with its error's
+code. Any other ``ValueError`` or ``OSError`` exits 2; anything else exits
+1, which is a bug.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ EXIT_CHECK_FAILED = 6
 
 
 def _exit_code(e: Exception) -> int:
-    """The error class's own ``exit_code``, else 2 for a usage error, else 1."""
+    """The error class's own ``exit_code``, else 2 for a usage error, else 1 (a bug)."""
     if hasattr(e, "exit_code"):
         return e.exit_code
-    return EXIT_USAGE if isinstance(e, (ValueError, OSError, KeyError)) else 1
+    return EXIT_USAGE if isinstance(e, (ValueError, OSError)) else 1
 
 
 def _load_gain(path: str, n: int, m: int) -> np.ndarray:

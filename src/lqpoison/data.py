@@ -39,6 +39,7 @@ from .lq import LQSystem, require_plant_kept
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
 CSV_CHUNK_ROWS = 4096  # rows converted to Python floats at a time when writing
 _JSON_TYPES = {list: "an array", dict: "an object"}  # named in messages: their text may be huge
+SHOWN_CHARS = 40  # most characters of an offending value's JSON text a message echoes
 
 
 @dataclass(frozen=True)
@@ -124,23 +125,37 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
     rng = np.random.Generator(np.random.PCG64(policy.seed))
     n, m = sys.n, sys.m
     a = policy.amplitude
-    if policy.kind == "prbs":
-        us = a * (2.0 * rng.integers(0, 2, size=(N, m)) - 1.0)
-    else:
-        us = rng.uniform(-a, a, size=(N, m))
     # A run that overflows is refused by BatchDataset, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
+        M = F
         if policy.kind == "gain-plus-dither":
             gain = linalg.as_matrix(policy.gain, "excitation gain", (m, n))
             # u_k = gain x_k + dither_k, so x_{k+1} = (F + G gain) x_k + G dither_k
             GK = G @ gain
-            xs = linalg.rollout(F + GK, sys.x0, N - 1, us[:-1] @ G.T)
+            M = F + GK
+        with linalg.sized_by("N"):
+            if policy.kind == "prbs":
+                us = a * (2.0 * rng.integers(0, 2, size=(N, m)) - 1.0)
+            else:
+                us = rng.uniform(-a, a, size=(N, m))
+            xs = linalg.rollout(M, sys.x0, N - 1, us[:-1] @ G.T)
+        if policy.kind == "gain-plus-dither":
             require_plant_kept(F, GK, xs[:-1], "excitation gain")
             us = xs @ gain.T + us
-        else:
-            xs = linalg.rollout(F, sys.x0, N - 1, us[:-1] @ G.T)
         cs = sys.stage_costs(xs, us)
     return BatchDataset(xs=xs, us=us, cs=cs, dt=sys.dt, seed=policy.seed)
+
+
+def _shown(value) -> str:
+    """``value`` as a message echoes it, in a bounded form.
+
+    An array or object is named by its JSON type; anything else is its JSON
+    text, cut after ``SHOWN_CHARS`` characters with the full length appended.
+    """
+    text = _JSON_TYPES.get(type(value)) or json.dumps(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def json_int(value, minimum: int | None = None) -> int:
@@ -150,10 +165,9 @@ def json_int(value, minimum: int | None = None) -> int:
     ``int()`` would (``int(2.9) == 2``); the caller names the field.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        shown = _JSON_TYPES.get(type(value)) or json.dumps(value)
-        raise ValueError(f"must be an integer, got {shown}")
+        raise ValueError(f"must be an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"must be at least {minimum}, got {value}")
+        raise ValueError(f"must be at least {minimum}, got {_shown(value)}")
     return value
 
 
@@ -164,12 +178,11 @@ def json_number(value) -> float:
     ``float()`` would (``float(True) == 1.0``); the caller names the field.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        shown = _JSON_TYPES.get(type(value)) or json.dumps(value)
-        raise ValueError(f"must be a number, got {shown}")
+        raise ValueError(f"must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"must be a number in the float range, got {value}") from None
+        raise ValueError(f"must be a number in the float range, got {_shown(value)}") from None
 
 
 def json_array(value) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Each class with its own CLI exit code carries it as the class attribute
-``exit_code``, which ``cli._exit_code`` returns; any other ``ValueError``
-(``OSError``, ``KeyError``) exits 2, anything else 1. Raising the right
-class is part of the public contract.
+Exit codes 3, 4, 5 and 7 each have exactly one class here, which carries
+its code as the class attribute ``exit_code``; ``cli._exit_code`` returns
+it. Any other ``ValueError`` or ``OSError`` exits 2, and anything else
+exits 1, which is a bug. Raising the right class is part of the public
+contract.
 """
 
 
@@ -24,7 +25,7 @@ class RankDeficiencyError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+    """An iterative solver failed to reach its tolerance, or the ADMM residual blew up."""
 
     exit_code = 5
 
@@ -42,21 +43,9 @@ class LearnabilityError(ValueError):
 
 
 class IdentifiabilityError(ValueError):
-    """Dataset cannot identify the model: too little excitation, or a mode too fast for dt."""
+    """Dataset cannot identify the model, or its fitted R is not positive definite."""
 
     exit_code = 4
-
-
-class EstimationError(RuntimeError):
-    """A fitted quantity violates its required structure (e.g. R not PD)."""
-
-    exit_code = 4
-
-
-class AdmmDivergenceError(RuntimeError):
-    """ADMM residual blew up; a larger penalty parameter usually helps."""
-
-    exit_code = 5
 
 
 class DatasetFormatError(ValueError):

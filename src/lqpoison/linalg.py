@@ -3,7 +3,8 @@
 Everything here is domain-free: the matrix coercion and shape check
 (``as_matrix``), the sampling-interval check, matrix exponentials,
 zero-order-hold discretization, tables of matrix powers and the blocked
-rollout of a linear recursion, free or driven, least squares, the
+rollout of a linear recursion, free or driven, the refusal of arrays
+too large to allocate (``sized_by``), least squares, the
 coordinates of a symmetric matrix, symmetric eigendecompositions,
 projection onto the positive-semidefinite cone, and the spectral abscissa.
 Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
@@ -15,6 +16,8 @@ general eigenvalues come straight from LAPACK.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -163,6 +166,22 @@ def rollout(F: np.ndarray, x0: np.ndarray, N: int, w: np.ndarray | None = None) 
     if Z is not None:
         X += Z[:, :b]
     return X.reshape(nb * b, n)[: N + 1]
+
+
+@contextlib.contextmanager
+def sized_by(name: str):
+    """Inside, an array numpy cannot allocate is refused naming ``name``, its size.
+
+    numpy raises ``MemoryError`` for a size the memory cannot hold and
+    ``ValueError`` for one it cannot represent ("array is too big", "Maximum
+    allowed dimension exceeded"). Either becomes a ``ValueError`` saying that
+    ``name``, the setting that sizes the arrays, is too large. Only code whose
+    other ValueErrors are bugs goes inside.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as e:
+        raise ValueError(f"{name} is too large: its arrays cannot be allocated ({e})") from None
 
 
 def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:

@@ -154,7 +154,8 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     GK = G @ K
     # Rows past the divergence cut may overflow; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        states = linalg.rollout(F + GK, sys.x0, horizon)
+        with linalg.sized_by("horizon"):
+            states = linalg.rollout(F + GK, sys.x0, horizon)
         within = np.linalg.norm(states[1:], axis=1) <= DIVERGENCE_NORM
     diverged = not within.all()
     if diverged:

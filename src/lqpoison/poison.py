@@ -44,12 +44,7 @@ import numpy as np
 
 from . import linalg
 from .data import BatchDataset
-from .errors import (
-    AdmmDivergenceError,
-    ConvergenceError,
-    DimensionError,
-    StabilityError,
-)
+from .errors import ConvergenceError, DimensionError, StabilityError
 from .lq import care_solve, lq_matrices
 
 DIVERGENCE_LIMIT = 1e6
@@ -306,7 +301,7 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
         W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
         r = residual_norm(W1, W2)
         if not np.isfinite(r) or r > DIVERGENCE_LIMIT:
-            raise AdmmDivergenceError(
+            raise ConvergenceError(
                 f"constraint residual {r:.3e} exceeded {DIVERGENCE_LIMIT:.0e} "
                 f"at iteration {i}; try a larger penalty parameter mu"
             )

@@ -32,7 +32,6 @@ from . import linalg
 from .data import BatchDataset, write_json
 from .errors import (
     ConvergenceError,
-    EstimationError,
     IdentifiabilityError,
     LearnabilityError,
     RankDeficiencyError,
@@ -201,7 +200,7 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
     try:
         linalg.require_psd(R, "fitted control weight R", definite=True)
     except ValueError as e:
-        raise EstimationError(str(e)) from e
+        raise IdentifiabilityError(str(e)) from e
     return Q, R
 
 

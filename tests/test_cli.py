@@ -721,3 +721,95 @@ def test_overflowing_exponential_exit_2_without_outputs(tmp_path, case1_config, 
     assert f"error: e^(M dt) is not finite at dt = {dt:g}" in res.stderr
     assert "Warning" not in res.stderr
     assert not out.exists()
+
+
+def test_import_loads_no_submodule():
+    # the package root defines __version__ and nothing it would have to import
+    code = ("import sys; sys.modules['numpy'] = None; import lqpoison; "
+            "assert lqpoison.__version__; "
+            "print(sorted(m for m in sys.modules if m.startswith('lqpoison.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_one_error_class_per_exit_code():
+    from lqpoison import errors
+
+    owners = {}
+    for name, value in vars(errors).items():
+        if isinstance(value, type) and hasattr(value, "exit_code"):
+            owners.setdefault(value.exit_code, []).append(name)
+    assert owners == {3: ["LearnabilityError"], 4: ["IdentifiabilityError"],
+                      5: ["ConvergenceError"], 7: ["StabilityError"]}
+
+
+@pytest.mark.parametrize("error,code", [
+    (KeyError("K"), 1), (TypeError("bug"), 1),
+    (ValueError("bad"), 2), (OSError("gone"), 2), (FileNotFoundError("x"), 2),
+])
+def test_exit_code_of_other_errors(error, code):
+    from lqpoison.cli import _exit_code
+
+    assert _exit_code(error) == code
+
+
+def test_attack_divergence_exit_5_without_outputs(tmp_path, sim_dir, case1_config,
+                                                  monkeypatch, capsys):
+    from lqpoison import cli as cli_module, poison
+
+    monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
+    out = tmp_path / "out"
+    code = cli_module.main(["attack", "--config", case1_config,
+                            "--data", str(sim_dir / "data.csv"),
+                            "--target", case1_config, "--out", str(out)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: constraint residual ")
+    assert err.endswith("; try a larger penalty parameter mu\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", "x" * 5000), ("seed", -10**400), ("dt", "x" * 5000), ("dt", 10**400),
+], ids=["seed-string", "seed-negative", "dt-string", "dt-beyond-float"])
+def test_long_value_echoed_bounded(tmp_path, sim_dir, case1_config, capsys, key, value):
+    from lqpoison import cli as cli_module
+
+    if key == "seed":
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**CASE1, "seed": value}))
+        out = tmp_path / "d.csv"
+        code = cli_module.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    else:
+        meta = json.loads((sim_dir / "data.meta.json").read_text())
+        (tmp_path / "d.meta.json").write_text(json.dumps({**meta, "dt": value}))
+        (tmp_path / "d.csv").write_text((sim_dir / "data.csv").read_text())
+        out = tmp_path / "m.json"
+        code = cli_module.main(["sysid", "--data", str(tmp_path / "d.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    field = "seed: " if key == "seed" else "metadata field dt: "
+    assert err.startswith(f"error: {field}must be ")
+    assert len(err) < 160 and " characters)" in err
+    assert not out.exists()
+
+
+# Only sizes numpy refuses at once, without committing memory: 10**30 does
+# not fit its dimension type, and 2**62 rows exceed its largest array (or
+# the address space). A size like 2**32 rows could be committed lazily.
+@pytest.mark.parametrize("size", [10**30, 2**62], ids=["1e30", "2^62"])
+@pytest.mark.parametrize("command,key", [("evaluate", "horizon"), ("simulate", "N")])
+def test_size_that_cannot_be_allocated_exit_2_without_outputs(tmp_path, case1_config, capsys,
+                                                              command, key, size):
+    from lqpoison import cli as cli_module
+
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({**CASE1, key: size}))
+    out = tmp_path / "out"
+    args = ["--gain", case1_config] if command == "evaluate" else []
+    code = cli_module.main([command, "--config", str(cfg), *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {key} is too large: its arrays cannot be allocated (")
+    assert sorted(os.listdir(tmp_path)) == ["big.json"]

@@ -9,7 +9,7 @@ import pytest
 from lqpoison import linalg
 from lqpoison.config import reproduction_checks
 from lqpoison.data import CSV_CHUNK_ROWS, BatchDataset, ExcitationPolicy, simulate_zoh
-from lqpoison.errors import AdmmDivergenceError, DimensionError, IdentifiabilityError
+from lqpoison.errors import ConvergenceError, DimensionError, IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.pipeline import (
     DIVERGENCE_NORM,
@@ -295,7 +295,7 @@ class TestRunScenario:
 
     def test_partial_report_on_stage_failure(self, tmp_path, case1, monkeypatch):
         def diverge(spec, cfg):
-            raise AdmmDivergenceError("constraint residual exceeded the limit")
+            raise ConvergenceError("constraint residual exceeded the limit")
 
         monkeypatch.setattr("lqpoison.pipeline.admm_solve", diverge)
         report = run_scenario(case1, "broken")

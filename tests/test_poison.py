@@ -4,12 +4,7 @@ import pytest
 import lqpoison.poison as poison
 from lqpoison import linalg
 from lqpoison.data import BatchDataset
-from lqpoison.errors import (
-    AdmmDivergenceError,
-    ConvergenceError,
-    DimensionError,
-    StabilityError,
-)
+from lqpoison.errors import ConvergenceError, DimensionError, StabilityError
 from lqpoison.lq import care_solve, lqr_gain
 from lqpoison.poison import (
     AdmmConfig,
@@ -467,7 +462,7 @@ class TestAdmmSolve:
 
     def test_divergence_guard(self, case1_spec, monkeypatch):
         monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
-        with pytest.raises(AdmmDivergenceError, match="penalty"):
+        with pytest.raises(ConvergenceError, match="penalty"):
             admm_solve(case1_spec, AdmmConfig(n_iter=3))
 
 

@@ -10,7 +10,6 @@ from lqpoison import linalg, sysid
 from lqpoison.data import BatchDataset, ExcitationPolicy, simulate_zoh
 from lqpoison.errors import (
     ConvergenceError,
-    EstimationError,
     IdentifiabilityError,
     LearnabilityError,
 )
@@ -289,7 +288,7 @@ class TestEstimateQR:
             xs=case1_data.xs, us=case1_data.us, dt=case1_data.dt,
             cs=np.sum(case1_data.xs**2, axis=1) - np.sum(case1_data.us**2, axis=1),
         )
-        with pytest.raises(EstimationError, match="R must be positive definite"):
+        with pytest.raises(IdentifiabilityError, match="R must be positive definite"):
             estimate_qr(d)
 
     def test_never_returns_indefinite(self):
