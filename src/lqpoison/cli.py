@@ -14,13 +14,13 @@ Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 sampling
 too coarse to learn the plant (an eigenvalue of A has |Im| dt >= pi, or a
 fitted F has no real log), 4 unidentifiable data (too little excitation,
 or a plant mode too fast to resolve at dt) or a fitted cost weight without
-its required structure, 5 an iterative solver did not converge (a stalled
-attack still writes its outputs), 6 reproduction check failed, 7 no
-stabilizing LQR solution. Codes 3, 4, 5 and 7 are the ``exit_code`` of the
-one ``errors`` class that has each (a stalled attack exits with
-``ConvergenceError``'s). A failed ``reproduce`` stage exits with its error's
-code. Any other ``ValueError`` or ``OSError`` exits 2; anything else exits
-1, which is a bug.
+its required structure, 5 an iterative solver did not converge (an attack
+whose answer is not certified, ``converged`` false, still writes its
+outputs), 6 reproduction check failed, 7 no stabilizing LQR solution.
+Codes 3, 4, 5 and 7 are the ``exit_code`` of the one ``errors`` class that
+has each (an uncertified attack exits with ``ConvergenceError``'s). A failed
+``reproduce`` stage exits with its error's code. Any other ``ValueError`` or
+``OSError`` exits 2; anything else exits 1, which is a bug.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def cmd_attack(args) -> int:
     write_json(os.path.join(args.out, "attack_report.json"), doc)
     status = "converged" if result.converged else "NOT converged"
     print(
-        f"attack {status}: residual {result.residuals[-1]:.3e}, "
-        f"attack cost {result.attack_cost:.6g} -> {args.out}"
+        f"attack {status}: certificate {result.certificate:.3e} "
+        f"(floor {result.floor:.3e}), attack cost {result.attack_cost:.6g} -> {args.out}"
     )
     return EXIT_OK if result.converged else ConvergenceError.exit_code
 
@@ -157,7 +157,7 @@ def cmd_reproduce(args) -> int:
                 print(f"    [{i},{j}] got {g: .4f}  expected {expected[i, j]: .4f}"
                       f"  |diff| {abs(g - expected[i, j]):.4f}")
     print(f"  attack converged: {report.attack.converged} "
-          f"(final residual {report.attack.residuals[-1]:.3e})")
+          f"(certificate {report.attack.certificate:.3e}, floor {report.attack.floor:.3e})")
     return EXIT_OK if all(ok for _, ok, *_ in report.checks) else EXIT_CHECK_FAILED
 
 

@@ -18,6 +18,7 @@ general eigenvalues come straight from LAPACK.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -221,6 +222,22 @@ def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     d = np.arange(n)
     r, c = np.nonzero(d[:, None] < d)
     return np.concatenate([d, r]), np.concatenate([d, c])
+
+
+@functools.cache
+def sym_basis(n: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of symmetric n x n matrices, as a stack.
+
+    Element k is nonzero at the k-th ``sym_index`` entry and its
+    mirror: 1 on the diagonal, 1/sqrt(2) off it. Built once per n and
+    returned read-only.
+    """
+    r, c = sym_index(n)
+    k = np.arange(len(r))
+    basis = np.zeros((len(r), n, n))
+    basis[k, r, c] = basis[k, c, r] = np.where(r == c, 1.0, 1.0 / np.sqrt(2.0))
+    basis.flags.writeable = False
+    return basis
 
 
 def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ from . import linalg
 from .data import (
     BatchDataset,
     ExcitationPolicy,
+    _shown,
     indexed_csv_lines,
     simulate_zoh,
     write_atomic,
@@ -56,9 +57,10 @@ class Scenario:
     def __post_init__(self):
         n, m = self.system.n, self.system.m
         if self.N < n + m + 1:
-            raise ValueError(f"N={self.N} too small for identification (need {n + m + 1})")
+            raise ValueError(f"N={_shown(int(self.N))} too small for identification "
+                             f"(need {n + m + 1})")
         if self.horizon < 0:
-            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+            raise ValueError(f"horizon must be non-negative, got {_shown(int(self.horizon))}")
         object.__setattr__(self, "Ktarget", linalg.as_matrix(self.Ktarget, "Ktarget", (m, n)))
         if self.excitation.kind == "gain-plus-dither":
             linalg.as_matrix(self.excitation.gain, "excitation gain", (m, n))
@@ -106,8 +108,8 @@ def run_attack(
     """Full attacker chain on a clean dataset.
 
     Identifies the dynamics and the cost weights from the data, solves for
-    the planted Atilde, and rewrites the state column. A run that stalls
-    above the primal tolerance still returns (converged=False) so callers
+    the planted Atilde, and rewrites the state column. A run that ends
+    without a certified point still returns (converged=False) so callers
     can inspect the near-miss.
     """
     cfg = cfg or AdmmConfig()
@@ -129,6 +131,11 @@ def run_attack(
         attack_cost=total,
         attack_cost_series=series,
         converged=state.converged,
+        floor=state.attainable.floor,
+        gain_attained=state.attainable.gain,
+        certificate=state.certificate,
+        objective=float(np.sum((state.Atilde - spec.Ahat) ** 2)),
+        polish_iterations=state.polish_iter,
         residuals=state.residuals,
     )
 

@@ -20,29 +20,34 @@ convex subproblems ADMM-style with penalty mu:
           Bartels-Stewart), one eigh and a few n x n products in all.
   P-step  minimizer of the stacked-block Frobenius objective over P >= 0.
           The unconstrained symmetric minimizer is a small least-squares
-          solve over a stacked orthonormal basis of symmetric matrices in
-          ``linalg.sym_index`` order, by one Householder QR and a triangular
-          solve (the SVD solve of the triangle when R's diagonal shows rank
+          solve over the orthonormal basis ``linalg.sym_basis`` of symmetric
+          matrices, by one Householder QR and a triangular solve (the SVD
+          solve of the triangle when R's diagonal shows rank
           deficiency); when it is already PSD (the common case on this
           problem's trajectories) it is the constrained minimizer outright,
           otherwise an accelerated projected-gradient loop on the same
           triangle finishes the job.
   Z-step  plain dual ascent Z <- Z + mu * W on the stacked constraint W.
 
-Feasibility of an arbitrary target gain is not guaranteed (not every gain
-is LQR-optimal for some plant), so a run that stalls above the primal
-tolerance reports converged=False instead of raising.
+Not every gain is LQR-optimal for some plant, so the attack answers for
+the attainable gain K' of ``certify.gain_slice``, which is the target when
+the target is attainable. ADMM tries ``certify.polish`` at iterations
+``POLISH_FIRST``, twice that, and so on, and stops at the first polish whose
+certificate (the constraint residual of its (Atilde, P) against K') is
+within the primal tolerance, or when its own residual is. ``converged``
+means that the returned point is certified, so a run that stalls reports
+converged=False instead of raising.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
+from .certify import GainSlice, constraint_blocks, gain_slice, planted, polish, residual_norm
 from .data import BatchDataset
 from .errors import ConvergenceError, DimensionError, StabilityError
 from .lq import care_solve, lq_matrices
@@ -56,6 +61,7 @@ INNER_TOL = 1e-8  # P-step projected-gradient stationarity tolerance
 # large one does not prove the converse, so the factor sits far above the
 # SVD's own cut (~1e-14) and far below the bundled runs' ratios (>= 3.8e-4).
 RANK_RTOL = 1e-6
+POLISH_FIRST = 10  # the ADMM iteration of the first polish; each later try doubles it
 
 
 @dataclass(frozen=True)
@@ -104,15 +110,24 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Mutable iterate carried through the alternating updates."""
+    """Mutable iterate carried through the alternating updates.
+
+    ``iter`` counts ADMM iterations and ``residuals`` holds each one's
+    constraint residual; ``polish_iter`` is the step count of the polish
+    whose point the state holds (0 if none), and ``certificate`` the
+    returned point's residual against the attainable gain.
+    """
 
     Atilde: np.ndarray
     P: np.ndarray
     Z1: np.ndarray
     Z2: np.ndarray
+    attainable: GainSlice | None = None  # set by ``admm_solve``
     iter: int = 0
     converged: bool = False
     residuals: list[float] = field(default_factory=list)
+    polish_iter: int = 0
+    certificate: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,11 @@ class AttackResult:
     attack_cost: float
     attack_cost_series: np.ndarray  # cumulative squared state distortion per step
     converged: bool
+    floor: float  # ||Bhat^T P0 + Rhat Ktarget||_F: 0 when the target is attainable
+    gain_attained: np.ndarray  # K', the gain the certificate is measured against
+    certificate: float  # constraint residual of (Atilde, P) against K'
+    objective: float  # ||Atilde - Ahat||_F^2
+    polish_iterations: int
     residuals: list[float] = field(default_factory=list, compare=False)
 
     def to_json(self) -> dict:
@@ -135,21 +155,14 @@ class AttackResult:
             "gain_error": self.gain_error,
             "attack_cost": self.attack_cost,
             "converged": self.converged,
+            "floor": self.floor,
+            "gain_attained": self.gain_attained.tolist(),
+            "certificate": self.certificate,
+            "objective": self.objective,
+            "admm_iterations": len(self.residuals),
+            "polish_iterations": self.polish_iterations,
             "admm_residuals": self.residuals,
         }
-
-
-def constraint_blocks(
-    Atilde: np.ndarray, P: np.ndarray, spec: AttackSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two stacked constraint blocks W = (W1, W2) at a point (Atilde, P)."""
-    W1 = Atilde.T @ P + P @ (Atilde + spec.Bhat @ spec.Ktarget) + spec.Qhat
-    W2 = spec.Rhat @ spec.Ktarget + spec.Bhat.T @ P
-    return W1, W2
-
-
-def residual_norm(W1: np.ndarray, W2: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(W1 * W1) + np.sum(W2 * W2)))
 
 
 def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
@@ -157,44 +170,19 @@ def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
 
     Only the first constraint block depends on Atilde, so the objective is
     ||Atilde - Ahat||_F^2 + (mu/2) ||Atilde^T P + P Atilde + C||_F^2 with
-    C = P Bhat Ktarget + Qhat + Z1/mu. With P = V diag(lam) V^T, the
-    coordinates Y = V^T Atilde V turn the map into Y^T diag(lam) + diag(lam) Y,
-    which is symmetric, so the skew part of V^T C V drops out and the
-    problem splits into one 2x2 problem per pair (i, j), (j, i). With
-    Yhat = V^T Ahat V and S = sym(V^T C V), the penalty entry at the optimum
-    is T_ij = (lam_i Yhat_ij + lam_j Yhat_ji + S_ij) / (1 + mu (lam_i^2 + lam_j^2))
-    and Y = Yhat - mu diag(lam) T. A mu so large that these products
-    overflow raises ``ValueError`` naming ``admm.mu``.
+    C = P Bhat Ktarget + Qhat + Z1/mu, solved in closed form by
+    ``certify.planted``. A mu so large that its products overflow raises
+    ``ValueError`` naming ``admm.mu``.
     """
     P = 0.5 * (state.P + state.P.T)
     C = P @ spec.Bhat @ spec.Ktarget + spec.Qhat + state.Z1 / cfg.mu
     lam, V = np.linalg.eigh(P)
-    Yh = V.T @ spec.Ahat @ V
-    Cv = V.T @ C @ V
-    li, lj = lam[:, None], lam[None, :]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            T = (li * Yh + lj * Yh.T + 0.5 * (Cv + Cv.T)) / (1.0 + cfg.mu * (li * li + lj * lj))
-            Y = Yh - cfg.mu * li * T
+            _, Y = planted(lam, V, spec.Ahat, C, cfg.mu)
     except FloatingPointError:
         raise ValueError(f"admm.mu = {cfg.mu:g} overflows the A-step; use a smaller mu") from None
     return V @ Y @ V.T
-
-
-@functools.cache
-def _sym_basis(n: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of symmetric n x n matrices, as a stack.
-
-    Element k is nonzero at the k-th ``linalg.sym_index`` entry and its
-    mirror: 1 on the diagonal, 1/sqrt(2) off it. Built once per n and
-    returned read-only.
-    """
-    r, c = linalg.sym_index(n)
-    k = np.arange(len(r))
-    basis = np.zeros((len(r), n, n))
-    basis[k, r, c] = basis[k, c, r] = np.where(r == c, 1.0, 1.0 / np.sqrt(2.0))
-    basis.flags.writeable = False
-    return basis
 
 
 def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
@@ -202,7 +190,7 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
 
     Objective: g(P) = ||At^T P + P Ac + C1||_F^2 + ||Bhat^T P + C2||_F^2
     over symmetric P >= 0, with Ac = Atilde + Bhat Ktarget. In P's
-    coordinates c in the orthonormal ``_sym_basis`` it is ||D c - rhs||^2,
+    coordinates c in the orthonormal ``linalg.sym_basis`` it is ||D c - rhs||^2,
     and D is factorised once: one R-only QR of [D | rhs] gives the k x k
     triangle Rd and q = Q^T rhs, so g = ||Rd c - q||^2 plus the constant
     R[k, k]^2, and every later step works on (Rd, q) alone. The unconstrained
@@ -221,7 +209,7 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
     Ac = At + spec.Bhat @ spec.Ktarget
     C1 = spec.Qhat + state.Z1 / cfg.mu
     C2 = spec.Rhat @ spec.Ktarget + state.Z2 / cfg.mu
-    basis = _sym_basis(spec.n)
+    basis = linalg.sym_basis(spec.n)
     k = len(basis)
     # column j: the column-major vec of both blocks of the map at basis[j]
     D = np.hstack([
@@ -275,13 +263,39 @@ def z_step(
     return state.Z1 + cfg.mu * W1, state.Z2 + cfg.mu * W2
 
 
+def admm_iteration(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> float:
+    """One A-, P- and Z-step on ``state``; returns the constraint residual.
+
+    The residual is taken after the P-step and appended to
+    ``state.residuals``. One above ``DIVERGENCE_LIMIT`` aborts with a hint to
+    raise mu.
+    """
+    state.Atilde = a_step(state, spec, cfg)
+    state.P = p_step(state, spec, cfg)
+    W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
+    r = residual_norm(W1, W2)
+    if not np.isfinite(r) or r > DIVERGENCE_LIMIT:
+        raise ConvergenceError(
+            f"constraint residual {r:.3e} exceeded {DIVERGENCE_LIMIT:.0e} "
+            f"at iteration {state.iter + 1}; try a larger penalty parameter mu"
+        )
+    state.Z1, state.Z2 = z_step(state, W1, W2, cfg)
+    state.iter += 1
+    state.residuals.append(r)
+    return r
+
+
 def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
-    """Alternate A-, P-, and Z-steps until the constraint residual is small.
+    """ADMM iterations until a certified point, or ``cfg.n_iter`` of them.
 
     Starts from Atilde = Ahat with P at the nominal Riccati solution (the
     zero-attack fixed point: if Ktarget already is the nominal gain the
-    first iteration terminates with Atilde = Ahat exactly). A residual
-    above ``DIVERGENCE_LIMIT`` aborts with a hint to raise mu.
+    first iteration terminates with Atilde = Ahat exactly). ADMM stops when
+    its residual is within ``cfg.primal_tol``, or at the first ``polish``
+    (tried at iterations ``POLISH_FIRST``, 2 ``POLISH_FIRST``, 4
+    ``POLISH_FIRST``, ...) whose certificate is, and then holds the
+    polished point. ``converged`` is whether the returned point's residual
+    against the attainable gain K' is within ``cfg.primal_tol``.
     """
     cfg = cfg or AdmmConfig()
     n = spec.n
@@ -294,23 +308,22 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
         P=P0,
         Z1=np.zeros((n, n)),
         Z2=np.zeros((spec.m, n)),
+        attainable=gain_slice(spec),
     )
-    for i in range(1, cfg.n_iter + 1):
-        state.Atilde = a_step(state, spec, cfg)
-        state.P = p_step(state, spec, cfg)
-        W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
-        r = residual_norm(W1, W2)
-        if not np.isfinite(r) or r > DIVERGENCE_LIMIT:
-            raise ConvergenceError(
-                f"constraint residual {r:.3e} exceeded {DIVERGENCE_LIMIT:.0e} "
-                f"at iteration {i}; try a larger penalty parameter mu"
-            )
-        state.Z1, state.Z2 = z_step(state, W1, W2, cfg)
-        state.iter = i
-        state.residuals.append(r)
-        if r <= cfg.primal_tol:
-            state.converged = True
+    next_try = POLISH_FIRST
+    while state.iter < cfg.n_iter:
+        if admm_iteration(state, spec, cfg) <= cfg.primal_tol:
             break
+        if state.iter == next_try:
+            next_try *= 2
+            polished = polish(spec, state.P, state.attainable)
+            if polished is not None and polished.certificate <= cfg.primal_tol:
+                state.Atilde, state.P = polished.Atilde, polished.P
+                state.polish_iter = polished.iterations
+                break
+    W1, W2 = constraint_blocks(state.Atilde, state.P, spec, state.attainable.gain)
+    state.certificate = residual_norm(W1, W2)
+    state.converged = state.certificate <= cfg.primal_tol
     return state
 
 

@@ -241,16 +241,19 @@ def test_attack_self_target_exit_0(tmp_path, sim_dir, case1_config):
     assert report["converged"] is True
 
 
-def test_attack_case1_target_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
+def test_attack_case1_target_certified_exit_0_with_outputs(tmp_path, sim_dir, case1_config):
     doc = json.loads(Path(case1_config).read_text())
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"Ktarget": doc["Ktarget"]}))
     out = str(tmp_path / "out")
     res = cli("attack", "--config", case1_config, "--data", str(sim_dir / "data.csv"),
               "--target", str(target), "--out", out)
-    assert res.returncode == 5  # stalls above primal_tol but still succeeds
+    assert res.returncode == 0, res.stderr
     report = json.loads(Path(f"{out}/attack_report.json").read_text())
-    assert report["converged"] is False
+    # the target is not attainable: certified for K', 4.14e-3 from the floor
+    assert report["converged"] is True
+    assert report["certificate"] <= doc["admm"]["primal_tol"]
+    assert report["floor"] == pytest.approx(4.14e-3, abs=5e-5)
     assert report["gain_error"] <= 0.2 * np.sqrt(2 * 4)
     err = np.abs(np.array(report["Atilde"]) - np.array(doc["system"]["A"]))
     assert err.max() > 0.1  # a genuine perturbation was planted
@@ -267,18 +270,36 @@ def test_attack_case1_target_exit_5_with_outputs(tmp_path, sim_dir, case1_config
     )
 
 
+def test_attack_stalled_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
+    # 3 iterations end before the first polish: not certified, outputs still written
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps({**CASE1, "admm": {"n_iter": 3}}))
+    out = tmp_path / "out"
+    res = cli("attack", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+              "--target", case1_config, "--out", str(out))
+    assert res.returncode == 5, res.stderr
+    assert "attack NOT converged" in res.stdout
+    report = json.loads((out / "attack_report.json").read_text())
+    assert report["converged"] is False and report["polish_iterations"] == 0
+    assert report["admm_iterations"] == len(report["admm_residuals"]) == 3
+    assert report["certificate"] > CASE1["admm"]["primal_tol"]
+    assert (out / "poisoned.csv").exists()
+
+
 def test_attack_fields_agree_across_writers(tmp_path, sim_dir, case1_config):
     # `attack` on the case1 dataset and `reproduce case1` run the same attack
     out = tmp_path / "attack"
     res = cli("attack", "--config", case1_config, "--data", str(sim_dir / "data.csv"),
               "--target", case1_config, "--out", str(out))
-    assert res.returncode == 5, res.stderr
+    assert res.returncode == 0, res.stderr
     attack = json.loads((out / "attack_report.json").read_text())
     res = cli("reproduce", "case1", "--out", str(tmp_path / "r"))
     assert res.returncode == 0, res.stderr
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     fields = set(attack) - {"Ktarget"}
-    assert fields == {"Atilde", "gain_error", "attack_cost", "converged", "admm_residuals"}
+    assert fields == {"Atilde", "gain_error", "attack_cost", "converged", "admm_residuals",
+                      "floor", "gain_attained", "certificate", "objective",
+                      "admm_iterations", "polish_iterations"}
     assert {k: report[k] for k in fields} == {k: attack[k] for k in fields}
     # report.json records the gates that stdout prints
     printed = [line for line in res.stdout.splitlines() if line.startswith("  [")]
@@ -792,6 +813,20 @@ def test_long_value_echoed_bounded(tmp_path, sim_dir, case1_config, capsys, key,
     field = "seed: " if key == "seed" else "metadata field dt: "
     assert err.startswith(f"error: {field}must be ")
     assert len(err) < 160 and " characters)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["N", "horizon"])
+def test_huge_negative_size_echoed_bounded(tmp_path, capsys, key):
+    from lqpoison import cli as cli_module
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**CASE1, key: -10**4000}))
+    out = tmp_path / "d.csv"
+    code = cli_module.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err) < 160 and "-1000000000" in err and "(4002 characters)" in err
     assert not out.exists()
 
 

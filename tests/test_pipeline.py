@@ -331,7 +331,8 @@ class TestReportWrite:
         assert set(doc) == {
             "scenario", "Kstar", "Khat_clean", "Atilde", "Khat_poisoned",
             "Ktarget", "gain_error_to_target", "attack_cost", "converged",
-            "admm_residuals", "gain_error", "checks",
+            "admm_residuals", "gain_error", "checks", "floor", "gain_attained",
+            "certificate", "objective", "admm_iterations", "polish_iterations",
         }
         assert doc["gain_error"] == report.attack.gain_error
         assert doc["checks"] == [

@@ -6,6 +6,8 @@ from lqpoison import linalg
 from lqpoison.data import BatchDataset
 from lqpoison.errors import ConvergenceError, DimensionError, StabilityError
 from lqpoison.lq import care_solve, lqr_gain
+from lqpoison import certify
+from lqpoison.certify import constraint_blocks, gain_slice, polish, residual_norm
 from lqpoison.poison import (
     AdmmConfig,
     AdmmState,
@@ -13,12 +15,13 @@ from lqpoison.poison import (
     a_step,
     admm_solve,
     attack_cost,
-    constraint_blocks,
     generate_poisoned,
     p_step,
     z_step,
 )
 from lqpoison.sysid import estimate_fg, identify, log_indirect
+
+from conftest import random_stabilizable
 
 
 def make_state(spec, P=None, Z1=None, Z2=None, Atilde=None):
@@ -254,7 +257,7 @@ class TestPStep:
         state = make_state(spec, P=sol.P)
         P = p_step(state, spec, AdmmConfig())
         W1, W2 = constraint_blocks(spec.Ahat, P, spec)
-        assert poison.residual_norm(W1, W2) <= 1e-9
+        assert residual_norm(W1, W2) <= 1e-9
 
     def test_scalar_exact_psd_solution(self):
         # blocks p(2*0.5 - 2) + 2 and -2 + p vanish together at p = 2
@@ -284,7 +287,7 @@ class TestPStep:
 
         def obj(P):
             W1, W2 = constraint_blocks(At, P, spec)
-            return poison.residual_norm(W1, W2) ** 2
+            return residual_norm(W1, W2) ** 2
 
         P = p_step(state, spec, cfg)
         assert np.linalg.eigvalsh(P).min() >= -1e-10
@@ -464,6 +467,214 @@ class TestAdmmSolve:
         monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
         with pytest.raises(ConvergenceError, match="penalty"):
             admm_solve(case1_spec, AdmmConfig(n_iter=3))
+
+    def test_case1_stops_at_the_first_certified_polish(self, case1_spec, monkeypatch):
+        calls = spy(monkeypatch, "a_step", owner=poison)
+        state = admm_solve(case1_spec, AdmmConfig())
+        assert state.iter == len(calls) == len(state.residuals) == poison.POLISH_FIRST
+        assert state.converged and 0 < state.polish_iter <= certify.MAX_POLISH_ITER
+        assert state.certificate <= AdmmConfig().primal_tol
+        assert state.residuals[-1] > AdmmConfig().primal_tol  # ADMM alone is far off
+        # the polished objective, against 8.8364 after 500 ADMM iterations alone
+        assert np.sum((state.Atilde - case1_spec.Ahat) ** 2) == pytest.approx(7.1175, abs=1e-4)
+
+    def test_polish_tries_double(self, case1_spec, monkeypatch):
+        tries, a_steps = [], spy(monkeypatch, "a_step", owner=poison)
+
+        def never_certified(spec, P, attainable):
+            tries.append(len(a_steps))
+            return None
+
+        monkeypatch.setattr(poison, "polish", never_certified)
+        state = admm_solve(case1_spec, AdmmConfig(n_iter=100))
+        assert state.iter == 100 and not state.converged
+        assert tries == [10, 20, 40, 80]
+
+
+@pytest.fixture(scope="module")
+def case2_spec(case2, case2_data):
+    est = identify(case2_data, with_qr=True)
+    return AttackSpec(
+        Ahat=est.Ahat, Bhat=est.Bhat, Qhat=est.Qhat, Rhat=est.Rhat, Ktarget=case2.Ktarget
+    )
+
+
+def random_chain_spec(rng, n=10, m=3):
+    """An n=10, m=3 spec like the chain benchmark's: a plant's model and a
+    target 0.1 (per entry, standard normal) from its optimal gain."""
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    A -= (np.max(np.linalg.eigvals(A).real) - 0.1) * np.eye(n)
+    B = rng.normal(size=(n, m))
+    K = care_solve(A, B, np.eye(n), 0.5 * np.eye(m)).K
+    return AttackSpec(Ahat=A, Bhat=B, Qhat=np.eye(n), Rhat=0.5 * np.eye(m),
+                      Ktarget=K + 0.1 * rng.normal(size=(m, n)))
+
+
+def nearest_planted(P, spec, K):
+    """Oracle for the polish's Atilde(P): Ahat minus the least-norm Delta with
+    Delta^T P + P Delta = Ahat^T P + P Ahat + P Bhat K + Qhat, by lstsq on the
+    n^2 x n^2 Kronecker system."""
+    n = spec.n
+    E = spec.Ahat.T @ P + P @ spec.Ahat + P @ spec.Bhat @ K + spec.Qhat
+    cols = np.empty((n * n, n * n))
+    U = np.zeros((n, n))
+    for j in range(n * n):
+        U.flat[j] = 1.0
+        cols[:, j] = (U.T @ P + P @ U).ravel()
+        U.flat[j] = 0.0
+    delta, *_ = np.linalg.lstsq(cols, (0.5 * (E + E.T)).ravel(), rcond=None)
+    return spec.Ahat - delta.reshape(n, n)
+
+
+def polished(spec, iters):
+    """The polish from the ADMM iterate after ``iters`` iterations, no earlier try."""
+    state = admm_solve(spec, AdmmConfig(n_iter=iters, primal_tol=0.0))
+    return gain_slice(spec), polish(spec, state.P)
+
+
+class TestGainSlice:
+    def test_case1_target_is_not_attainable(self, case1_spec):
+        sl = gain_slice(case1_spec)
+        # R K B must be symmetric for any LQR gain; case1's target misses it
+        assert sl.floor == pytest.approx(4.136e-3, abs=1e-6)
+        assert np.max(np.abs(sl.gain - case1_spec.Ktarget)) <= 0.01
+        W2 = case1_spec.Rhat @ sl.gain + case1_spec.Bhat.T @ sl.P0
+        assert np.linalg.norm(W2) <= 1e-12 * np.linalg.norm(case1_spec.Bhat.T @ sl.P0)
+
+    def test_case2_target_is_attained(self, case2_spec):
+        sl = gain_slice(case2_spec)
+        assert sl.floor <= 1e-12
+        np.testing.assert_allclose(sl.gain, case2_spec.Ktarget, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (4, 1), (10, 3), (2, 2)])
+    def test_null_basis(self, n, m):
+        spec, _, _ = random_admm_point(np.random.default_rng(7 * n + m), n, m)
+        null = gain_slice(spec).null
+        d = (n - m) * (n - m + 1) // 2
+        assert null.shape == (d, n, n)
+        flat = null.reshape(d, n * n)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(d), atol=1e-12)
+        assert np.array_equal(null, null.transpose(0, 2, 1))
+        assert np.max(np.abs(spec.Bhat.T @ null), initial=0.0) <= 1e-12
+
+
+class TestPolish:
+    @pytest.mark.parametrize("which", ["case1", "case2", "chain"])
+    def test_meets_both_blocks_against_attained_gain(self, which, case1_spec, case2_spec):
+        spec = {"case1": case1_spec, "case2": case2_spec,
+                "chain": random_chain_spec(np.random.default_rng(3))}[which]
+        sl, pol = polished(spec, 10)
+        assert pol is not None and pol.iterations > 0
+        assert np.linalg.eigvalsh(pol.P).min() > 0
+        W1, W2 = constraint_blocks(pol.Atilde, pol.P, spec, sl.gain)
+        Ac = pol.Atilde + spec.Bhat @ sl.gain
+        scale = (np.linalg.norm(pol.Atilde.T @ pol.P) + np.linalg.norm(pol.P @ Ac)
+                 + np.linalg.norm(spec.Qhat) + np.linalg.norm(spec.Rhat @ sl.gain))
+        assert np.linalg.norm(W1) <= 1e-10 * scale
+        assert np.linalg.norm(W2) <= 1e-10 * scale
+        assert pol.certificate == residual_norm(W1, W2)
+        # the learner's CARE on the planted model returns the attained gain
+        K = care_solve(pol.Atilde, spec.Bhat, spec.Qhat, spec.Rhat).K
+        np.testing.assert_allclose(K, sl.gain, atol=1e-9 * np.abs(sl.gain).max())
+
+    @pytest.mark.parametrize("which", ["case1", "case2", "chain"])
+    def test_stationary_on_the_slice(self, which, case1_spec, case2_spec):
+        spec = {"case1": case1_spec, "case2": case2_spec,
+                "chain": random_chain_spec(np.random.default_rng(4))}[which]
+        sl, pol = polished(spec, 10)
+        np.testing.assert_allclose(nearest_planted(pol.P, spec, sl.gain), pol.Atilde,
+                                   atol=1e-9 * np.abs(pol.Atilde).max())
+
+        def objective(P):
+            return np.sum((nearest_planted(P, spec, sl.gain) - spec.Ahat) ** 2)
+
+        def slope(D, h=1e-4):  # fourth-order central difference along D
+            f1, f2 = (objective(pol.P + t * h * D) - objective(pol.P - t * h * D) for t in (1, 2))
+            return (8 * f1 - f2) / (12 * h)
+
+        start = admm_solve(spec, AdmmConfig(n_iter=10, primal_tol=0.0)).P
+        start = sl.P0 + np.tensordot(np.tensordot(sl.null, start - sl.P0, 2), sl.null, 1)
+        grad = np.linalg.norm([slope(D) for D in sl.null])
+        pol_start = polish(spec, start)  # the same point, from the start's projection
+        np.testing.assert_allclose(pol_start.P, pol.P, rtol=0, atol=1e-9 * np.abs(pol.P).max())
+        grad_start = np.linalg.norm([
+            (objective(start + 1e-4 * D) - objective(start - 1e-4 * D)) / 2e-4 for D in sl.null
+        ])
+        assert grad <= 1e-6 * grad_start
+
+    def test_idempotent(self, case1_spec):
+        _, first = polished(case1_spec, 10)
+        again = polish(case1_spec, first.P)
+        assert again.iterations == 0
+        np.testing.assert_allclose(again.Atilde, first.Atilde, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(again.P, first.P, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (6, 1), (10, 3)])
+    def test_recovers_a_feasible_target(self, n, m):
+        # Ktarget is the LQR gain of (A0, B, Q, R) and Ahat = A0: the nearest
+        # planted dynamics are A0 itself, certified by its Riccati solution
+        rng = np.random.default_rng(60 + n)
+        A0, B, Q, R = random_stabilizable(rng, n, m)
+        Q += np.eye(n)
+        sol = care_solve(A0, B, Q, R)
+        spec = AttackSpec(Ahat=A0, Bhat=B, Qhat=Q, Rhat=R, Ktarget=sol.K)
+        sl = gain_slice(spec)
+        assert sl.floor <= 1e-10 * np.linalg.norm(R @ sol.K)
+        E = rng.normal(size=(n, n))
+        start = sol.P + 0.05 * np.linalg.eigvalsh(sol.P).min() * (E + E.T) / np.linalg.norm(E + E.T)
+        pol = polish(spec, start)
+        assert pol is not None
+        np.testing.assert_allclose(pol.Atilde, A0, rtol=0, atol=1e-8 * np.abs(A0).max())
+        np.testing.assert_allclose(pol.P, sol.P, rtol=0, atol=1e-8 * np.abs(sol.P).max())
+
+    def test_objective_falling_as_p_grows_is_not_certified(self):
+        # on this target the objective keeps falling as lam_max(P) grows: the
+        # polish refuses, and ADMM goes on and tries again at 20 and 40
+        spec = random_chain_spec(np.random.default_rng(1))
+        _, pol = polished(spec, 10)
+        assert pol is None
+        tries = []
+
+        def recording_polish(spec, P, attainable):
+            tries.append(len(P))
+            return polish(spec, P, attainable)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poison, "polish", recording_polish)
+            state = admm_solve(spec, AdmmConfig(n_iter=50))
+        assert len(tries) == 3 and state.iter == 50
+        assert not state.converged and state.polish_iter == 0
+        assert state.certificate > AdmmConfig().primal_tol
+
+    def test_no_free_direction_returns_the_slice_point(self):
+        # n = m: Bhat^T P = -Rhat K pins P down to P0 = Pstar
+        rng = np.random.default_rng(8)
+        A, B, Q, R = random_stabilizable(rng, 2, 2)
+        M = rng.normal(size=(2, 2))
+        Pstar = M @ M.T + np.eye(2)
+        spec = AttackSpec(Ahat=A, Bhat=B, Qhat=Q, Rhat=R, Ktarget=lqr_gain(Pstar, B, R))
+        sl = gain_slice(spec)
+        assert sl.null.shape == (0, 2, 2)
+        np.testing.assert_allclose(sl.P0, Pstar, rtol=1e-12)
+        pol = polish(spec, np.eye(2))
+        assert pol.iterations == 0 and np.array_equal(pol.P, sl.P0)
+        np.testing.assert_allclose(pol.Atilde, nearest_planted(sl.P0, spec, sl.gain),
+                                   atol=1e-12 * np.abs(pol.Atilde).max())
+
+    @pytest.mark.parametrize("start", ["singular", "indefinite", "projection"])
+    def test_start_not_definite_is_not_certified(self, case1_spec, start):
+        # "projection": definite, but the slice keeps P0's blocks on range(Bhat)
+        # and only P's block on its complement, tiny here: not definite
+        Q, _ = np.linalg.qr(case1_spec.Bhat, mode="complete")
+        P = {"singular": np.diag([1.0, 2.0, 0.0, 3.0]),
+             "indefinite": np.diag([1.0, -2.0, 1.0, 3.0]),
+             "projection": Q[:, :2] @ Q[:, :2].T + 1e-6 * Q[:, 2:] @ Q[:, 2:].T}[start]
+        if start == "projection":
+            sl = gain_slice(case1_spec)
+            on_slice = sl.P0 + np.tensordot(np.tensordot(sl.null, P - sl.P0, 2), sl.null, 1)
+            assert np.linalg.eigvalsh(P).min() > 0 > np.linalg.eigvalsh(on_slice).min()
+        with np.errstate(all="raise"):
+            assert polish(case1_spec, P) is None
 
 
 class TestGeneratePoisoned:
