@@ -26,6 +26,7 @@ has each (an uncertified attack exits with ``ConvergenceError``'s). A failed
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -161,6 +162,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all(ok for _, ok, *_ in report.checks) else EXIT_CHECK_FAILED
 
 
+@functools.cache  # one parser per process: each is a reference cycle only the cyclic collector frees
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lqpoison",

@@ -16,10 +16,9 @@ bad line in its ``DatasetFormatError``, and it also accepts what
 ``int``/``float`` accept and ``np.loadtxt`` does not, such as whitespace-only
 lines (skipped) and underscored tokens like ``1_0``. Every file the
 package writes goes through ``write_atomic`` (JSON documents via
-``write_json``), and every indexed CSV, datasets and closed-loop
-trajectories alike, is formatted by ``indexed_csv_lines``; the attack's
-``step,cumulative_cost`` series has no time column and is formatted by
-``pipeline.report_write``.
+``write_json``), and every CSV, datasets, closed-loop trajectories and the
+attack's ``step,cumulative_cost`` series alike, through
+``indexed_csv_lines``, whose rows ``floattext.csv_rows`` formats.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import linalg
+from . import floattext, linalg
 from .errors import DatasetFormatError
 from .lq import LQSystem, require_plant_kept
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
-CSV_CHUNK_ROWS = 4096  # rows converted to Python floats at a time when writing
+CSV_CHUNK_ROWS = 512  # rows formatted into one string at a time when writing
 _JSON_TYPES = {list: "an array", dict: "an object"}  # named in messages: their text may be huge
 SHOWN_CHARS = 40  # most characters of an offending value's JSON text a message echoes
 
@@ -227,11 +226,11 @@ def _meta_path(path: str) -> str:
 
 
 def write_atomic(path: str, lines: Iterable[str]) -> None:
-    """Stream ``lines`` (each with its own newline) to ``path`` atomically.
+    """Stream ``lines`` (text pieces, each ending in a newline) to ``path`` atomically.
 
-    The lines go to ``path + ".tmp"``, which then replaces ``path``, so a
+    The pieces go to ``path + ".tmp"``, which then replaces ``path``, so a
     reader sees the old file or the complete new one, never a partial write.
-    Lines are written as they are produced; the whole text is never held.
+    Pieces are written as they are produced; the whole text is never held.
     """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -245,20 +244,19 @@ def write_json(path: str, doc) -> None:
 
 
 def indexed_csv_lines(
-    header: list[str], dt: float, rows: np.ndarray
+    header: list[str], dt: float | None, rows: np.ndarray
 ) -> Iterator[str]:
-    """CSV lines: ``header``, then ``k,k*dt,row...`` for each row of ``rows``.
+    """CSV text: ``header``, then ``k,k*dt,row...`` for each row of ``rows``.
 
-    Floats are formatted with ``repr``, the shortest decimal that reads back
-    to the same double, so parsing the file recovers ``rows`` exactly. Rows
-    become Python floats ``CSV_CHUNK_ROWS`` at a time, so a long rollout is
-    never held as Python objects all at once.
+    With ``dt=None`` the rows are ``k,row...``. Floats are written as
+    ``repr`` writes them, the shortest decimal that reads back to the same
+    double, so parsing the file recovers ``rows`` exactly. Each piece after
+    the header holds ``CSV_CHUNK_ROWS`` rows (``floattext.csv_rows``), so a
+    long rollout is never held as text all at once.
     """
     yield ",".join(header) + "\n"
-    fmt = "{},{!r}" + ",{!r}" * rows.shape[1] + "\n"
     for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        for k, row in enumerate(rows[start : start + CSV_CHUNK_ROWS].tolist(), start):
-            yield fmt.format(k, k * dt, *row)
+        yield floattext.csv_rows(start, dt, rows[start : start + CSV_CHUNK_ROWS])
 
 
 def _dataset_header(n: int, m: int) -> list[str]:

@@ -111,8 +111,10 @@ class RiccatiSolution:
 def lyap_solve(Acl: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Solve Acl^T X + X Acl + S = 0 for symmetric X via Kronecker vectorization."""
     n = Acl.shape[0]
-    I = np.eye(n)
-    M = np.kron(I, Acl.T) + np.kron(Acl.T, I)
+    I, At = np.eye(n), Acl.T
+    # kron(I, At) + kron(At, I), as the outer products np.kron forms
+    M = (I[:, None, :, None] * At[None, :, None, :]
+         + At[:, None, :, None] * I[None, :, None, :]).reshape(n * n, n * n)
     x = np.linalg.solve(M, -S.flatten("F"))
     X = x.reshape((n, n), order="F")
     return 0.5 * (X + X.T)

@@ -5,7 +5,9 @@ learner on it (identification + Riccati solve with the true cost weights),
 synthesize the attack, re-run the learner on the poisoned data, and compare
 closed-loop behaviour of both learned gains on the true plant. Results are
 kept in a ``ScenarioReport`` as each stage returned them, under the stage's
-label, and written as JSON plus plot-ready CSVs.
+label, and written as JSON plus plot-ready CSVs: both trajectories and the
+attack's cumulative cost, each through ``data.indexed_csv_lines``, so every
+float in them is ``repr``'s text.
 
 The report JSON is byte-deterministic for a fixed config and seed; wall
 clock timings go to a separate ``timings.json`` sidecar so reruns produce
@@ -225,7 +227,9 @@ def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
     """Write report.json, timings.json, and the plot-ready CSV series.
 
     report.json holds ``scenario``, ``Ktarget`` and the keys of each result
-    the report has; a stage that failed or never ran adds none.
+    the report has; a stage that failed or never ran adds none. The series
+    are the two trajectories (``step,t,x*``) and ``attack_cost.csv``
+    (``step,cumulative_cost``, no time column).
     """
     os.makedirs(outdir, exist_ok=True)
     doc = {"scenario": report.name, "Ktarget": report.Ktarget.tolist()}
@@ -253,8 +257,6 @@ def report_write(report: ScenarioReport, outdir: str, dt: float) -> None:
         for label, res in zip(("clean", "poisoned"), report.evaluate):
             trajectory_write(os.path.join(outdir, f"{label}_trajectory.csv"), res.states, dt)
     if attack is not None:
-        series = attack.attack_cost_series.tolist()
-        write_atomic(
-            os.path.join(outdir, "attack_cost.csv"),
-            ["step,cumulative_cost\n"] + [f"{k},{v!r}\n" for k, v in enumerate(series)],
-        )
+        series = attack.attack_cost_series[:, None]
+        write_atomic(os.path.join(outdir, "attack_cost.csv"),
+                     indexed_csv_lines(["step", "cumulative_cost"], None, series))
