@@ -10,17 +10,16 @@ A command that reads a scenario config takes every setting from it: the
 seed, the ADMM settings and the horizon. ``attack`` without ``--config``
 uses ``AdmmConfig()``; ``reproduce --seed`` replaces a bundled case's seed.
 
-Exit codes are a stable contract: 0 ok, 2 usage/config problem, 3 sampling
-too coarse to learn the plant (an eigenvalue of A has |Im| dt >= pi, or a
-fitted F has no real log), 4 unidentifiable data (too little excitation,
-or a plant mode too fast to resolve at dt) or a fitted cost weight without
-its required structure, 5 an iterative solver did not converge (an attack
-whose answer is not certified, ``converged`` false, still writes its
-outputs), 6 reproduction check failed, 7 no stabilizing LQR solution.
-Codes 3, 4, 5 and 7 are the ``exit_code`` of the one ``errors`` class that
-has each (an uncertified attack exits with ``ConvergenceError``'s). A failed
-``reproduce`` stage exits with its error's code. Any other ``ValueError`` or
-``OSError`` exits 2; anything else exits 1, which is a bug.
+Exit codes are a stable contract (README's table has the details): 0 ok,
+2 usage/config problem, 3 sampling too coarse to learn the plant, 4
+unidentifiable data or a fitted cost weight without its required
+structure, 5 an iterative solver did not converge, 6 reproduction check
+failed, 7 no stabilizing LQR solution. Codes 3, 4, 5 and 7 are the
+``exit_code`` of the one ``errors`` class that has each. An uncertified
+attack (``converged`` false) writes its outputs, then exits 5 from
+``attack`` and ``reproduce`` alike, or 6 if a ``reproduce`` check failed.
+A failed ``reproduce`` stage exits with its error's code. Any other
+``ValueError`` or ``OSError`` exits 2; anything else exits 1, which is a bug.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .pipeline import (
     settling_step,
     trajectory_write,
 )
-from .poison import AdmmConfig
 from .sysid import SERIES_EPS, identify, model_write
 
 EXIT_OK = 0
@@ -103,7 +101,7 @@ def cmd_sysid(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg = load_scenario(args.config)[0].admm if args.config else AdmmConfig()
+    cfg = load_scenario(args.config)[0].admm if args.config else None
     d = dataset_read(args.data)
     Kt = _load_gain(args.target, n=d.n, m=d.m)
     result = run_attack(d, Kt, cfg)
@@ -159,7 +157,9 @@ def cmd_reproduce(args) -> int:
                       f"  |diff| {abs(g - expected[i, j]):.4f}")
     print(f"  attack converged: {report.attack.converged} "
           f"(certificate {report.attack.certificate:.3e}, floor {report.attack.floor:.3e})")
-    return EXIT_OK if all(ok for _, ok, *_ in report.checks) else EXIT_CHECK_FAILED
+    if not all(ok for _, ok, *_ in report.checks):
+        return EXIT_CHECK_FAILED
+    return EXIT_OK if report.attack.converged else ConvergenceError.exit_code
 
 
 @functools.cache  # one parser per process: each is a reference cycle only the cyclic collector frees

@@ -114,7 +114,6 @@ def run_attack(
     without a certified point still returns (converged=False) so callers
     can inspect the near-miss.
     """
-    cfg = cfg or AdmmConfig()
     est = identify(d, with_qr=True)
     spec = AttackSpec(
         Ahat=est.Ahat, Bhat=est.Bhat, Qhat=est.Qhat, Rhat=est.Rhat, Ktarget=Ktarget
@@ -127,7 +126,6 @@ def run_attack(
     )
     return AttackResult(
         Atilde=state.Atilde,
-        P=state.P,
         gain_error=gain_err,
         poisoned=poisoned,
         attack_cost=total,

@@ -34,8 +34,8 @@ the attainable gain K' of ``certify.gain_slice``, which is the target when
 the target is attainable. ADMM tries ``certify.polish`` at iterations
 ``POLISH_FIRST``, twice that, and so on, and stops at the first polish whose
 certificate (the constraint residual of its (Atilde, P) against K') is
-within the primal tolerance, or when its own residual is. ``converged``
-means that the returned point is certified, so a run that stalls reports
+within ``PRIMAL_TOL``, or when its own residual is. ``converged`` means
+that the returned point is certified, so a run that stalls reports
 converged=False instead of raising.
 """
 
@@ -55,6 +55,7 @@ from .lq import care_solve, lq_matrices
 DIVERGENCE_LIMIT = 1e6
 MAX_INNER_ITER = 5000
 INNER_TOL = 1e-8  # P-step projected-gradient stationarity tolerance
+PRIMAL_TOL = 1e-6  # constraint residual within which the attack's answer is certified
 # The P-step solves its least-squares system by QR unless the smallest |R_ii|
 # is within this factor of the largest; then it takes the SVD solve. Since
 # sigma_min(D) <= min |R_ii|, a small ratio proves D nearly rank deficient; a
@@ -97,13 +98,10 @@ class AttackSpec:
 class AdmmConfig:
     mu: float = 10.0
     n_iter: int = 500
-    primal_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not 0 <= self.primal_tol < math.inf:
-            raise ValueError(f"primal_tol must be non-negative and finite, got {self.primal_tol}")
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
 
@@ -135,7 +133,6 @@ class AttackResult:
     """Planted dynamics, certificate, and the poisoned dataset."""
 
     Atilde: np.ndarray
-    P: np.ndarray
     gain_error: float
     poisoned: BatchDataset
     attack_cost: float
@@ -291,11 +288,11 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
     Starts from Atilde = Ahat with P at the nominal Riccati solution (the
     zero-attack fixed point: if Ktarget already is the nominal gain the
     first iteration terminates with Atilde = Ahat exactly). ADMM stops when
-    its residual is within ``cfg.primal_tol``, or at the first ``polish``
+    its residual is within ``PRIMAL_TOL``, or at the first ``polish``
     (tried at iterations ``POLISH_FIRST``, 2 ``POLISH_FIRST``, 4
     ``POLISH_FIRST``, ...) whose certificate is, and then holds the
     polished point. ``converged`` is whether the returned point's residual
-    against the attainable gain K' is within ``cfg.primal_tol``.
+    against the attainable gain K' is within ``PRIMAL_TOL``.
     """
     cfg = cfg or AdmmConfig()
     n = spec.n
@@ -312,18 +309,18 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
     )
     next_try = POLISH_FIRST
     while state.iter < cfg.n_iter:
-        if admm_iteration(state, spec, cfg) <= cfg.primal_tol:
+        if admm_iteration(state, spec, cfg) <= PRIMAL_TOL:
             break
         if state.iter == next_try:
             next_try *= 2
             polished = polish(spec, state.P, state.attainable)
-            if polished is not None and polished.certificate <= cfg.primal_tol:
+            if polished is not None and polished.certificate <= PRIMAL_TOL:
                 state.Atilde, state.P = polished.Atilde, polished.P
                 state.polish_iter = polished.iterations
                 break
     W1, W2 = constraint_blocks(state.Atilde, state.P, spec, state.attainable.gain)
     state.certificate = residual_norm(W1, W2)
-    state.converged = state.certificate <= cfg.primal_tol
+    state.converged = state.certificate <= PRIMAL_TOL
     return state
 
 

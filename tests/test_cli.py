@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lqpoison import poison
 from lqpoison.data import BatchDataset, dataset_read, dataset_write
 from lqpoison.pipeline import run_learner
 
@@ -252,7 +253,7 @@ def test_attack_case1_target_certified_exit_0_with_outputs(tmp_path, sim_dir, ca
     report = json.loads(Path(f"{out}/attack_report.json").read_text())
     # the target is not attainable: certified for K', 4.14e-3 from the floor
     assert report["converged"] is True
-    assert report["certificate"] <= doc["admm"]["primal_tol"]
+    assert report["certificate"] <= poison.PRIMAL_TOL
     assert report["floor"] == pytest.approx(4.14e-3, abs=5e-5)
     assert report["gain_error"] <= 0.2 * np.sqrt(2 * 4)
     err = np.abs(np.array(report["Atilde"]) - np.array(doc["system"]["A"]))
@@ -282,7 +283,7 @@ def test_attack_stalled_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
     report = json.loads((out / "attack_report.json").read_text())
     assert report["converged"] is False and report["polish_iterations"] == 0
     assert report["admm_iterations"] == len(report["admm_residuals"]) == 3
-    assert report["certificate"] > CASE1["admm"]["primal_tol"]
+    assert report["certificate"] > poison.PRIMAL_TOL
     assert (out / "poisoned.csv").exists()
 
 
@@ -614,6 +615,19 @@ def test_reproduce_failing_check_exit_6(tmp_path, monkeypatch, capsys):
     assert "element-wise comparison" in stdout
     checks = json.loads((tmp_path / "r" / "report.json").read_text())["checks"]
     assert [c["ok"] for c in checks].count(False) == stdout.count("[FAIL]")
+
+
+def test_reproduce_uncertified_attack_exit_5_with_outputs(tmp_path, monkeypatch, capsys):
+    # the gates pass on ADMM's own answer, but it is not certified: exit 5 as for `attack`
+    monkeypatch.setattr(poison, "polish", lambda spec, P, attainable: None)
+    out = tmp_path / "r"
+    code, stdout, stderr = reproduce_case1_with(monkeypatch, capsys, out)
+    assert code == 5, stdout + stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["admm_iterations"] == 500
+    assert [c["ok"] for c in report["checks"]] == [True, True]
+    assert stdout.count("[PASS]") == 2 and "[FAIL]" not in stdout
+    assert "attack converged: False" in stdout
 
 
 def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -13,6 +14,7 @@ from lqpoison.config import (
 )
 from lqpoison.data import ExcitationPolicy, json_array, json_number
 from lqpoison.errors import ConfigError
+from lqpoison.lq import LQSystem
 from lqpoison.pipeline import Scenario
 from lqpoison.poison import AdmmConfig
 
@@ -23,16 +25,19 @@ def bundled_doc(case):
     )
 
 
+def fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 @pytest.mark.parametrize("case", BUNDLED_CASES)
 def test_bundled_configs_round_trip(case):
     doc = bundled_doc(case)
     s, name = scenario_from_dict(doc)
-    # every key of the bundled file is one the parser reads
-    assert set(doc) == {"name", "system", "excitation", "N", "seed", "Ktarget",
-                        "admm", "horizon"}
-    assert set(doc["system"]) == {"A", "B", "Q", "R", "x0", "dt"}
-    assert set(doc["excitation"]) == {"kind", "amplitude"}
-    assert set(doc["admm"]) == {"mu", "n_iter", "primal_tol"}
+    # every key of the bundled file is one the parser reads, not one it ignores
+    assert set(doc) <= fields(Scenario) | {"name", "seed"}
+    assert set(doc["system"]) <= fields(LQSystem)
+    assert set(doc["excitation"]) <= fields(ExcitationPolicy) - {"seed"}  # read at the top level
+    assert set(doc["admm"]) <= fields(AdmmConfig)
     assert name == doc["name"]
     for key in ("A", "B", "Q", "R", "x0"):
         np.testing.assert_array_equal(getattr(s.system, key), doc["system"][key])
@@ -45,7 +50,6 @@ def test_bundled_configs_round_trip(case):
     np.testing.assert_array_equal(s.Ktarget, doc["Ktarget"])
     assert s.admm.mu == doc["admm"]["mu"]
     assert s.admm.n_iter == doc["admm"]["n_iter"]
-    assert s.admm.primal_tol == doc["admm"]["primal_tol"]
     assert s.horizon == doc["horizon"]
 
 
@@ -96,16 +100,16 @@ def test_absent_fields_take_dataclass_defaults_and_unknown_keys_are_ignored():
     assert s.horizon == Scenario.horizon
 
     doc = bundled_doc("case1")
-    doc["admm"]["inner_tol"] = 1e-8  # a key older configs carry
+    doc["admm"]["inner_tol"] = 1e-8  # keys older configs carry
+    doc["admm"]["primal_tol"] = 1e-6
     doc["excitation"]["note"] = "unused"
     doc["extra"] = {}
     s, _ = scenario_from_dict(doc)
-    assert s.admm == AdmmConfig(mu=10.0, n_iter=500, primal_tol=1e-6)
+    assert s.admm == AdmmConfig(mu=10.0, n_iter=500)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("mu", float("nan")), ("mu", float("inf")), ("primal_tol", -1.0),
-    ("primal_tol", float("nan")), ("primal_tol", float("inf")), ("n_iter", 0),
+    ("mu", float("nan")), ("mu", float("inf")), ("n_iter", 0),
 ])
 def test_admm_field_check_names_section_and_field(field, value):
     doc = bundled_doc("case1")
@@ -127,7 +131,7 @@ def test_integer_fields_take_only_json_integers(path, value):
 
 @pytest.mark.parametrize("value", [True, "0.01", None, [1.0]])
 @pytest.mark.parametrize("path", [("system", "dt"), ("excitation", "amplitude"),
-                                  ("admm", "mu"), ("admm", "primal_tol")])
+                                  ("admm", "mu")])
 def test_float_fields_take_only_json_numbers(path, value):
     doc = bundled_doc("case1")
     doc[path[0]][path[1]] = value
