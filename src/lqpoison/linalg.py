@@ -2,8 +2,9 @@
 
 Everything here is domain-free: the matrix coercion and shape check
 (``as_matrix``), the sampling-interval check, matrix exponentials,
-zero-order-hold discretization, tables of matrix powers and the blocked
-rollout of a linear recursion, free or driven, the refusal of arrays
+zero-order-hold discretization, tables of matrix powers and the rollout
+of a linear recursion, free or driven, in blocks of isqrt(N) + 1 steps
+(about 2 sqrt(N) + 1 Python steps for N states), the refusal of arrays
 too large to allocate (``sized_by``), least squares, the
 coordinates of a symmetric matrix, symmetric eigendecompositions,
 projection onto the positive-semidefinite cone, and the spectral abscissa.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .errors import AsymmetryError, DimensionError, RankDeficiencyError
 
 SYM_RTOL = 1e-8  # relative asymmetry allowed before sym_eig refuses
 PSD_EIG_FLOOR = -1e-10  # relative eigenvalue slack when checking "PSD" numerically
-ROLLOUT_BLOCK = 256  # most rollout steps taken from one table of matrix powers
 
 
 def as_matrix(M, name: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -134,16 +135,19 @@ def power_table(M: np.ndarray, count: int) -> np.ndarray:
 def rollout(F: np.ndarray, x0: np.ndarray, N: int, w: np.ndarray | None = None) -> np.ndarray:
     """States x_0 ... x_N of x_{k+1} = F x_k + w_k, or of x_{k+1} = F x_k with no ``w``.
 
-    The states are split into blocks of b = ``ROLLOUT_BLOCK`` steps (fewer
-    if ``power_table`` stops early). With an input, the zero-initial-state
+    The states are split into blocks of b = isqrt(N) + 1 steps (fewer if
+    ``power_table`` stops early). With an input, the zero-initial-state
     response inside each block is built for all blocks at once, one step of
     the block per Python iteration; without one that pass is skipped. The
     block starts are then chained, one block per iteration, and F^i times
-    each start is added in one batched matmul. That is at most b + N/b
-    Python steps instead of N.
+    each start is added in one batched matmul. That is at most b + N/b,
+    about 2 sqrt(N) + 1, Python steps instead of N. The output is allocated
+    first, so a size numpy refuses is refused before any loop runs.
     """
     n = len(x0)
-    pows = power_table(F, min(ROLLOUT_BLOCK, N))
+    b = math.isqrt(N) + 1
+    out = np.empty((N + b, n))  # holds the blocks for any b' <= b: nb' * b' <= N + b'
+    pows = power_table(F, b)
     b = len(pows)
     nb = -(-(N + 1) // b)  # blocks covering the N + 1 states
     Z = None
@@ -163,10 +167,11 @@ def rollout(F: np.ndarray, x0: np.ndarray, N: int, w: np.ndarray | None = None) 
         if Z is not None:
             starts[j + 1] += Z[j, b]
     shifts = np.concatenate([np.eye(n)[None], pows[: b - 1]])  # F^0 ... F^(b-1)
-    X = np.einsum("ikl,jl->jik", shifts, starts)
+    X = out[: nb * b].reshape(nb, b, n)
+    np.einsum("ikl,jl->jik", shifts, starts, out=X)
     if Z is not None:
         X += Z[:, :b]
-    return X.reshape(nb * b, n)[: N + 1]
+    return out[: N + 1]
 
 
 @contextlib.contextmanager

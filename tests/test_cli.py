@@ -862,3 +862,24 @@ def test_size_that_cannot_be_allocated_exit_2_without_outputs(tmp_path, case1_co
     assert code == 2, err
     assert err.startswith(f"error: {key} is too large: its arrays cannot be allocated (")
     assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+
+def test_horizon_refused_before_any_rollout_loop(tmp_path, case1_config, capsys, monkeypatch):
+    # 10**12 states of n = 4 need 32 TB, which numpy refuses at once; the
+    # rollout must allocate them before it tabulates a power or loops.
+    from lqpoison import cli as cli_module
+    from lqpoison import linalg
+
+    def unreachable(M, count):
+        raise AssertionError("power_table called before the output was allocated")
+
+    monkeypatch.setattr(linalg, "power_table", unreachable)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({**CASE1, "horizon": 10**12}))
+    out = tmp_path / "out"
+    code = cli_module.main(["evaluate", "--config", str(cfg), "--gain", case1_config,
+                            "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: horizon is too large: its arrays cannot be allocated (")
+    assert sorted(os.listdir(tmp_path)) == ["big.json"]

@@ -298,6 +298,14 @@ def step_rollout(F, x0, w):
     return xs
 
 
+def assert_tracks(got, ref):
+    """Same shape and x0, and each state within 1e-12 of the running max norm."""
+    assert got.shape == ref.shape
+    assert np.array_equal(got[0], ref[0])
+    scale = np.maximum.accumulate(np.linalg.norm(ref, axis=1))
+    assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
+
+
 def scaled_to_radius(rho, n=4, seed=0):
     M = np.random.default_rng(seed).normal(size=(n, n))
     return M * (rho / np.max(np.abs(np.linalg.eigvals(M))))
@@ -324,19 +332,13 @@ class TestPowerTable:
 
 class TestDrivenRollout:
     @pytest.mark.parametrize("rho", [0.98, 1.002])
-    @pytest.mark.parametrize(
-        "N", [1, 2, linalg.ROLLOUT_BLOCK, linalg.ROLLOUT_BLOCK + 1, 5000]
-    )
+    # the block size isqrt(N) + 1 steps from 4 to 5 at N = 16
+    @pytest.mark.parametrize("N", [1, 2, 15, 16, 17, 256, 257, 499, 5000])
     def test_matches_step_recursion(self, rho, N):
         rng = np.random.default_rng(N)
         F = scaled_to_radius(rho)
         x0, w = rng.normal(size=4), rng.normal(size=(N, 4))
-        ref = step_rollout(F, x0, w)
-        got = linalg.rollout(F, x0, N, w)
-        assert got.shape == ref.shape
-        assert np.array_equal(got[0], x0)
-        scale = np.maximum.accumulate(np.linalg.norm(ref, axis=1))
-        assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
+        assert_tracks(linalg.rollout(F, x0, N, w), step_rollout(F, x0, w))
 
     def test_overflowing_power_keeps_finite_row_finite(self):
         # F^2 overflows but x0 = e2 never excites the first mode, so the
@@ -345,3 +347,26 @@ class TestDrivenRollout:
         got = linalg.rollout(F, np.array([0.0, 1.0]), 600, np.zeros((600, 2)))
         assert np.isfinite(got).all()
         np.testing.assert_array_equal(got, step_rollout(F, np.array([0.0, 1.0]), np.zeros((600, 2))))
+
+
+class TestFreeRollout:
+    @pytest.mark.parametrize("N", [1000, 40000])
+    def test_matches_step_recursion(self, N):
+        F = scaled_to_radius(0.9999)
+        x0 = np.random.default_rng(N).normal(size=4)
+        assert_tracks(linalg.rollout(F, x0, N), step_rollout(F, x0, np.zeros((N, 4))))
+
+
+@pytest.mark.parametrize("N", [499, 1000, 40000])
+def test_rollout_block_size_is_isqrt_n_plus_one(monkeypatch, N):
+    table, asked = linalg.power_table, []
+
+    def recording(M, count):
+        asked.append(count)
+        return table(M, count)
+
+    monkeypatch.setattr(linalg, "power_table", recording)
+    F = scaled_to_radius(0.9)
+    linalg.rollout(F, np.ones(4), N)
+    linalg.rollout(F, np.ones(4), N, np.zeros((N, 4)))
+    assert asked == [math.isqrt(N) + 1] * 2

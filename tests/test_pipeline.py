@@ -178,7 +178,7 @@ class TestBlockRolloutMatchesSequential:
             res = assert_matches_oracle(scenario.system, K, scenario.horizon)
             assert res.states.shape == (scenario.horizon + 1, scenario.system.n)
 
-    @pytest.mark.parametrize("horizon", [0, 1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("horizon", [0, 1, 15, 16, 17, 255, 256, 257, 1000])
     def test_block_boundaries(self, case1, horizon):
         s = case1.system
         K = care_solve(s.A, s.B, s.Q, s.R).K
