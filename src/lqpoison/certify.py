@@ -39,7 +39,8 @@ POLISH_TOL = 1e-12
 # The polish refines ADMM's P; it gives up, not certified, at a P whose largest
 # eigenvalue is more than POLISH_GROWTH times its start's. On some targets the objective keeps
 # falling as lam_max(P) grows without bound: Atilde + Bhat K' tends to marginal
-# stability, and the learner's CARE solve fails on the planted model. On the
+# stability, so the planted model would be stabilized by K' only by a vanishing
+# margin, with an ever worse conditioned P. On the
 # bundled cases and 95 of 99 seeded n = 10 chains the polish converged with
 # lam_max grown at most 6.8 times; on the other 4 it grew 4e4 times and more.
 POLISH_GROWTH = 100.0

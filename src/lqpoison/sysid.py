@@ -45,11 +45,10 @@ DB_TOL = 1e-8  # relative Denman-Beavers step after which the root is about DB_T
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Fitted (F, G) with the mean squared one-step prediction error."""
+    """Least-squares fit (F, G) of the one-step model."""
 
     F: np.ndarray
     G: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
             f"fitted F has an eigenvalue of modulus {lam:.3g} <= {floor:.3g}, the fit's rounding: "
             f"a plant mode decays too fast to resolve at sampling interval dt = {d.dt:g}"
         )
-    resid = float(np.linalg.norm(Z @ Theta - X, "fro") ** 2 / (d.N - 1))
-    return DiscreteModel(F=F, G=G, residual=resid)
+    return DiscreteModel(F=F, G=G)
 
 
 def _sqrtm(F: np.ndarray) -> np.ndarray:

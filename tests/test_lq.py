@@ -45,12 +45,14 @@ class TestCareSolve:
         sol = care_solve(s.A, s.B, s.Q, s.R)
         P_ref = scipy.linalg.solve_continuous_are(s.A, s.B, s.Q, s.R)
         np.testing.assert_allclose(sol.P, P_ref, rtol=1e-8, atol=1e-10)
+        assert sol.iterations == 0  # the Hamiltonian start already meets CARE_TOL
 
     def test_case2_against_scipy(self, case2):
         s = case2.system
         sol = care_solve(s.A, s.B, s.Q, s.R)
         P_ref = scipy.linalg.solve_continuous_are(s.A, s.B, s.Q, s.R)
         np.testing.assert_allclose(sol.P, P_ref, rtol=1e-7, atol=1e-9)
+        assert sol.iterations == 0
 
     def test_solution_invariants_random(self):
         rng = np.random.default_rng(5)
@@ -72,15 +74,37 @@ class TestCareSolve:
         K2 = care_solve(A, B, 7.5 * Q, 7.5 * R).K
         assert np.max(np.abs(K1 - K2)) <= 1e-8
 
-    def test_step_cap_raises(self, case1, monkeypatch):
+    # the unstable mode at 0.5 is reached only through a 1e-7 input weight
+    WEAK = np.diag([1.0, 0.5]), np.array([[1.0], [1e-7]])
+
+    def test_weakly_controllable_plant(self):
+        # Newton-Kleinman refines the Hamiltonian start in a few steps
+        A, B = self.WEAK
+        sol = care_solve(A, B, np.eye(2), np.eye(1))
+        P_ref = scipy.linalg.solve_continuous_are(A, B, np.eye(2), np.eye(1))
+        np.testing.assert_allclose(sol.P, P_ref, rtol=1e-8)
+        assert sol.iterations >= 1
+        assert linalg.spectral_abscissa(A + B @ sol.K) < 0
+
+    def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(lq, "CARE_MAX_ITER", 1)
-        s = case1.system
+        A, B = self.WEAK
         with pytest.raises(ConvergenceError, match="did not converge in 1 steps"):
-            care_solve(s.A, s.B, s.Q, s.R)
+            care_solve(A, B, np.eye(2), np.eye(1))
 
     def test_unstabilizable_pair(self):
-        with pytest.raises(StabilityError):
-            care_solve([[1.0]], [[0.0]], [[1.0]], [[1.0]])
+        for A, B, Q in (
+            ([[1.0]], [[0.0]], [[1.0]]),  # unstable and uncontrollable: X_1 is singular
+            ([[0.0]], [[1.0]], [[0.0]]),  # the Hamiltonian's eigenvalues are both 0
+        ):
+            with pytest.raises(StabilityError, match="could not find an initial stabilizing gain"):
+                care_solve(A, B, Q, [[1.0]])
+
+    def test_overflowing_start_is_refused(self):
+        # B R^-1 B^T overflows: the start is not finite, which is a
+        # StabilityError and not the gain check's "non-finite entries"
+        with pytest.raises(StabilityError, match="could not find an initial stabilizing gain"):
+            care_solve([[0.0]], [[1e200]], [[1.0]], [[1.0]])
 
     def test_wrong_sized_q_not_broadcast(self, case1):
         # a 1x1 Q must not broadcast to the all-ones 4x4 matrix

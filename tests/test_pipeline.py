@@ -279,7 +279,8 @@ class TestRunScenario:
         s = case1.system
         assert np.array_equal(report.optimal_gain.K, care_solve(s.A, s.B, s.Q, s.R).K)
         for est, sol in (report.learn_clean, report.learn_poisoned):
-            assert est.series_terms >= 1 and sol.iterations >= 1
+            # the Hamiltonian start already meets CARE_TOL on case1's models
+            assert est.series_terms >= 1 and sol.iterations == 0
             assert np.array_equal(sol.K, care_solve(est.Ahat, est.Bhat, s.Q, s.R).K)
         assert set(report.timings) == {
             "optimal_gain", "simulate", "learn_clean", "attack",
