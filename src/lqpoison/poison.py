@@ -18,15 +18,16 @@ convex subproblems ADMM-style with penalty mu:
           Atilde -> Atilde^T P + P Atilde is diagonal, so the problem splits
           into independent 2x2 problems (the diagonalisation behind
           Bartels-Stewart), one eigh and a few n x n products in all.
-  P-step  minimizer of the stacked-block Frobenius objective over P >= 0.
-          The unconstrained symmetric minimizer is a small least-squares
-          solve over the orthonormal basis ``linalg.sym_basis`` of symmetric
+  P-step  the PSD projection of the unconstrained symmetric minimizer of
+          the stacked-block Frobenius objective: a small least-squares solve
+          over the orthonormal basis ``linalg.sym_basis`` of symmetric
           matrices, by one Householder QR and a triangular solve (the SVD
-          solve of the triangle when R's diagonal shows rank
-          deficiency); when it is already PSD (the common case on this
-          problem's trajectories) it is the constrained minimizer outright,
-          otherwise an accelerated projected-gradient loop on the same
-          triangle finishes the job.
+          solve of the triangle when R's diagonal shows rank deficiency;
+          at n = 10 the QR costs about a fifth of an SVD solve of the system).
+          When that minimizer is PSD (every P-step of the bundled runs) it
+          is the constrained minimizer outright; otherwise the projection is
+          an approximate one, which is all ADMM needs, since the polish's
+          certificate decides whether an answer stands.
   Z-step  plain dual ascent Z <- Z + mu * W on the stacked constraint W.
 
 Not every gain is LQR-optimal for some plant, so the attack answers for
@@ -53,8 +54,6 @@ from .errors import ConvergenceError, DimensionError, StabilityError
 from .lq import care_solve, lq_matrices
 
 DIVERGENCE_LIMIT = 1e6
-MAX_INNER_ITER = 5000
-INNER_TOL = 1e-8  # P-step projected-gradient stationarity tolerance
 PRIMAL_TOL = 1e-6  # constraint residual within which the attack's answer is certified
 # The P-step solves its least-squares system by QR unless the smallest |R_ii|
 # is within this factor of the largest; then it takes the SVD solve. Since
@@ -183,24 +182,18 @@ def a_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
 
 
 def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
-    """Minimize the stacked constraint objective over the PSD cone.
+    """The PSD projection of the stacked constraint objective's minimizer.
 
     Objective: g(P) = ||At^T P + P Ac + C1||_F^2 + ||Bhat^T P + C2||_F^2
-    over symmetric P >= 0, with Ac = Atilde + Bhat Ktarget. In P's
-    coordinates c in the orthonormal ``linalg.sym_basis`` it is ||D c - rhs||^2,
-    and D is factorised once: one R-only QR of [D | rhs] gives the k x k
-    triangle Rd and q = Q^T rhs, so g = ||Rd c - q||^2 plus the constant
-    R[k, k]^2, and every later step works on (Rd, q) alone. The unconstrained
+    over symmetric P, with Ac = Atilde + Bhat Ktarget. In P's coordinates c
+    in the orthonormal ``linalg.sym_basis`` it is ||D c - rhs||^2. One R-only
+    QR of [D | rhs] gives the k x k triangle Rd and q = Q^T rhs, and the
     minimizer is c = Rd^-1 q; when Rd's diagonal shows D near rank deficient
     (``RANK_RTOL``) it is the SVD's minimum-norm solution of Rd c = q, which
-    is D's. If projecting the minimizer onto the PSD cone moves it by no more
-    than rounding, the projection is returned directly (zero gradient implies
-    projected-gradient stationarity). Otherwise an accelerated projected
-    gradient loop runs from that projection, with the gradient H c - h
-    (H = 2 Rd^T Rd, h = 2 Rd^T q) mapped back through the basis and the exact
-    Lipschitz step 1/(2 ||Rd||_2^2). It drops its momentum whenever it points
-    uphill (the gradient restart of O'Donoghue and Candes, 2015) and stops
-    once the gradient-mapping norm drops below ``INNER_TOL``.
+    is D's. The QR stays because it is the cheap solve: at n = 10 it takes
+    about a fifth of the time of ``np.linalg.lstsq`` on D. The minimizer's
+    nearest PSD matrix is returned; it minimizes g over P >= 0 exactly when
+    the minimizer is already PSD, and is a feasible approximation otherwise.
     """
     At = state.Atilde
     Ac = At + spec.Bhat @ spec.Ktarget
@@ -220,34 +213,7 @@ def p_step(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> np.ndarray:
         coef = np.linalg.solve(Rd, q)
     else:  # near rank deficient: the SVD's minimum-norm solution
         coef, *_ = np.linalg.lstsq(Rd, q, rcond=None)
-    Pu = np.tensordot(coef, basis, 1)
-    P = linalg.psd_project(Pu)
-    if np.linalg.norm(P - Pu, "fro") <= 1e-12 * (1.0 + np.linalg.norm(Pu, "fro")):
-        return P  # Pu was PSD up to rounding
-
-    flat = basis.reshape(k, -1)
-    H, h = 2.0 * Rd.T @ Rd, 2.0 * Rd.T @ q
-
-    def grad(P):  # H c - h at P's coordinates c, as a symmetric matrix
-        return ((H @ (flat @ P.ravel()) - h) @ flat).reshape(P.shape)
-
-    step = 0.5 / np.linalg.norm(Rd, 2) ** 2
-    Y = P.copy()  # warm start: the projected least-squares minimizer
-    tk = 1.0
-    for _ in range(MAX_INNER_ITER):
-        Pn = linalg.psd_project(Y - step * grad(Y))
-        if np.sum((Y - Pn) * (Pn - P)) > 0:  # momentum points uphill: drop it
-            tk = 1.0
-        tk1 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        Y = Pn + ((tk - 1.0) / tk1) * (Pn - P)
-        P, tk = Pn, tk1
-        gm = np.linalg.norm(P - linalg.psd_project(P - step * grad(P)), "fro") / step
-        if gm <= INNER_TOL:
-            return P
-    raise ConvergenceError(
-        f"P-step projected gradient hit {MAX_INNER_ITER} iterations "
-        f"(stationarity {gm:.3e} > {INNER_TOL:.1e})"
-    )
+    return linalg.psd_project(np.tensordot(coef, basis, 1))
 
 
 def z_step(

@@ -631,17 +631,31 @@ def test_reproduce_uncertified_attack_exit_5_with_outputs(tmp_path, monkeypatch,
 
 
 def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, capsys):
-    # at mu = 0.05 the P-step's projected-gradient loop hits its cap in the
-    # attack stage: a ConvergenceError, so exit 5 as for `attack`, not 1
+    # an ADMM residual past the divergence limit fails the attack stage:
+    # a ConvergenceError, so exit 5 as for `attack`, not 1
+    monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
     out = tmp_path / "r"
-    code, _, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
+    code, _, stderr = reproduce_case1_with(monkeypatch, capsys, out)
     assert code == 5, stderr
     assert "stage attack failed: ConvergenceError" in stderr
     doc = json.loads((out / "report.json").read_text())
     assert "checks" not in doc  # the gates need every stage's result
     errors = doc["errors"]
     assert list(errors) == ["attack"]
-    assert errors["attack"].startswith("ConvergenceError: P-step projected gradient")
+    assert errors["attack"].startswith("ConvergenceError: constraint residual ")
+
+
+def test_reproduce_small_mu_fails_its_gate_exit_6(tmp_path, monkeypatch, capsys):
+    # at mu = 0.05 the attack ends uncertified with its answer recorded, and
+    # that answer misses the target: the gate fails, no stage does
+    out = tmp_path / "r"
+    code, stdout, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
+    assert code == 6, stdout + stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert "errors" not in doc
+    assert doc["converged"] is False and doc["admm_iterations"] == 500
+    gate = next(c for c in doc["checks"] if c["label"] == "poisoned gain within 0.2 of target")
+    assert gate["ok"] is False and gate["detail"] == "max |diff| 3.4604"
 
 
 def test_reproduce_without_stabilizing_solution_exit_7(tmp_path, monkeypatch, capsys):
@@ -803,6 +817,23 @@ def test_attack_divergence_exit_5_without_outputs(tmp_path, sim_dir, case1_confi
     assert err.startswith("error: constraint residual ")
     assert err.endswith("; try a larger penalty parameter mu\n")
     assert not out.exists()
+
+
+def test_attack_small_mu_exit_5_with_outputs(tmp_path, sim_dir, case1_config, capsys):
+    # at mu = 0.05 ADMM runs to its cap uncertified; the attack still writes
+    # its answer and says it is not certified
+    from lqpoison import cli as cli_module
+
+    cfg = tmp_path / "mu.json"
+    cfg.write_text(json.dumps({**CASE1, "admm": {**CASE1["admm"], "mu": 0.05}}))
+    out = tmp_path / "out"
+    code = cli_module.main(["attack", "--config", str(cfg),
+                            "--data", str(sim_dir / "data.csv"),
+                            "--target", str(cfg), "--out", str(out)])
+    assert code == 5, capsys.readouterr().err
+    assert (out / "poisoned.csv").exists()
+    report = json.loads((out / "attack_report.json").read_text())
+    assert report["converged"] is False and report["admm_iterations"] == 500
 
 
 @pytest.mark.parametrize("key,value", [
