@@ -36,7 +36,7 @@ from .errors import DatasetFormatError
 from .lq import LQSystem, require_plant_kept
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
-CSV_CHUNK_ROWS = 512  # rows formatted into one string at a time when writing
+CSV_PIECE_VALUES = 4096  # values per formatted piece, step column included: ~0.27 MB traced
 _JSON_TYPES = {list: "an array", dict: "an object"}  # named in messages: their text may be huge
 SHOWN_CHARS = 40  # most characters of an offending value's JSON text a message echoes
 
@@ -105,9 +105,6 @@ class BatchDataset:
     @property
     def m(self) -> int:
         return self.us.shape[1]
-
-    def __len__(self) -> int:
-        return self.N
 
 
 def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDataset:
@@ -244,19 +241,20 @@ def write_json(path: str, doc) -> None:
 
 
 def indexed_csv_lines(
-    header: list[str], dt: float | None, rows: np.ndarray
+    header: list[str], dt: float | None, *blocks: np.ndarray
 ) -> Iterator[str]:
-    """CSV text: ``header``, then ``k,k*dt,row...`` for each row of ``rows``.
+    """CSV text: ``header``, then ``k,k*dt,row...`` for each row of ``blocks`` side by side.
 
     With ``dt=None`` the rows are ``k,row...``. Floats are written as
     ``repr`` writes them, the shortest decimal that reads back to the same
-    double, so parsing the file recovers ``rows`` exactly. Each piece after
-    the header holds ``CSV_CHUNK_ROWS`` rows (``floattext.csv_rows``), so a
-    long rollout is never held as text all at once.
+    double, so parsing the file recovers the blocks exactly. Each piece
+    after the header is ``CSV_PIECE_VALUES // len(header)`` rows
+    (``floattext.csv_rows``), so a long rollout is never held as text.
     """
     yield ",".join(header) + "\n"
-    for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        yield floattext.csv_rows(start, dt, rows[start : start + CSV_CHUNK_ROWS])
+    rows = max(1, CSV_PIECE_VALUES // len(header))
+    for start in range(0, len(blocks[0]), rows):
+        yield floattext.csv_rows(start, dt, *(b[start : start + rows] for b in blocks))
 
 
 def _dataset_header(n: int, m: int) -> list[str]:
@@ -266,8 +264,7 @@ def _dataset_header(n: int, m: int) -> list[str]:
 
 def dataset_write(d: BatchDataset, path: str) -> None:
     """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar, atomically."""
-    rows = np.column_stack([d.xs, d.us, d.cs])
-    write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, rows))
+    write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, d.xs, d.us, d.cs[:, None]))
     meta = {"dt": d.dt, "n": d.n, "m": d.m, "seed": d.seed}
     write_json(_meta_path(path), meta)
 

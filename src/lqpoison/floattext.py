@@ -1,11 +1,12 @@
 """CSV rows of float64 values, each float written exactly as ``repr`` writes it.
 
-``csv_rows(start, dt, values)`` returns the rows ``k,k*dt,v...`` of a block
-of values as one string, ``k`` counting from ``start`` (no time column when
-``dt`` is None). Each float is ``repr``'s text: the shortest decimal that
-reads back to the same double, the nearest to it among those, in
-``repr``'s layout. The text comes from numpy arithmetic on the whole block
-in float64 and int64 rather than from one ``repr`` call per float.
+``csv_rows(start, dt, *blocks)`` returns the rows ``k,k*dt,v...`` of blocks
+of values side by side as one string, ``k`` counting from ``start`` (no
+time column when ``dt`` is None). Each float is ``repr``'s text: the
+shortest decimal that reads back to the same double, the nearest to it
+among those, in ``repr``'s layout. The text comes from numpy arithmetic on
+the whole block in float64 and int64 rather than from one ``repr`` call
+per float.
 
 *Digits.* For a finite x with 1e-10 <= |x| < 1e16, y = |x| * 10**s with
 1e16 <= y < 1e17 is carried exactly as D + f, D an int64 and 0 <= f < 1,
@@ -27,14 +28,21 @@ or of an interval end. The text is therefore ``repr``'s byte for byte.
 NUL where its text has no character: word 0 holds the sign and the "0."
 of a value below 1; words 1-3 hold 18 characters of digits with the point
 in place, then the "0" of ".0", the "e-XX" of a value below 1e-4, and the
-separator, ',' or a newline. Deleting every NUL joins the records into the
-text.
+separator, ',' or a newline. All of a record but its sign and digits
+follows from the value's (decpt, nd), and the step k's from its digit
+count, so one lookup in a table of sections (``_sections``) writes it
+and ``_layout`` adds the digits. Deleting every NUL joins the records
+into the text.
 
 *Footprint.* Every numpy loop a process runs for the first time maps more
 of numpy's code into memory, and every table stays resident. So the
 kernel keeps to float64 and int64 arithmetic, shifts and comparisons,
 joins words by addition (their bytes never overlap), never casts int64 to
-float64 (a table lookup stands in), and keeps its tables under 2 KB.
+float64 (a table lookup stands in), and keeps its tables to 22 KB in all.
+Arrays are reused where one is free, so a call's traced peak is 65-73 B
+per value, step column included: the 32-byte records and four int64
+arrays of their shape while ``_layout`` runs, or about 73 B per float
+formatted inside ``_scaled``, which sets the peak of wide rows.
 """
 
 from __future__ import annotations
@@ -77,6 +85,33 @@ _PAD = np.array([[sum(0x30 << 8 * (i - 8 * j) for i in range(max(keep, 8 * j), m
                   for keep in range(19)] for j in range(3)], dtype=np.int64)
 _SMALL = np.arange(-4.0, 5.0)  # -4 ... 4 as float64, at index + 4
 _MINUS, _COMMA, _NEWLINE = _word("-"), _word(",", 7), _word("\n", 7)
+
+
+def _sections():
+    """(words, open) by section: a record's constant words and 10**(17 - P).
+
+    A value's section is 17 * decpt + nd + ``_VALUE_SECTION`` (decpt -9 to
+    17, nd 1 to 17); a step's is its digit count + ``_STEP_SECTION`` (1 to
+    17 digits and no point). P is the point's position (17: none).
+    """
+    decpt, nd = (g.ravel() for g in np.meshgrid(np.arange(-9, 18), np.arange(1, 18), indexing="ij"))
+    below1, exp = decpt <= 0, decpt <= -4  # "0.00ddd" and "d.ddde-XX"
+    whole = decpt >= nd  # "ddd00.0"
+    P = np.where(below1, np.where(exp & (nd > 1), 1, 17), decpt)
+    keep = np.where(whole, decpt, nd) + (P < 17)
+    words = np.zeros((P.size + 17, 4), dtype=np.int64)
+    words[:P.size, 0] = _LEAD[np.where(below1 & ~exp, 1 - decpt, 0)]
+    words[:P.size, 3] = _TAIL[np.where(whole, 1, np.where(exp, -2 - decpt, 0))]
+    P = np.concatenate([P, np.full(17, 17)])
+    keep = np.concatenate([keep, np.arange(1, 18)])
+    for j in range(3):
+        words[:, 1 + j] -= _POINT[j][P] + _PAD[j][keep]
+    words[:, 3] += _COMMA
+    return words, _P10[17 - P]
+
+
+_WORDS, _OPEN = _sections()
+_VALUE_SECTION, _STEP_SECTION = 9 * 17 - 1, 27 * 17 - 1
 
 
 def _decimal_exponent(a):
@@ -136,8 +171,14 @@ def _dropped(D, f, H):
     hi += D
     hi -= 1
     q = hi // 10
-    k = (hi - q * 10 <= lo).astype(np.int64)
-    deep = np.flatnonzero(hi - q // 10 * 100 <= lo)
+    k = q * 10
+    np.subtract(hi, k, out=k)
+    np.copyto(k, k <= lo)
+    q //= 10
+    q *= 100
+    np.subtract(hi, q, out=q)
+    deep = np.flatnonzero(q <= lo)
+    del q
     n = hi[deep] // 100
     zeros = np.ones_like(n)
     for j in (8, 4, 2, 1):
@@ -168,18 +209,20 @@ def _shortest(x):
     if fix.size:
         s[fix] += off[fix]
         D[fix], f[fix] = _scaled(a[fix], s[fix])
+    del off
     # half an ulp of x, in units of y's last digit: 10**s * 2**(exponent - 53)
     H = _HI[s] * ((ab >> 52) - 53 << 52).view(np.float64)
-    del a, ab, off
+    del a, ab
     decpt = 17 - s
     del s
     slow |= (D < _P10[16]) | (D >= _P10[17]) | (f >= 1.0)
     # The digits dropped grow with H, so where H - TIE_EPS and H + TIE_EPS
     # drop as many, no candidate is near an interval end.
-    k, near = _dropped(D, f, H - TIE_EPS)
+    H -= TIE_EPS
+    k, near = _dropped(D, f, H)
     near = np.flatnonzero(near)
     if near.size:
-        slow[near] |= _dropped(D[near], f[near], H[near] + TIE_EPS)[0] != k[near]
+        slow[near] |= _dropped(D[near], f[near], H[near] + 2 * TIE_EPS)[0] != k[near]
     del H, near
     m = _P10[k]
     q = D // m
@@ -201,68 +244,76 @@ def _shortest(x):
     return c17, nd, decpt, slow
 
 
-def _layout(c17, P, keep, out):
-    """Write the section of the values into words 1-3 of ``out`` (..., 4).
+def _layout(c, m, out):
+    """Add the section characters to words 1-3 of the records ``out`` (..., 4).
 
-    Section character i is digit i of the int64 ``c17`` before position P,
-    the point at P (17: none), and digit i - 1 after it; the section keeps
-    its first ``keep`` characters. ``c17`` is overwritten.
+    Section character i is digit i of the 17-digit int64 ``c`` before the
+    point's position, a '0' at it (``m`` is 10**(17 - position)), and digit
+    i - 1 after it. ``c`` and ``m`` are overwritten.
     """
-    m = _P10[17 - P]
-    v = c17 // m
-    v *= m
-    del m
-    v *= 9
-    c17 += v  # a '0' digit opened at position P
-    v = c17
-    for j, m in enumerate((_P10[10], 100, 1)):  # word 1 + j: digits 8j to 8j + 7
-        d = v // m
-        v -= d * m
-        w = _T2[d - d // 100 * 100]
-        for _ in range(3 if m > 1 else 0):  # the pairs before it, last to first
-            d //= 100
-            w <<= 16
-            w += _T2[d - d // 100 * 100]
-        w -= _POINT[j][P]
-        w -= _PAD[j][keep]
-        out[..., 1 + j] = w
+    q = c // m
+    q *= m
+    q *= 9
+    c += q  # a '0' opened at the point's position
+    p = m
+    for i in range(8, -1, -1):  # section characters 2i and 2i + 1, last to first
+        if i:
+            np.floor_divide(c, 100, out=q)
+            np.multiply(q, 100, out=p)
+            np.subtract(c, p, out=p)
+            c, q = q, c
+        pair = _T2[p if i else c]
+        if i % 4:
+            pair <<= 16 * (i % 4)
+        out[..., 1 + i // 4] += pair
+        del pair  # before the next lookup allocates its own
 
 
-def csv_rows(start: int, dt: float | None, values: np.ndarray) -> str:
-    """The CSV rows ``k,k*dt,v...`` of the 2-D float array ``values``, k from ``start``.
+def csv_rows(start: int, dt: float | None, *blocks: np.ndarray) -> str:
+    """The CSV rows ``k,k*dt,v...`` of the 2-D float arrays ``blocks`` side by side.
 
-    Each row ends in a newline; ``dt=None`` leaves out the time column.
+    k counts from ``start``. Each row ends in a newline; ``dt=None`` leaves
+    out the time column.
     """
-    k = np.arange(start, start + len(values), dtype=np.float64)
-    x = np.empty((len(values), values.shape[1] + (dt is not None)))
-    x[:, x.shape[1] - values.shape[1]:] = values
-    if dt is not None:
+    k = np.arange(start, start + len(blocks[0]), dtype=np.float64)
+    t = int(dt is not None)  # the time column
+    x = np.empty((len(k), t + sum(b.shape[1] for b in blocks)))
+    np.concatenate(blocks, axis=1, out=x[:, t:])
+    if t:
         x[:, 0] = k * dt
     c17, nd, decpt, slow = (v.reshape(x.shape) for v in _shortest(x.reshape(-1)))
-    below1, exp = decpt <= 0, decpt <= -4  # "0.00ddd" and "d.ddde-XX"
-    whole = decpt >= nd  # "ddd00.0"
-    P = np.where(below1, np.where(exp & (nd > 1), 1, 17), decpt)
-    keep = np.where(whole, decpt, nd) + (P < 17)
-    buf = bytearray(32 * len(k) * (1 + x.shape[1]))  # deleting its NULs needs no copy
-    rec = np.frombuffer(buf, dtype="<i8").reshape(len(k), 1 + x.shape[1], 4)
-    rec[:, 1:, 0] = _LEAD[np.where(below1 & ~exp, 1 - decpt, 0)]
-    rec[:, 1:, 0] += (x.view(np.int64) < 0) * _MINUS
-    tail = _TAIL[np.where(whole, 1, np.where(exp, -2 - decpt, 0))]
-    del below1, exp, whole, nd, decpt
-    _layout(c17, P, keep, rec[:, 1:])
-    del c17, P, keep
-    rec[:, 1:, 3] += tail
-    del tail
+    negative = x.view(np.int64) < 0
     fallback = x[slow].tolist()
     del x
+    shape = len(k), 1 + c17.shape[1]  # the step column first
     digits = 1 + _decimal_exponent(np.where(k > 0, k, 1.0))
-    rec[:, 0, 0] = 0
-    _layout(k.astype(np.int64) * _P10[17 - digits], 17, digits, rec[:, 0])
-    rec[..., 3] += _COMMA
+    c = np.empty(shape, dtype=np.int64)
+    c[:, 0] = k.astype(np.int64) * _P10[17 - digits]
+    c[:, 1:] = c17
+    del c17, k
+    section = np.empty_like(c)
+    section[:, 0] = digits + _STEP_SECTION
+    decpt *= 17
+    decpt += nd
+    decpt += _VALUE_SECTION
+    section[:, 1:] = decpt
+    del nd, decpt, digits
+    buf = bytearray(32 * c.size)  # deleting its NULs needs no copy
+    rec = np.frombuffer(buf, dtype="<i8").reshape(*shape, 4)
+    np.take(_WORDS, section, axis=0, out=rec, mode="clip")  # in range; "clip" writes rec in place
+    lead = rec[:, 1:, 0]
+    np.add(lead, _MINUS, out=lead, where=negative)
+    del lead, negative
     rec[:, -1, 3] += _NEWLINE - _COMMA
+    m = _OPEN[section]
+    del section
+    _layout(c, m, rec)
+    del c, m
     if fallback:
         text = "".join(repr(v).ljust(31, "\0") for v in fallback)
         text = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 31)
         rec.view(np.uint8)[:, 1:, :31][slow] = text
     del rec
-    return buf.translate(None, b"\0").decode("ascii")
+    text = buf.translate(None, b"\0")
+    del buf  # so the records are not held beside the str
+    return text.decode("ascii")

@@ -400,7 +400,7 @@ class TestDatasetIO:
 
 class TestBatchDataset:
     def test_sample_access(self, case1_data):
-        assert len(case1_data) == case1_data.N == 500
+        assert case1_data.N == 500
 
     @pytest.mark.parametrize("name", ["xs", "us", "cs"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

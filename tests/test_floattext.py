@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lqpoison import floattext
+from lqpoison.data import BatchDataset, dataset_write
 from lqpoison.floattext import csv_rows
 from lqpoison.pipeline import trajectory_write
 
@@ -91,7 +92,7 @@ def test_matches_repr(name):
             assert same  # a bare bool: pytest's diff of two long texts takes minutes
 
 
-@pytest.mark.parametrize("start", [0, 9, 10**6 - 3, 10**15])
+@pytest.mark.parametrize("start", [0, 9, 999_998, 10**6 - 3, 10**15])
 def test_step_column(start):
     values = np.array([[0.1], [2.5], [-7.0], [1e-7]])
     assert csv_rows(start, 0.01, values) == oracle(start, 0.01, values)
@@ -109,6 +110,22 @@ def test_trajectory_write_memory_bound(tmp_path):
     tracemalloc.start()
     try:
         trajectory_write(path, states, 5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75e6
+
+
+def test_dataset_write_memory_bound(tmp_path):
+    # chain-n10's dataset: 16 columns (k, t, 10 states, 3 inputs, c); the
+    # dataset is held before tracing starts, so the peak is the writer's own
+    rng = np.random.default_rng(4)
+    d = BatchDataset(rng.normal(size=(5000, 10)), rng.normal(size=(5000, 3)), rng.random(5000),
+                     dt=0.01)
+    path = str(tmp_path / "data.csv")
+    tracemalloc.start()
+    try:
+        dataset_write(d, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,9 @@ import pytest
 
 from lqpoison import linalg
 from lqpoison.config import reproduction_checks
-from lqpoison.data import CSV_CHUNK_ROWS, BatchDataset, ExcitationPolicy, simulate_zoh
+from lqpoison.data import (
+    CSV_PIECE_VALUES, BatchDataset, ExcitationPolicy, indexed_csv_lines, simulate_zoh,
+)
 from lqpoison.errors import ConvergenceError, DimensionError, IdentifiabilityError
 from lqpoison.lq import LQSystem, care_solve
 from lqpoison.pipeline import (
@@ -60,10 +62,14 @@ def assert_matches_oracle(sys, K, horizon):
 
 
 def csv_reference(header, dt, rows):
-    """Reference formatting: one ``repr(float(v))`` per value, joined in memory."""
+    """Reference formatting: one ``repr(float(v))`` per value, joined in memory.
+
+    ``dt=None`` leaves out the time column.
+    """
     lines = [",".join(header)]
     for k, row in enumerate(rows):
-        lines.append(",".join([str(k), repr(k * dt)] + [repr(float(v)) for v in row]))
+        time = [repr(k * dt)] if dt is not None else []
+        lines.append(",".join([str(k)] + time + [repr(float(v)) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -368,13 +374,20 @@ class TestReportWrite:
             assert fh.read() == csv_reference(header, 5e-5, states)
         assert os.listdir(tmp_path) == ["traj.csv"]
 
-    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
-    def test_trajectory_csv_bytes_across_chunks(self, tmp_path, rows):
-        states = np.random.default_rng(rows).normal(size=(rows, 2))
-        path = tmp_path / "traj.csv"
-        trajectory_write(str(path), states, 0.01)
-        ref = csv_reference(["step", "t", "x0", "x1"], 0.01, states)
-        same = path.read_text(encoding="utf-8") == ref
+    # the value columns, in the blocks the writer takes, and the time step:
+    # attack_cost.csv, a case trajectory, an n = 10, m = 3 and an n = 10, m = 4 dataset
+    @pytest.mark.parametrize("widths,dt", [((1,), None), ((4,), 0.01), ((10, 3, 1), 0.01),
+                                           ((10, 4, 1), 0.01)],
+                             ids=["2-columns", "6-columns", "16-columns", "17-columns"])
+    @pytest.mark.parametrize("pieces,extra", [(1, 0), (1, 1), (2, 3)],
+                             ids=["1-piece", "1-piece+1", "2-pieces+3"])
+    def test_csv_bytes_across_pieces(self, widths, dt, pieces, extra):
+        columns = 1 + (dt is not None) + sum(widths)
+        rows = pieces * (CSV_PIECE_VALUES // columns) + extra
+        values = np.random.default_rng(rows).normal(size=(rows, sum(widths)))
+        blocks = np.split(values, np.cumsum(widths)[:-1], axis=1)
+        header = [f"c{i}" for i in range(columns)]
+        same = "".join(indexed_csv_lines(header, dt, *blocks)) == csv_reference(header, dt, values)
         assert same  # a bare bool: pytest's diff of two long texts takes minutes
 
     def test_write_is_deterministic(self, tmp_path, case1):
