@@ -13,8 +13,9 @@ solution of Bhat^T P = -Rhat Ktarget, and reports the floor
 ||Bhat^T P0 + Rhat Ktarget||_F; K' is the target when the floor is 0. Fixing
 P, the A-step's mu -> inf limit (``planted``) meets the first block exactly,
 so the attack becomes min ||Atilde(P) - Ahat||_F^2 over P > 0 on the affine
-slice {P symmetric : Bhat^T P = -Rhat K'}, which ``polish`` solves. Its
-certificate is the constraint residual of the returned (Atilde, P) against K'.
+slice {P symmetric : Bhat^T P = -Rhat K'}, which ``polish`` solves, or
+approaches: every point it accepts lies on the slice. Its certificate is the
+constraint residual of the returned (Atilde, P) against K'.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ MAX_POLISH_ITER = 50  # damped Newton steps of one polish
 # POLISH_TOL s (||r||_F + POLISH_TOL s), s = ||Ahat||_F + ||r||_F, which is
 # about where rounding in the residual r hides any further decrease.
 POLISH_TOL = 1e-12
-# The polish refines ADMM's P; it gives up, not certified, at a P whose largest
-# eigenvalue is more than POLISH_GROWTH times its start's. On some targets the objective keeps
-# falling as lam_max(P) grows without bound: Atilde + Bhat K' tends to marginal
-# stability, so the planted model would be stabilized by K' only by a vanishing
-# margin, with an ever worse conditioned P. On the
-# bundled cases and 95 of 99 seeded n = 10 chains the polish converged with
-# lam_max grown at most 6.8 times; on the other 4 it grew 4e4 times and more.
+# The polish stops short of stationary, at its last accepted point, before a
+# step that would take lam_max(P) past POLISH_GROWTH times its start's. On some
+# targets the objective keeps falling as lam_max(P) grows without bound:
+# Atilde + Bhat K' tends to marginal stability, with an ever worse conditioned
+# P, so the bound marks where further polishing stops paying. On the bundled
+# cases and 95 of 99 seeded n = 10 chains the polish reached a stationary point
+# with lam_max grown at most 6.8 times; on the other 4 it would grow 4e4 times
+# and more, and stopped at the bound still certified.
 POLISH_GROWTH = 100.0
 # A P counts as definite when lam_min > PD_RTOL * lam_max, so the polish's
 # closed-form Atilde never divides by lam_i^2 + lam_j^2 = 0.
@@ -68,12 +70,14 @@ class GainSlice:
 
 @dataclass(frozen=True)
 class Polish:
-    """A point of the slice, its certificate against K', and the polish's step count."""
+    """A point of the slice, its certificate against K', the polish's step
+    count, and whether the point is stationary on the slice."""
 
     Atilde: np.ndarray
     P: np.ndarray
     certificate: float
     iterations: int
+    stationary: bool
 
 
 def constraint_blocks(
@@ -137,12 +141,6 @@ def gain_slice(spec: AttackSpec) -> GainSlice:
     return GainSlice(P0=P0, floor=floor, gain=gain, null=np.tensordot(Wt[rank:], basis, 1))
 
 
-def _definite(lam: np.ndarray) -> bool:
-    """Whether ascending eigenvalues are positive with margin ``PD_RTOL``, and
-    the smallest squared is still positive, so no lam_i^2 + lam_j^2 is 0."""
-    return bool(lam[0] > PD_RTOL * lam[-1] and lam[0] * lam[0] > 0.0)
-
-
 def polish(spec: AttackSpec, P: np.ndarray, attainable: GainSlice | None = None) -> Polish | None:
     """The nearest planted dynamics on the attainable gain's slice, from P.
 
@@ -162,41 +160,39 @@ def polish(spec: AttackSpec, P: np.ndarray, attainable: GainSlice | None = None)
     Hessian is taken through the adjoint W = sym(2 diag(lam) Delta) /
     (lam_i^2 + lam_j^2), so no second derivative is formed.
 
-    A step is refused, and the damping raised, when it leaves P outside
-    ``_definite`` or raises the objective by more than its rounding; one
-    that takes lam_max(P) past ``POLISH_GROWTH`` times the start's ends the
-    polish. The loop stops when
-    the Hessian H is definite and the Newton decrement g^T H^-1 g is within
-    ``POLISH_TOL``'s bound. With no free direction the slice is the single
-    point P0.
+    A step is refused, and the damping raised, when it leaves P not definite
+    (``PD_RTOL``) or raises the objective by more than its rounding. The loop
+    stops at a stationary point, where the Hessian H is definite and the
+    Newton decrement g^T H^-1 g is within ``POLISH_TOL``'s bound, or short
+    of one: after ``MAX_POLISH_ITER`` steps, when a step would take
+    lam_max(P) past ``POLISH_GROWTH`` times the start's, or when no step
+    moves z any more. Either way every accepted point lies on the slice, so
+    the last one is returned, with ``stationary`` saying which stop it was,
+    and with its certificate, the constraint residual against K'. With no
+    free direction the slice is the single point P0.
 
-    Returns None ("not certified") when P or its projection is not definite,
-    when a step or the projection passes the growth bound, when no step is
-    left short of stationarity, or after ``MAX_POLISH_ITER`` steps. Otherwise returns the point with its
-    certificate, the constraint residual against K'.
+    Returns None ("not certified") only when the start, P's projection onto
+    the slice, is not definite.
     """
     sl = attainable or gain_slice(spec)
     C = sl.P0 @ spec.Bhat @ sl.gain + spec.Qhat
     scale = float(np.linalg.norm(spec.Ahat))
 
-    lam0 = np.linalg.eigvalsh(P)
-    if not _definite(lam0):
-        return None
-    cap = POLISH_GROWTH * lam0[-1]
-
     def at(z):  # (P, lam, V, Yhat, Delta, objective) at z; None unless definite
         Pz = sl.P0 + np.tensordot(z, sl.null, 1)
         lam, V = np.linalg.eigh(Pz)
-        if not _definite(lam):
+        if not (lam[0] > PD_RTOL * lam[-1] and lam[0] * lam[0] > 0.0):
             return None
         Yh, Y = planted(lam, V, spec.Ahat, C, math.inf)
         return Pz, lam, V, Yh, Yh - Y, float(np.sum((Yh - Y) ** 2))
 
     z = np.tensordot(sl.null, P - sl.P0, 2)
     point = at(z)
-    if point is None or point[1][-1] > cap:
+    if point is None:
         return None
+    cap = POLISH_GROWTH * point[1][-1]
     damping, steps, d = None, 0, len(z)
+    stationary = True  # with no free direction P0 is the slice's only point
     while d:
         _, lam, V, Yh, Dt, f = point
         li, lj = lam[:, None], lam[None, :]
@@ -213,28 +209,25 @@ def polish(spec: AttackSpec, P: np.ndarray, attainable: GainSlice | None = None)
         Ug = U.T @ (J @ Dt.ravel())
         r = math.sqrt(f)
         tol = POLISH_TOL * (scale + r)
-        if w[0] > 0 and np.sum(Ug * Ug / w) <= tol * (r + tol):  # Newton decrement
+        stationary = bool(w[0] > 0 and np.sum(Ug * Ug / w) <= tol * (r + tol))  # Newton decrement
+        if stationary or steps == MAX_POLISH_ITER:
             break
-        if steps == MAX_POLISH_ITER:
-            return None
         if damping is None:
             damping = 1e-3 * float(np.abs(w).max())
         damping = max(damping, -2.0 * w[0])  # keeps the damped Hessian definite
         while True:
             dz = -U @ (Ug / (w + damping))
-            if np.all(z + dz == z):
-                return None
-            trial = at(z + dz)
-            if trial is not None:
-                if trial[1][-1] > cap:
-                    return None
-                if trial[5] <= f * (1.0 + 4.0 * np.finfo(float).eps):
-                    break
+            trial = point if np.all(z + dz == z) else at(z + dz)
+            if trial is not None and (trial[1][-1] > cap
+                                      or trial[5] <= f * (1.0 + 4.0 * np.finfo(float).eps)):
+                break
             damping *= 4.0
+        if trial is point or trial[1][-1] > cap:
+            break  # no step moves z, or the growth bound
         z, point = z + dz, trial
         damping /= 3.0
         steps += 1
     Pz, _, V, _, Dt, _ = point
     Atilde = spec.Ahat - V @ Dt @ V.T
     cert = residual_norm(*constraint_blocks(Atilde, Pz, spec, sl.gain))
-    return Polish(Atilde=Atilde, P=Pz, certificate=cert, iterations=steps)
+    return Polish(Atilde=Atilde, P=Pz, certificate=cert, iterations=steps, stationary=stationary)

@@ -248,18 +248,21 @@ def sym_basis(n: int) -> np.ndarray:
 def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (w, V) of a (numerically) symmetric matrix.
 
-    The input is symmetrized as (M + M^T)/2 before factoring, but an
-    asymmetry above ``SYM_RTOL`` relative is refused: silent symmetrization
-    of a genuinely asymmetric matrix hides bugs upstream.
+    The input is symmetrized as M/2 + M^T/2 before factoring, but an
+    asymmetry above ``SYM_RTOL`` relative, tested on M scaled by its largest
+    magnitude, is refused: silent symmetrization of a genuinely asymmetric
+    matrix hides bugs upstream. Neither step overflows on finite input.
     """
     A = as_matrix(M, "sym_eig input")
     _require_square(A, "sym_eig input")
-    skew = np.linalg.norm(A - A.T, "fro")
-    if skew > SYM_RTOL * (1.0 + np.linalg.norm(A, "fro")):
+    s = float(np.abs(A).max(initial=0.0)) or 1.0
+    As = A / s
+    skew = float(np.linalg.norm(As - As.T, "fro"))
+    if skew > SYM_RTOL * (1.0 / s + float(np.linalg.norm(As, "fro"))):
         raise AsymmetryError(
-            f"matrix is asymmetric beyond tolerance (||M - M^T||_F = {skew:.3e})"
+            f"matrix is asymmetric beyond tolerance (||M - M^T||_F = {s * skew:.3e})"
         )
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    w, V = np.linalg.eigh(0.5 * A + 0.5 * A.T)
     return w, V
 
 

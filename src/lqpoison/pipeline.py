@@ -131,6 +131,7 @@ def run_attack(
         attack_cost=total,
         attack_cost_series=series,
         converged=state.converged,
+        stationary=state.stationary,
         floor=state.attainable.floor,
         gain_attained=state.attainable.gain,
         certificate=state.certificate,

@@ -32,12 +32,13 @@ convex subproblems ADMM-style with penalty mu:
 
 Not every gain is LQR-optimal for some plant, so the attack answers for
 the attainable gain K' of ``certify.gain_slice``, which is the target when
-the target is attainable. ADMM tries ``certify.polish`` at iterations
-``POLISH_FIRST``, twice that, and so on, and stops at the first polish whose
-certificate (the constraint residual of its (Atilde, P) against K') is
-within ``PRIMAL_TOL``, or when its own residual is. ``converged`` means
-that the returned point is certified, so a run that stalls reports
-converged=False instead of raising.
+the target is attainable. ADMM polishes its iterate once, at iteration
+``POLISH_AT``, with ``certify.polish``, and stops there if the polished
+point's certificate (the constraint residual of its (Atilde, P) against K')
+is within ``PRIMAL_TOL``; otherwise it runs on until its own residual is, or
+to its iteration cap. ``converged`` means that the returned point is
+certified, so a run that stalls reports converged=False instead of raising;
+``stationary`` that it is the polish's stationary point on the slice.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ PRIMAL_TOL = 1e-6  # constraint residual within which the attack's answer is cer
 # large one does not prove the converse, so the factor sits far above the
 # SVD's own cut (~1e-14) and far below the bundled runs' ratios (>= 3.8e-4).
 RANK_RTOL = 1e-6
-POLISH_FIRST = 10  # the ADMM iteration of the first polish; each later try doubles it
+POLISH_AT = 10  # the ADMM iteration at which the polish is tried, once
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,9 @@ class AdmmState:
 
     ``iter`` counts ADMM iterations and ``residuals`` holds each one's
     constraint residual; ``polish_iter`` is the step count of the polish
-    whose point the state holds (0 if none), and ``certificate`` the
-    returned point's residual against the attainable gain.
+    whose point the state holds (0 if none), ``stationary`` whether that
+    point is stationary on the slice, and ``certificate`` the returned
+    point's residual against the attainable gain.
     """
 
     Atilde: np.ndarray
@@ -124,6 +126,7 @@ class AdmmState:
     converged: bool = False
     residuals: list[float] = field(default_factory=list)
     polish_iter: int = 0
+    stationary: bool = False
     certificate: float = math.inf
 
 
@@ -137,6 +140,7 @@ class AttackResult:
     attack_cost: float
     attack_cost_series: np.ndarray  # cumulative squared state distortion per step
     converged: bool
+    stationary: bool  # the point is the polish's, stationary on the slice
     floor: float  # ||Bhat^T P0 + Rhat Ktarget||_F: 0 when the target is attainable
     gain_attained: np.ndarray  # K', the gain the certificate is measured against
     certificate: float  # constraint residual of (Atilde, P) against K'
@@ -151,6 +155,7 @@ class AttackResult:
             "gain_error": self.gain_error,
             "attack_cost": self.attack_cost,
             "converged": self.converged,
+            "stationary": self.stationary,
             "floor": self.floor,
             "gain_attained": self.gain_attained.tolist(),
             "certificate": self.certificate,
@@ -254,9 +259,8 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
     Starts from Atilde = Ahat with P at the nominal Riccati solution (the
     zero-attack fixed point: if Ktarget already is the nominal gain the
     first iteration terminates with Atilde = Ahat exactly). ADMM stops when
-    its residual is within ``PRIMAL_TOL``, or at the first ``polish``
-    (tried at iterations ``POLISH_FIRST``, 2 ``POLISH_FIRST``, 4
-    ``POLISH_FIRST``, ...) whose certificate is, and then holds the
+    its residual is within ``PRIMAL_TOL``, or at iteration ``POLISH_AT`` if
+    the ``polish`` tried there, once, is certified, and then holds the
     polished point. ``converged`` is whether the returned point's residual
     against the attainable gain K' is within ``PRIMAL_TOL``.
     """
@@ -273,16 +277,14 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
         Z2=np.zeros((spec.m, n)),
         attainable=gain_slice(spec),
     )
-    next_try = POLISH_FIRST
     while state.iter < cfg.n_iter:
         if admm_iteration(state, spec, cfg) <= PRIMAL_TOL:
             break
-        if state.iter == next_try:
-            next_try *= 2
+        if state.iter == POLISH_AT:
             polished = polish(spec, state.P, state.attainable)
             if polished is not None and polished.certificate <= PRIMAL_TOL:
                 state.Atilde, state.P = polished.Atilde, polished.P
-                state.polish_iter = polished.iterations
+                state.polish_iter, state.stationary = polished.iterations, polished.stationary
                 break
     W1, W2 = constraint_blocks(state.Atilde, state.P, spec, state.attainable.gain)
     state.certificate = residual_norm(W1, W2)

@@ -282,6 +282,7 @@ def test_attack_stalled_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
     assert "attack NOT converged" in res.stdout
     report = json.loads((out / "attack_report.json").read_text())
     assert report["converged"] is False and report["polish_iterations"] == 0
+    assert report["stationary"] is False
     assert report["admm_iterations"] == len(report["admm_residuals"]) == 3
     assert report["certificate"] > poison.PRIMAL_TOL
     assert (out / "poisoned.csv").exists()
@@ -300,7 +301,7 @@ def test_attack_fields_agree_across_writers(tmp_path, sim_dir, case1_config):
     fields = set(attack) - {"Ktarget"}
     assert fields == {"Atilde", "gain_error", "attack_cost", "converged", "admm_residuals",
                       "floor", "gain_attained", "certificate", "objective",
-                      "admm_iterations", "polish_iterations"}
+                      "admm_iterations", "polish_iterations", "stationary"}
     assert {k: report[k] for k in fields} == {k: attack[k] for k in fields}
     # report.json records the gates that stdout prints
     printed = [line for line in res.stdout.splitlines() if line.startswith("  [")]
@@ -645,19 +646,6 @@ def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, caps
     assert errors["attack"].startswith("ConvergenceError: constraint residual ")
 
 
-def test_reproduce_small_mu_fails_its_gate_exit_6(tmp_path, monkeypatch, capsys):
-    # at mu = 0.05 the attack ends uncertified with its answer recorded, and
-    # that answer misses the target: the gate fails, no stage does
-    out = tmp_path / "r"
-    code, stdout, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
-    assert code == 6, stdout + stderr
-    doc = json.loads((out / "report.json").read_text())
-    assert "errors" not in doc
-    assert doc["converged"] is False and doc["admm_iterations"] == 500
-    gate = next(c for c in doc["checks"] if c["label"] == "poisoned gain within 0.2 of target")
-    assert gate["ok"] is False and gate["detail"] == "max |diff| 3.4604"
-
-
 def test_reproduce_without_stabilizing_solution_exit_7(tmp_path, monkeypatch, capsys):
     from lqpoison import cli as cli_module, pipeline
     from lqpoison.errors import StabilityError
@@ -727,6 +715,25 @@ def test_simulate_non_finite_costs_exit_2_without_dataset(tmp_path, case1_config
     assert "error: cs has non-finite entries" in res.stderr
     assert "Warning" not in res.stderr
     assert not out.exists() and not (tmp_path / "d.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_indefinite_q_near_overflow_exit_2_without_outputs(tmp_path, case1_config, capsys,
+                                                           command):
+    # in process, so pytest's filters turn any RuntimeWarning into an error
+    from lqpoison import cli as cli_module
+
+    doc = json.loads(Path(case1_config).read_text())
+    doc["system"]["Q"][0][0] = -1e308
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "simulate" else ["--gain", case1_config,
+                                                              "--out", str(out)]
+    assert cli_module.main([command, "--config", str(cfg), *args]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: system: Q must be positive semidefinite (min eig -1.000e+308)")
+    assert not out.exists()
 
 
 def test_evaluate_gain_that_loses_the_plant_exit_2(tmp_path, case1_config):
@@ -819,9 +826,11 @@ def test_attack_divergence_exit_5_without_outputs(tmp_path, sim_dir, case1_confi
     assert not out.exists()
 
 
-def test_attack_small_mu_exit_5_with_outputs(tmp_path, sim_dir, case1_config, capsys):
-    # at mu = 0.05 ADMM runs to its cap uncertified; the attack still writes
-    # its answer and says it is not certified
+def test_attack_small_mu_certified_exit_0_with_outputs(tmp_path, sim_dir, case1_config,
+                                                      capsys):
+    # at mu = 0.05 ADMM's own P is clipped singular, but its projection onto
+    # the slice is definite: the one polish, at iteration 10, certifies a
+    # stationary point
     from lqpoison import cli as cli_module
 
     cfg = tmp_path / "mu.json"
@@ -830,10 +839,23 @@ def test_attack_small_mu_exit_5_with_outputs(tmp_path, sim_dir, case1_config, ca
     code = cli_module.main(["attack", "--config", str(cfg),
                             "--data", str(sim_dir / "data.csv"),
                             "--target", str(cfg), "--out", str(out)])
-    assert code == 5, capsys.readouterr().err
+    assert code == 0, capsys.readouterr().err
     assert (out / "poisoned.csv").exists()
     report = json.loads((out / "attack_report.json").read_text())
-    assert report["converged"] is False and report["admm_iterations"] == 500
+    assert report["converged"] is True and report["stationary"] is True
+    assert report["admm_iterations"] == poison.POLISH_AT
+
+
+def test_reproduce_small_mu_passes_its_gate_exit_0(tmp_path, monkeypatch, capsys):
+    # the same certified run inside `reproduce`: every gate passes, no stage fails
+    out = tmp_path / "r"
+    code, stdout, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
+    assert code == 0, stdout + stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert "errors" not in doc
+    assert doc["converged"] is True and doc["stationary"] is True
+    assert doc["admm_iterations"] == poison.POLISH_AT
+    assert all(c["ok"] for c in doc["checks"])
 
 
 @pytest.mark.parametrize("key,value", [

@@ -235,6 +235,16 @@ class TestSymEig:
         with pytest.raises(AsymmetryError):
             linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("M,match", [
+        ([[1.0, 1e308], [-1e308, 1.0]], "asymmetric beyond tolerance"),
+        ([[-1e308, 0.0], [0.0, 1.0]], r"Q must be positive semidefinite \(min eig -1.000e\+308\)"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_finite_input_near_overflow(self, M, match):
+        # neither the asymmetry test nor the symmetrization may overflow:
+        # pytest's filters turn any RuntimeWarning into an error
+        with pytest.raises(ValueError, match=match):
+            linalg.require_psd(np.array(M), "Q")
+
 
 class TestPsdProject:
     def test_clips_negative_eigenvalue(self):

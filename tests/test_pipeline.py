@@ -340,6 +340,7 @@ class TestReportWrite:
             "Ktarget", "gain_error_to_target", "attack_cost", "converged",
             "admm_residuals", "gain_error", "checks", "floor", "gain_attained",
             "certificate", "objective", "admm_iterations", "polish_iterations",
+            "stationary",
         }
         assert doc["gain_error"] == report.attack.gain_error
         assert doc["checks"] == [

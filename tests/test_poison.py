@@ -438,14 +438,15 @@ class TestAdmmSolve:
     def test_case1_stops_at_the_first_certified_polish(self, case1_spec, monkeypatch):
         calls = spy(monkeypatch, "a_step", owner=poison)
         state = admm_solve(case1_spec, AdmmConfig())
-        assert state.iter == len(calls) == len(state.residuals) == poison.POLISH_FIRST
+        assert state.iter == len(calls) == len(state.residuals) == poison.POLISH_AT
         assert state.converged and 0 < state.polish_iter <= certify.MAX_POLISH_ITER
+        assert state.stationary
         assert state.certificate <= poison.PRIMAL_TOL
         assert state.residuals[-1] > poison.PRIMAL_TOL  # ADMM alone is far off
         # the polished objective, against 8.8364 after 500 ADMM iterations alone
         assert np.sum((state.Atilde - case1_spec.Ahat) ** 2) == pytest.approx(7.1175, abs=1e-4)
 
-    def test_polish_tries_double(self, case1_spec, monkeypatch):
+    def test_polish_tried_once(self, case1_spec, monkeypatch):
         tries, a_steps = [], spy(monkeypatch, "a_step", owner=poison)
 
         def never_certified(spec, P, attainable):
@@ -454,14 +455,14 @@ class TestAdmmSolve:
 
         monkeypatch.setattr(poison, "polish", never_certified)
         state = admm_solve(case1_spec, AdmmConfig(n_iter=100))
-        assert state.iter == 100 and not state.converged
-        assert tries == [10, 20, 40, 80]
+        assert state.iter == 100 and not state.converged and not state.stationary
+        assert tries == [poison.POLISH_AT]
 
     def test_seeded_sweep_always_returns(self):
         # perturbed optimal gains on random n = 3 plants: every run returns a
         # point, certified or not. On seeds 22 and 52 nearly every P-step
-        # clips an indefinite minimizer, which an inner solver with an
-        # iteration cap could not finish; they return uncertified.
+        # clips an indefinite minimizer, and the projection of ADMM's P onto
+        # the slice is not definite at iteration 10: they return uncertified.
         certified = []
         for seed in range(80):
             rng = np.random.default_rng(seed)
@@ -477,7 +478,7 @@ class TestAdmmSolve:
             assert state.converged or state.iter == 200
             certified.append(state.converged)
         assert not certified[22] and not certified[52]
-        assert sum(certified) == 75
+        assert sum(certified) == 78
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +574,7 @@ class TestPolish:
         spec = {"case1": case1_spec, "case2": case2_spec,
                 "chain": random_chain_spec(np.random.default_rng(4))}[which]
         sl, pol = polished(spec, 10)
+        assert pol.stationary
         np.testing.assert_allclose(nearest_planted(pol.P, spec, sl.gain), pol.Atilde,
                                    atol=1e-9 * np.abs(pol.Atilde).max())
 
@@ -619,24 +621,31 @@ class TestPolish:
         np.testing.assert_allclose(pol.Atilde, A0, rtol=0, atol=1e-8 * np.abs(A0).max())
         np.testing.assert_allclose(pol.P, sol.P, rtol=0, atol=1e-8 * np.abs(sol.P).max())
 
-    def test_objective_falling_as_p_grows_is_not_certified(self):
+    def test_objective_falling_as_p_grows_stops_at_the_bound(self):
         # on this target the objective keeps falling as lam_max(P) grows: the
-        # polish refuses, and ADMM goes on and tries again at 20 and 40
+        # polish stops short of stationary at the growth bound (22 steps,
+        # lam_max grown 81 times), and the point it reached is the answer
         spec = random_chain_spec(np.random.default_rng(1))
-        _, pol = polished(spec, 10)
-        assert pol is None
-        tries = []
-
-        def recording_polish(spec, P, attainable):
-            tries.append(len(P))
-            return polish(spec, P, attainable)
-
+        sl, pol = polished(spec, 10)
+        assert pol.certificate <= poison.PRIMAL_TOL and not pol.stationary
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(poison, "polish", recording_polish)
-            state = admm_solve(spec, AdmmConfig(n_iter=50))
-        assert len(tries) == 3 and state.iter == 50
-        assert not state.converged and state.polish_iter == 0
-        assert state.certificate > poison.PRIMAL_TOL
+            mp.setattr(poison, "PRIMAL_TOL", 0.0)
+            start = admm_solve(spec, AdmmConfig(n_iter=10)).P
+        start = sl.P0 + np.tensordot(np.tensordot(sl.null, start - sl.P0, 2), sl.null, 1)
+        growth = np.linalg.eigvalsh(pol.P)[-1] / np.linalg.eigvalsh(start)[-1]
+        assert 1.0 < growth <= certify.POLISH_GROWTH
+        # the learner's CARE on the planted model returns the attained gain
+        K = care_solve(pol.Atilde, spec.Bhat, spec.Qhat, spec.Rhat).K
+        np.testing.assert_allclose(K, sl.gain, atol=1e-9 * np.abs(sl.gain).max())
+        state = admm_solve(spec, AdmmConfig(n_iter=50))
+        assert state.converged and not state.stationary and state.iter == poison.POLISH_AT
+        assert state.polish_iter == pol.iterations
+
+    def test_step_cap_stops_short_of_stationary(self, case1_spec, monkeypatch):
+        monkeypatch.setattr(certify, "MAX_POLISH_ITER", 1)
+        _, pol = polished(case1_spec, 10)
+        assert pol.iterations == 1 and not pol.stationary
+        assert pol.certificate <= poison.PRIMAL_TOL
 
     def test_no_free_direction_returns_the_slice_point(self):
         # n = m: Bhat^T P = -Rhat K pins P down to P0 = Pstar
