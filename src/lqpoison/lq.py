@@ -10,8 +10,9 @@ where P solves the continuous algebraic Riccati equation
 invariant subspace of the Hamiltonian matrix (Laub 1979): one eigen-
 decomposition and one linear solve. Newton-Kleinman steps, each one
 Lyapunov solve (via the n^2 x n^2 Kronecker-vectorized linear system, cheap
-at this scale), refine that start only while its residual exceeds
-``CARE_TOL``.
+at this scale), refine that start only while its residual exceeds both
+``CARE_TOL`` and the residual's own rounding, and only while each step
+lowers it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 )
 
 CARE_TOL = 1e-10  # Riccati residual tolerance, relative to 1 + ||P||_F
-CARE_MAX_ITER = 100  # Newton-Kleinman step cap
 
 
 def lq_matrices(A, B, Q, R, names=("A", "B", "Q", "R")):
@@ -101,7 +101,10 @@ class LQSystem:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Stabilizing CARE solution P, its gain K = -R^-1 B^T P, residual norm and Newton steps."""
+    """Stabilizing CARE solution P, its gain K = -R^-1 B^T P, residual norm and Newton steps.
+
+    The residual is at most ``CARE_TOL`` (1 + ||P||_F) or its own rounding bound.
+    """
 
     P: np.ndarray
     K: np.ndarray
@@ -133,6 +136,11 @@ def care_solve(A, B, Q, R) -> RiccatiSolution:
     ``StabilityError``. Each refinement step solves the Lyapunov
     equation (A + B K_i)^T P + P (A + B K_i) + Q + K_i^T R K_i = 0 for the
     next P, with K_{i+1} = -R^-1 B^T P; ``iterations`` counts those steps.
+
+    P is returned once the residual r is at most ``CARE_TOL`` (1 + ||P||_F)
+    or its rounding bound n eps || |A|^T |P| + |P| |A| + |P| |S| |P| + |Q| ||_F,
+    S = B R^-1 B^T (Higham 2002, 3.5). Otherwise each step must lower r:
+    ``ConvergenceError`` at the first that does not, or once r is not finite.
     """
     A, B, Q, R = lq_matrices(A, B, Q, R)
     n = A.shape[0]
@@ -160,17 +168,25 @@ def care_solve(A, B, Q, R) -> RiccatiSolution:
             "could not find an initial stabilizing gain; (A, B) appears unstabilizable"
         )
 
-    for it in range(CARE_MAX_ITER + 1):
-        res_norm = float(np.linalg.norm(A.T @ P + P @ A - P @ S @ P + Q, "fro"))
-        if res_norm <= CARE_TOL * (1.0 + np.linalg.norm(P, "fro")):
-            break
-        if it == CARE_MAX_ITER:
-            raise ConvergenceError(
-                f"Riccati iteration did not converge in {CARE_MAX_ITER} steps "
-                f"(residual {res_norm:.3e})"
-            )
-        P = lyap_solve(A + B @ K, Q + K.T @ R @ K)
-        K = -Rinv @ (B.T @ P)
+    it, prev = 0, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            res_norm = float(np.linalg.norm(A.T @ P + P @ A - P @ S @ P + Q, "fro"))
+            if not np.isfinite(res_norm):
+                raise ConvergenceError(f"Riccati residual is not finite after {it} steps")
+            if res_norm <= CARE_TOL * (1.0 + np.linalg.norm(P, "fro")):
+                break
+            aP = np.abs(P)  # the residual's componentwise rounding bound
+            unit = n * np.finfo(float).eps * float(np.linalg.norm(
+                np.abs(A).T @ aP + aP @ np.abs(A) + aP @ np.abs(S) @ aP + np.abs(Q), "fro"))
+            if res_norm <= unit:
+                break
+            if not res_norm < prev:
+                raise ConvergenceError(f"Riccati refinement stalled: residual {res_norm:.3e} "
+                                       f"after {prev:.3e}, above its rounding {unit:.3e}")
+            it, prev = it + 1, res_norm
+            P = lyap_solve(A + B @ K, Q + K.T @ R @ K)
+            K = -Rinv @ (B.T @ P)
 
     if not is_stabilizing(A, B, K):
         raise StabilityError("computed gain does not stabilize the closed loop")

@@ -14,6 +14,19 @@ from lqpoison.poison import AttackSpec
 SQRT2 = math.sqrt(2.0)
 
 
+def care_residual(A, B, Q, R, P):
+    """The CARE residual norm, formed as ``care_solve`` forms it, and the
+    bound it is accepted under: max(CARE_TOL (1 + ||P||_F), u), where
+    u = n eps || |A|^T |P| + |P| |A| + |P| |S| |P| + |Q| ||_F is the
+    residual's componentwise rounding bound and S = B R^-1 B^T."""
+    S = B @ np.linalg.inv(R) @ B.T
+    r = float(np.linalg.norm(A.T @ P + P @ A - P @ S @ P + Q, "fro"))
+    aP = np.abs(P)
+    u = A.shape[0] * np.finfo(float).eps * float(np.linalg.norm(
+        np.abs(A).T @ aP + aP @ np.abs(A) + aP @ np.abs(S) @ aP + np.abs(Q), "fro"))
+    return r, max(lq.CARE_TOL * (1.0 + np.linalg.norm(P, "fro")), u)
+
+
 def zoh_interval_cost(A, B, Q, R, dt):
     """Oracle: exact cost matrix of one ZOH interval via the block exponential.
 
@@ -55,16 +68,16 @@ class TestCareSolve:
         assert sol.iterations == 0
 
     def test_solution_invariants_random(self):
+        # the first 25 draws, and three whose residual cannot meet CARE_TOL
         rng = np.random.default_rng(5)
-        for _ in range(25):
+        for draw in range(1993):
             A, B, Q, R = random_stabilizable(rng)
+            if draw >= 25 and draw not in (1314, 1553, 1992):
+                continue
             sol = care_solve(A, B, Q, R)
-            Rinv = np.linalg.inv(R)
-            res = A.T @ sol.P + sol.P @ A - sol.P @ B @ Rinv @ B.T @ sol.P + Q
-            assert np.linalg.norm(res, "fro") <= 1e-8 * (
-                1.0 + np.linalg.norm(sol.P, "fro")
-            )
-            np.testing.assert_allclose(sol.K, -Rinv @ B.T @ sol.P, atol=1e-10)
+            r, bound = care_residual(A, B, Q, R, sol.P)
+            assert r <= bound
+            np.testing.assert_allclose(sol.K, -np.linalg.inv(R) @ B.T @ sol.P, atol=1e-10)
             assert linalg.spectral_abscissa(A + B @ sol.K) < 0
 
     def test_cost_scaling_invariance(self):
@@ -78,19 +91,47 @@ class TestCareSolve:
     WEAK = np.diag([1.0, 0.5]), np.array([[1.0], [1e-7]])
 
     def test_weakly_controllable_plant(self):
-        # Newton-Kleinman refines the Hamiltonian start in a few steps
+        # Newton-Kleinman refines the Hamiltonian start in four steps. The
+        # start is 22 % off scipy's P, yet its residual is within the
+        # normwise rounding eps (||Q|| + 2 ||A|| ||P|| + ||P||^2 ||S||): only
+        # the componentwise bound tells that it is not converged.
         A, B = self.WEAK
         sol = care_solve(A, B, np.eye(2), np.eye(1))
         P_ref = scipy.linalg.solve_continuous_are(A, B, np.eye(2), np.eye(1))
         np.testing.assert_allclose(sol.P, P_ref, rtol=1e-8)
-        assert sol.iterations >= 1
+        assert sol.iterations == 4
         assert linalg.spectral_abscissa(A + B @ sol.K) < 0
 
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(lq, "CARE_MAX_ITER", 1)
+    def test_stalled_refinement_raises(self, monkeypatch):
+        # a step that doubles the Lyapunov solution raises the residual
+        lyap_solve = lq.lyap_solve
+        monkeypatch.setattr(lq, "lyap_solve", lambda Acl, S: 2.0 * lyap_solve(Acl, S))
         A, B = self.WEAK
-        with pytest.raises(ConvergenceError, match="did not converge in 1 steps"):
+        with pytest.raises(ConvergenceError, match=r"^Riccati refinement stalled: residual "
+                           r"\S+ after \S+, above its rounding \S+$"):
             care_solve(A, B, np.eye(2), np.eye(1))
+
+    def test_non_finite_residual_raises_at_once(self):
+        # the start P = 2e160 is right, but P S P overflows; no warning escapes
+        with pytest.raises(ConvergenceError,
+                           match="^Riccati residual is not finite after 0 steps$"):
+            care_solve([[1e160]], [[1.0]], [[1.0]], [[1.0]])
+
+    def test_sweep_stops_within_rounding(self):
+        # 300 random plants, n in 2..10, m in 1..3, Q = I, R = I. Draws 10,
+        # 125 and 227 never meet CARE_TOL for long, and at rounding level
+        # Newton steps move P away from scipy's; their starts are within u
+        rng = np.random.default_rng(0)
+        for draw in range(300):
+            n, m = rng.integers(2, 11), rng.integers(1, 4)
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+            Q, R = np.eye(n), np.eye(m)
+            sol = care_solve(A, B, Q, R)
+            r, bound = care_residual(A, B, Q, R, sol.P)
+            assert r <= bound, draw
+            if draw in (10, 125, 227):
+                P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+                assert np.linalg.norm(sol.P - P_ref) <= 1e-8 * np.linalg.norm(P_ref), draw
 
     def test_unstabilizable_pair(self):
         for A, B, Q in (
