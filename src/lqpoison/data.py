@@ -8,21 +8,22 @@ class the identification stage fits (no integrator error, no noise). The
 excitation is drawn in one batch and the states come from
 ``linalg.rollout``; no step runs in a per-sample Python loop.
 
-Datasets serialize to CSV with a JSON metadata sidecar. Floats are written
-as shortest round-trip decimals so read(write(d)) == d bit for bit. A read
-parses the body with one ``np.loadtxt`` call; only a body that call does
-not take cleanly is parsed again line by line. That loop names the first
-bad line in its ``DatasetFormatError``, and it also accepts what
-``int``/``float`` accept and ``np.loadtxt`` does not, such as whitespace-only
-lines (skipped) and underscored tokens like ``1_0``. Every file the
-package writes goes through ``write_atomic`` (JSON documents via
-``write_json``), and every CSV, datasets, closed-loop trajectories and the
-attack's ``step,cumulative_cost`` series alike, through
-``indexed_csv_lines``, whose rows ``floattext.csv_rows`` formats.
+Datasets serialize to CSV, whose header gives n and m, and a JSON sidecar of
+``dt`` and ``seed``. Floats are written as shortest round-trip decimals so
+read(write(d)) == d bit for bit. A read parses the body with one
+``np.loadtxt`` call; only a body that call does not take cleanly is parsed
+again line by line. That loop names the first bad line in its
+``DatasetFormatError``, and it also accepts what ``int``/``float`` accept
+and ``np.loadtxt`` does not, such as whitespace-only lines (skipped) and
+underscored tokens like ``1_0``. Every file the package writes goes through
+``write_atomic`` (JSON documents via ``write_json``), and every CSV, datasets,
+closed-loop trajectories and the attack's ``step,cumulative_cost`` series
+alike, through ``indexed_csv_lines``, whose rows ``floattext.csv_rows`` formats.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -228,11 +229,19 @@ def write_atomic(path: str, lines: Iterable[str]) -> None:
     The pieces go to ``path + ".tmp"``, which then replaces ``path``, so a
     reader sees the old file or the complete new one, never a partial write.
     Pieces are written as they are produced; the whole text is never held.
+    If producing, writing or renaming fails, the ``.tmp`` is removed and
+    ``path`` keeps what it held.
     """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_json(path: str, doc) -> None:
@@ -263,10 +272,9 @@ def _dataset_header(n: int, m: int) -> list[str]:
 
 
 def dataset_write(d: BatchDataset, path: str) -> None:
-    """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar, atomically."""
+    """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar (dt, seed), atomically."""
     write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, d.xs, d.us, d.cs[:, None]))
-    meta = {"dt": d.dt, "n": d.n, "m": d.m, "seed": d.seed}
-    write_json(_meta_path(path), meta)
+    write_json(_meta_path(path), {"dt": d.dt, "seed": d.seed})
 
 
 def _fast_values(body: list[str], width: int) -> np.ndarray | None:
@@ -301,20 +309,23 @@ def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
             raise DatasetFormatError(
                 f"expected {len(header)} columns, got {len(parts)}", line=lineno
             )
-        try:
-            k = int(parts[0])
-            row = [float(p) for p in parts[1:]]
-        except ValueError as e:
-            raise DatasetFormatError(f"bad number: {e}", line=lineno) from e
+        values = []
+        for name, p in zip(header, parts):
+            try:
+                values.append(int(p) if name == "k" else float(p))
+            except ValueError:
+                raise DatasetFormatError(
+                    f"bad number {_shown(p)} in column {name}", line=lineno
+                ) from None
+        k, *row = values
         if not all(map(math.isfinite, row)):
-            col = next(i for i, v in enumerate(row) if not math.isfinite(v))
+            col = next(i for i, v in enumerate(row, start=1) if not math.isfinite(v))
             raise DatasetFormatError(
-                f"non-finite value {parts[col + 1]!r} in column {header[col + 1]}",
-                line=lineno,
+                f"non-finite value {_shown(parts[col])} in column {header[col]}", line=lineno
             )
         if k != len(rows):
             raise DatasetFormatError(
-                f"sample index {k} out of order (expected {len(rows)})", line=lineno
+                f"sample index {_shown(k)} out of order (expected {len(rows)})", line=lineno
             )
         rows.append(row)
     if not rows:
@@ -323,7 +334,7 @@ def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
 
 
 def dataset_read(path: str) -> BatchDataset:
-    """Read a dataset written by ``dataset_write``."""
+    """Read a dataset written by ``dataset_write``; other sidecar keys are ignored."""
     meta = read_json_object(_meta_path(path), DatasetFormatError, "metadata sidecar")
 
     def field(key, convert):
@@ -335,18 +346,23 @@ def dataset_read(path: str) -> BatchDataset:
             raise DatasetFormatError(f"metadata field {key}: {e}") from e
 
     dt = field("dt", json_number)
-    n, m = (field(key, lambda v: json_int(v, minimum=1)) for key in ("n", "m"))
     seed = meta.get("seed")
     if seed is not None:
         seed = field("seed", lambda v: json_int(v, minimum=0))
 
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DatasetFormatError(f"{path}: cannot read dataset: {e}") from e
     if not lines:
         raise DatasetFormatError("empty dataset file", line=1)
-    header = _dataset_header(n, m)
-    if lines[0].split(",") != header:
-        raise DatasetFormatError(f"header mismatch: expected {','.join(header)!r}", line=1)
+    header = lines[0].split(",")
+    n = sum(name.startswith("x") for name in header)
+    m = len(header) - n - 3
+    if min(n, m) < 1 or header != _dataset_header(n, m):
+        raise DatasetFormatError(f"header {_shown(lines[0])} is not "
+                                 "k,t,x0..x{n-1},u0..u{m-1},c with n, m >= 1", line=1)
     values = _fast_values(lines[1:], n + m + 2)
     if values is None:
         values = _checked_values(lines[1:], header)

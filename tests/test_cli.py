@@ -707,6 +707,28 @@ def test_sysid_sidecar_dt_not_a_number_exit_2(tmp_path, sim_dir):
     assert not model.exists()
 
 
+def test_sysid_ignores_older_sidecar_dimensions(tmp_path, sim_dir):
+    # an older writer's sidecar also carries n and m; the CSV header gives both
+    path = tmp_path / "data.csv"
+    path.write_text((sim_dir / "data.csv").read_text())
+    meta = json.loads((sim_dir / "data.meta.json").read_text())
+    assert sorted(meta) == ["dt", "seed"]
+    (tmp_path / "data.meta.json").write_text(json.dumps({**meta, "n": 10**12, "m": 2}))
+    model = tmp_path / "m.json"
+    res = cli("sysid", "--data", str(path), "--out", str(model))
+    assert res.returncode == 0, res.stderr
+    assert np.array(json.loads(model.read_text())["Ahat"]).shape == (4, 4)
+
+
+def test_sysid_out_is_a_directory_leaves_no_tmp(tmp_path, sim_dir):
+    out = tmp_path / "model"
+    out.mkdir()
+    res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "Is a directory" in res.stderr
+    assert os.listdir(tmp_path) == ["model"] and os.listdir(out) == []
+
+
 def test_simulate_non_finite_costs_exit_2_without_dataset(tmp_path, case1_config):
     # x0 = 1e200 * 1 keeps the states finite, but x^T Q x overflows
     doc = json.loads(Path(case1_config).read_text())

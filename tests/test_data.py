@@ -209,7 +209,7 @@ class TestDatasetIO:
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == "\n".join(lines) + "\n"
         with open(str(tmp_path / "d.meta.json"), encoding="utf-8") as fh:
-            assert json.load(fh) == {"dt": 0.005, "m": m, "n": n, "seed": 7}
+            assert json.load(fh) == {"dt": 0.005, "seed": 7}
         assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.meta.json"]
         back = dataset_read(path)
         assert np.array_equal(back.xs, d.xs) and np.array_equal(back.us, d.us)
@@ -220,11 +220,38 @@ class TestDatasetIO:
         path = str(tmp_path / "d.csv")
         dataset_write(case1_data, path)
         lines = Path(path).read_text().splitlines()
-        lines[0] = "k,t,x0,x1,u0,c"  # wrong column count for n=4, m=2
+        lines[0] = "k,t,x0,x1,u0,c"  # a valid n=2, m=1 header over n=4, m=2 rows
         Path(path).write_text("\n".join(lines))
-        with pytest.raises(DatasetFormatError) as ei:
+        with pytest.raises(DatasetFormatError, match="expected 6 columns, got 9") as ei:
+            dataset_read(path)
+        assert ei.value.line == 2
+        lines[0] = "k,t,x0,x1,x2,x3,u1,u0,c"  # the right count, out of order
+        Path(path).write_text("\n".join(lines))
+        with pytest.raises(DatasetFormatError, match="^line 1: header") as ei:
             dataset_read(path)
         assert ei.value.line == 1
+
+    @pytest.mark.parametrize("header", [
+        "k,t,u0,c", "k,t,x0,c", "k,t,x1,x0,x2,x3,u0,u1,c",
+        "k,t," + ",".join(f"x{i}" for i in range(10**5)) + ",c",  # echoed in 40 characters
+    ], ids=["n=0", "m=0", "x-order", "long"])
+    def test_header_refused_at_line_1(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n0,0.0" + ",1.0" * (header.count(",") - 1) + "\n")
+        (tmp_path / "d.meta.json").write_text('{"dt": 0.1, "seed": 0}')
+        with pytest.raises(DatasetFormatError, match="^line 1: header") as ei:
+            dataset_read(str(path))
+        assert ei.value.line == 1
+        assert len(str(ei.value)) < 200
+
+    def test_shape_comes_from_the_header(self, tmp_path, case1_data):
+        # a sidecar in the older format carries n and m; the reader ignores them
+        path = str(tmp_path / "d.csv")
+        dataset_write(case1_data, path)
+        (tmp_path / "d.meta.json").write_text(json.dumps({"dt": 0.01, "n": 10**12, "m": 0}))
+        back = dataset_read(path)
+        assert (back.n, back.m, back.seed) == (4, 2, None)
+        assert np.array_equal(back.xs, case1_data.xs)
 
     def test_bad_row_reports_line(self, tmp_path, case1_data):
         path = str(tmp_path / "d.csv")
@@ -245,7 +272,7 @@ class TestDatasetIO:
         parts[3] = value  # x1 of row k=2
         lines[3] = ",".join(parts)
         Path(path).write_text("\n".join(lines))
-        with pytest.raises(DatasetFormatError, match=f"'{value}' in column x1") as ei:
+        with pytest.raises(DatasetFormatError, match=f'"{value}" in column x1') as ei:
             dataset_read(path)
         assert ei.value.line == 4
 
@@ -328,9 +355,33 @@ class TestDatasetIO:
             lines[7] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
         assert data._fast_values(lines[1:], 8) is None
-        with pytest.raises(DatasetFormatError, match="'NaN' in column x2") as ei:
+        with pytest.raises(DatasetFormatError, match='"NaN" in column x2') as ei:
             dataset_read(path)
         assert ei.value.line == 8
+
+    @pytest.mark.parametrize("token,message", [
+        ("a" * 10**6, "bad number \"aaa"),
+        ("1" + "0" * 10**6, "non-finite value \"100"),
+    ], ids=["bad-number", "non-finite"])
+    def test_long_token_echoed_bounded(self, tmp_path, case1_data, token, message):
+        def edit(lines):
+            parts = lines[7].split(",")
+            parts[4] = token
+            lines[7] = ",".join(parts)
+        path, _ = self._edited(tmp_path, case1_data, edit)
+        with pytest.raises(DatasetFormatError, match=f"^line 8: {message}") as ei:
+            dataset_read(path)
+        assert str(ei.value).endswith("characters) in column x2")
+        assert len(str(ei.value)) < 200
+
+    def test_not_utf8_names_the_file(self, tmp_path, case1_data):
+        path = tmp_path / "d.csv"
+        dataset_write(case1_data, str(path))
+        text = path.read_bytes()
+        path.write_bytes(text[:18] + b"\xff" + text[19:])
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: .*decode") as ei:
+            dataset_read(str(path))
+        assert len(str(ei.value)) - len(str(path)) < 200
 
     @pytest.mark.parametrize("body", ["", "\n\n"])
     def test_empty_body_no_warning(self, tmp_path, body):
@@ -341,16 +392,6 @@ class TestDatasetIO:
             warnings.simplefilter("error")
             with pytest.raises(DatasetFormatError, match="no sample rows"):
                 dataset_read(str(path))
-
-    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
-    @pytest.mark.parametrize("key", ["n", "m"])
-    def test_sidecar_dimensions_must_be_integers(self, tmp_path, key, value):
-        path = tmp_path / "d.csv"
-        path.write_text("k,t,x0,x1,u0,u1,c\n0,0.0,1.0,2.0,3.0,4.0,5.0\n")
-        meta = {"dt": 0.1, "n": 2, "m": 2, "seed": 0, key: value}
-        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DatasetFormatError, match=f"^metadata field {key}: must be"):
-            dataset_read(str(path))
 
     @pytest.mark.parametrize("value", [1.5, 3.0, True, "3", -1])
     def test_sidecar_seed_must_be_a_non_negative_integer(self, tmp_path, value):
@@ -372,11 +413,11 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="^metadata field dt: must be a number"):
             dataset_read(str(path))
 
-    @pytest.mark.parametrize("key", ["dt", "n", "m"])
+    @pytest.mark.parametrize("key", ["dt"])
     def test_sidecar_field_missing_is_named(self, tmp_path, key):
         path = tmp_path / "d.csv"
         path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
-        meta = {"dt": 0.1, "n": 1, "m": 1, "seed": 0}
+        meta = {"dt": 0.1, "seed": 0}
         del meta[key]
         (tmp_path / "d.meta.json").write_text(json.dumps(meta))
         with pytest.raises(DatasetFormatError, match=f"^metadata field {key} is missing$"):
@@ -396,6 +437,27 @@ class TestDatasetIO:
         path.write_text("k,t,x0,u0,c\n")
         with pytest.raises(DatasetFormatError):
             dataset_read(str(path))
+
+
+class TestWriteAtomic:
+    @staticmethod
+    def _failing_lines():
+        yield "first\n"
+        raise RuntimeError("generator failed")
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError, match="generator failed"):
+            data.write_atomic(str(path), self._failing_lines())
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="generator failed"):
+            data.write_atomic(str(path), self._failing_lines())
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_bytes() == b"old\n"
 
 
 class TestBatchDataset:
