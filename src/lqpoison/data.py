@@ -37,7 +37,9 @@ from .errors import DatasetFormatError
 from .lq import LQSystem, require_plant_kept
 
 EXCITATION_KINDS = ("iid-uniform", "prbs", "gain-plus-dither")
-CSV_PIECE_VALUES = 4096  # values per formatted piece, step column included: ~0.27 MB traced
+# values per formatted piece, step column included (~0.27 MB traced); a
+# block of more than 16 pieces takes larger ones (``indexed_csv_lines``)
+CSV_PIECE_VALUES = 4096
 _JSON_TYPES = {list: "an array", dict: "an object"}  # named in messages: their text may be huge
 SHOWN_CHARS = 40  # most characters of an offending value's JSON text a message echoes
 
@@ -230,10 +232,14 @@ def write_atomic(path: str, lines: Iterable[str]) -> None:
     reader sees the old file or the complete new one, never a partial write.
     Pieces are written as they are produced; the whole text is never held.
     If producing, writing or renaming fails, the ``.tmp`` is removed and
-    ``path`` keeps what it held.
+    ``path`` keeps what it held. A ``.tmp`` that cannot be created (say, in
+    a missing directory) raises the ``OSError`` against ``path``.
     """
     tmp = path + ".tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
     try:
         with fh:
             fh.writelines(lines)
@@ -257,11 +263,20 @@ def indexed_csv_lines(
     With ``dt=None`` the rows are ``k,row...``. Floats are written as
     ``repr`` writes them, the shortest decimal that reads back to the same
     double, so parsing the file recovers the blocks exactly. Each piece
-    after the header is ``CSV_PIECE_VALUES // len(header)`` rows
-    (``floattext.csv_rows``), so a long rollout is never held as text.
+    after the header is formatted by one ``floattext.csv_rows`` call, so a
+    long rollout is never held as text. A piece is ``CSV_PIECE_VALUES``
+    values, step column included, or for a block of more than 16 such
+    pieces a 16th of its values, at most twice ``CSV_PIECE_VALUES``; in
+    whole rows either way.
     """
     yield ",".join(header) + "\n"
-    rows = max(1, CSV_PIECE_VALUES // len(header))
+    # Each piece costs fixed work, so a large block takes larger pieces. A
+    # 16th of its values keeps a piece's 66-72 B per value of working memory
+    # within about half the 8 B per value the block holds, and twice
+    # CSV_PIECE_VALUES bounds that memory for any block.
+    values = len(blocks[0]) * len(header)
+    piece = min(2 * CSV_PIECE_VALUES, max(CSV_PIECE_VALUES, values // 16))
+    rows = max(1, piece // len(header))
     for start in range(0, len(blocks[0]), rows):
         yield floattext.csv_rows(start, dt, *(b[start : start + rows] for b in blocks))
 

@@ -28,17 +28,21 @@ or of an interval end. The text is therefore ``repr``'s byte for byte.
 NUL where its text has no character: word 0 holds the sign and the "0."
 of a value below 1; words 1-3 hold 18 characters of digits with the point
 in place, then the "0" of ".0", the "e-XX" of a value below 1e-4, and the
-separator, ',' or a newline. All of a record but its sign and digits
-follows from the value's (decpt, nd), and the step k's from its digit
-count, so one lookup in a table of sections (``_sections``) writes it
-and ``_layout`` adds the digits. Deleting every NUL joins the records
-into the text.
+separator, ',' or a newline. All of a record but its digits follows from
+the value's sign and (decpt, nd), and the step k's from its digit count,
+so one lookup in a table of sections (``_sections``) writes it and
+``_layout`` adds the digits. Each value section has a signed twin, the
+same words with the '-', which the section index reaches from the sign
+bit. Deleting every NUL joins the records into the text.
 
 *Footprint.* Every numpy loop a process runs for the first time maps more
 of numpy's code into memory, and every table stays resident. So the
 kernel keeps to float64 and int64 arithmetic, shifts and comparisons,
 joins words by addition (their bytes never overlap), never casts int64 to
-float64 (a table lookup stands in), and keeps its tables to 22 KB in all.
+float64 (a table lookup stands in), and keeps its tables to 41 KB in all
+(the section tables 37.4 KB). A loop the op does not run elsewhere costs
+memory in every process that writes a CSV: int64 ``&``, which would lay
+out eight digits per word, read +0.10 MB of peak RSS on ``reproduce case2``.
 Arrays are reused where one is free, so a call's traced peak is 65-73 B
 per value, step column included: the 32-byte records and four int64
 arrays of their shape while ``_layout`` runs, or about 73 B per float
@@ -91,19 +95,22 @@ def _sections():
     """(words, open) by section: a record's constant words and 10**(17 - P).
 
     A value's section is 17 * decpt + nd + ``_VALUE_SECTION`` (decpt -9 to
-    17, nd 1 to 17); a step's is its digit count + ``_STEP_SECTION`` (1 to
-    17 digits and no point). P is the point's position (17: none).
+    17, nd 1 to 17), plus ``_SIGNED`` if it is negative: its twin, with the
+    '-' in word 0. A step's is its digit count + ``_STEP_SECTION`` (1 to 17
+    digits and no point). P is the point's position (17: none).
     """
     decpt, nd = (g.ravel() for g in np.meshgrid(np.arange(-9, 18), np.arange(1, 18), indexing="ij"))
     below1, exp = decpt <= 0, decpt <= -4  # "0.00ddd" and "d.ddde-XX"
     whole = decpt >= nd  # "ddd00.0"
     P = np.where(below1, np.where(exp & (nd > 1), 1, 17), decpt)
     keep = np.where(whole, decpt, nd) + (P < 17)
-    words = np.zeros((P.size + 17, 4), dtype=np.int64)
-    words[:P.size, 0] = _LEAD[np.where(below1 & ~exp, 1 - decpt, 0)]
-    words[:P.size, 3] = _TAIL[np.where(whole, 1, np.where(exp, -2 - decpt, 0))]
-    P = np.concatenate([P, np.full(17, 17)])
-    keep = np.concatenate([keep, np.arange(1, 18)])
+    lead = _LEAD[np.where(below1 & ~exp, 1 - decpt, 0)]
+    tail = _TAIL[np.where(whole, 1, np.where(exp, -2 - decpt, 0))]
+    words = np.zeros((2 * P.size + 17, 4), dtype=np.int64)
+    words[: 2 * P.size, 0] = np.concatenate([lead, lead + _MINUS])
+    words[: 2 * P.size, 3] = np.concatenate([tail, tail])
+    P = np.concatenate([P, P, np.full(17, 17)])
+    keep = np.concatenate([keep, keep, np.arange(1, 18)])
     for j in range(3):
         words[:, 1 + j] -= _POINT[j][P] + _PAD[j][keep]
     words[:, 3] += _COMMA
@@ -111,7 +118,8 @@ def _sections():
 
 
 _WORDS, _OPEN = _sections()
-_VALUE_SECTION, _STEP_SECTION = 9 * 17 - 1, 27 * 17 - 1
+_SIGNED = 27 * 17  # value sections; a negative value's lies this far past its positive twin's
+_VALUE_SECTION, _STEP_SECTION = 9 * 17 - 1, 2 * _SIGNED - 1
 
 
 def _decimal_exponent(a):
@@ -282,9 +290,14 @@ def csv_rows(start: int, dt: float | None, *blocks: np.ndarray) -> str:
     if t:
         x[:, 0] = k * dt
     c17, nd, decpt, slow = (v.reshape(x.shape) for v in _shortest(x.reshape(-1)))
-    negative = x.view(np.int64) < 0
+    decpt *= 17
+    decpt += nd
+    decpt += _VALUE_SECTION
+    np.right_shift(x.view(np.int64), 63, out=nd)  # -1 where the sign bit is set, else 0
+    nd *= -_SIGNED
+    decpt += nd  # a negative value's twin section
     fallback = x[slow].tolist()
-    del x
+    del x, nd
     shape = len(k), 1 + c17.shape[1]  # the step column first
     digits = 1 + _decimal_exponent(np.where(k > 0, k, 1.0))
     c = np.empty(shape, dtype=np.int64)
@@ -293,17 +306,11 @@ def csv_rows(start: int, dt: float | None, *blocks: np.ndarray) -> str:
     del c17, k
     section = np.empty_like(c)
     section[:, 0] = digits + _STEP_SECTION
-    decpt *= 17
-    decpt += nd
-    decpt += _VALUE_SECTION
     section[:, 1:] = decpt
-    del nd, decpt, digits
+    del decpt, digits
     buf = bytearray(32 * c.size)  # deleting its NULs needs no copy
     rec = np.frombuffer(buf, dtype="<i8").reshape(*shape, 4)
     np.take(_WORDS, section, axis=0, out=rec, mode="clip")  # in range; "clip" writes rec in place
-    lead = rec[:, 1:, 0]
-    np.add(lead, _MINUS, out=lead, where=negative)
-    del lead, negative
     rec[:, -1, 3] += _NEWLINE - _COMMA
     m = _OPEN[section]
     del section

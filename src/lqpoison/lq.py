@@ -17,6 +17,7 @@ lowers it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,20 +215,25 @@ def require_plant_kept(F: np.ndarray, GK: np.ndarray, states: np.ndarray, name: 
     (F + G K) x is as large as the plant's own step F x, so the rollout says
     nothing about the plant: a huge K with K x_0 = 0 would seem to settle at
     once. Only the given ``states`` are checked, and none of them when
-    eps * ||G K||_F < sigma_min(F) makes every state pass.
+    eps * ||G K||_F < sigma_min(F) makes every state pass. The states are
+    checked in blocks of isqrt(N) + 1, as ``linalg.rollout`` builds them,
+    up to the first block with a lost step.
     """
     eps = np.finfo(float).eps
     absGK = np.abs(GK)
     with np.errstate(over="ignore", invalid="ignore"):
         if eps * np.linalg.norm(absGK) < np.linalg.svd(F, compute_uv=False)[-1]:
             return
-        rounding = eps * np.linalg.norm(np.abs(states) @ absGK.T, axis=1)
-        lost = rounding > np.linalg.norm(states @ F.T, axis=1)
-    if lost.any():
-        raise ValueError(
-            f"{name} is too large for the plant: F + G K rounds the plant's step "
-            f"F x away at step {int(np.argmax(lost))}"
-        )
+        b = math.isqrt(len(states)) + 1
+        for start in range(0, len(states), b):
+            block = states[start : start + b]
+            rounding = eps * np.linalg.norm(np.abs(block) @ absGK.T, axis=1)
+            lost = rounding > np.linalg.norm(block @ F.T, axis=1)
+            if lost.any():
+                raise ValueError(
+                    f"{name} is too large for the plant: F + G K rounds the plant's step "
+                    f"F x away at step {start + int(np.argmax(lost))}"
+                )
 
 
 def is_stabilizing(A, B, K) -> bool:

@@ -729,6 +729,17 @@ def test_sysid_out_is_a_directory_leaves_no_tmp(tmp_path, sim_dir):
     assert os.listdir(tmp_path) == ["model"] and os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "sysid"])
+def test_out_in_missing_directory_names_the_path(tmp_path, sim_dir, case1_config, command):
+    out = tmp_path / "missing" / "x.csv"
+    source = ("--config", case1_config) if command == "simulate" else (
+        "--data", str(sim_dir / "data.csv"))
+    res = cli(command, *source, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert f"No such file or directory: '{out}'" in res.stderr
+    assert ".tmp" not in res.stderr
+
+
 def test_simulate_non_finite_costs_exit_2_without_dataset(tmp_path, case1_config):
     # x0 = 1e200 * 1 keeps the states finite, but x^T Q x overflows
     doc = json.loads(Path(case1_config).read_text())

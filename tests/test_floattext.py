@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 import functools
 import tracemalloc
 import warnings
@@ -103,6 +104,34 @@ def test_empty_block():
     assert csv_rows(0, 0.1, np.zeros((0, 3))) == ""
 
 
+def decimal_shape(v: float) -> tuple[int, int]:
+    """(decpt, nd) of ``repr(v)``: its point after digit decpt of nd significant digits."""
+    digits, exponent = Decimal(repr(v)).normalize().as_tuple()[1:]
+    return len(digits) + exponent, len(digits)
+
+
+def test_negative_values_in_every_section():
+    # one negative value of each (decpt, nd) the record table has a signed section for
+    rng = np.random.default_rng(23)
+    shapes = {}
+    while len(shapes) < 27 * 17:
+        decpt, nd = int(rng.integers(-9, 18)), int(rng.integers(1, 18))
+        if (decpt, nd) in shapes:
+            continue
+        digits = "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, max(nd - 2, 0)),
+                                   rng.integers(1, 10)][:nd]))  # no leading or trailing 0
+        v = -float(f"0.{digits}e{decpt}")
+        # a fast-path value of this shape; decpt 17 (|v| >= 1e16) is repr's
+        if decimal_shape(v) == (decpt, nd) and (decpt == 17 or not floattext._shortest(
+                np.array([v]))[3][0]):
+            shapes[decpt, nd] = v
+    fallback = [-0.0, -5e-324, -1.7976931348623157e308, -np.inf, -2.0**-3, -1e-11, -1e16]
+    values = np.array(list(shapes.values()) + fallback)
+    rows = np.concatenate([values, np.full(-len(values) % WIDTH, -1 / 3)]).reshape(-1, WIDTH)
+    assert csv_rows(0, -0.5, rows) == oracle(0, -0.5, rows)
+    assert csv_rows(7, None, rows) == oracle(7, None, rows)
+
+
 def test_trajectory_write_memory_bound(tmp_path):
     # the one-repr-per-float writer this replaced peaked at 0.81 MB on this input
     states = np.random.default_rng(3).normal(size=(40_001, 4))
@@ -114,6 +143,20 @@ def test_trajectory_write_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.75e6
+
+
+def test_small_trajectory_write_memory_bound(tmp_path):
+    # case1's 1,001-row files keep CSV_PIECE_VALUES pieces: their writer sets
+    # case1's peak, which was 0.279 MB traced before pieces grew with the block
+    states = np.random.default_rng(3).normal(size=(1001, 4))
+    path = str(tmp_path / "traj.csv")
+    tracemalloc.start()
+    try:
+        trajectory_write(path, states, 5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.279e6
 
 
 def test_dataset_write_memory_bound(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import os
 from pathlib import Path
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from lqpoison.data import (
     CSV_PIECE_VALUES, BatchDataset, ExcitationPolicy, indexed_csv_lines, simulate_zoh,
 )
 from lqpoison.errors import ConvergenceError, DimensionError, IdentifiabilityError
-from lqpoison.lq import LQSystem, care_solve
+from lqpoison.lq import LQSystem, care_solve, require_plant_kept
 from lqpoison.pipeline import (
     DIVERGENCE_NORM,
     SETTLE_FRAC,
@@ -162,6 +163,37 @@ class TestGainThatLosesThePlant:
         policy = ExcitationPolicy(kind="gain-plus-dither", amplitude=0.5, gain=np.array(self.HUGE))
         with pytest.raises(ValueError, match="^excitation gain is too large for the plant"):
             simulate_zoh(case1.system, policy, 50)
+
+    # 1,000 states are checked in blocks of 32: a lost step last in its
+    # block, first in its block, the last state, and the first of two
+    @pytest.mark.parametrize("lost,step", [([31], 31), ([32], 32), ([999], 999),
+                                           ([40, 700], 40)])
+    def test_first_lost_step_is_named(self, lost, step):
+        F = 0.5 * np.eye(2)
+        GK = np.diag([1e200, 0.0])  # loses the step at every state with x[0] != 0
+        states = np.tile([0.0, 1.0], (1000, 1))
+        states[lost, 0] = 1.0
+        with pytest.raises(ValueError, match=f"^gain is too large for the plant: .* at step {step}$"):
+            require_plant_kept(F, GK, states, "gain")
+
+    def test_check_footprint_is_one_block(self):
+        # test_overflowing_power_on_unexcited_mode's gain passes, but only
+        # after every state is checked; the parent's pass peaked at 2.24 MB
+        sys = LQSystem(
+            A=np.diag([0.5, -1.0]), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
+            x0=np.array([0.0, 1.0]), dt=0.1,
+        )
+        F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
+        K = np.linalg.solve(G, np.diag([1e200, 0.5]) - F)
+        states = evaluate_closed_loop(sys, K, 40_000).states
+        GK = G @ K
+        tracemalloc.start()
+        try:
+            require_plant_kept(F, GK, states, "gain")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1e6
 
 
 class TestBlockRolloutMatchesSequential:
@@ -390,6 +422,31 @@ class TestReportWrite:
         header = [f"c{i}" for i in range(columns)]
         same = "".join(indexed_csv_lines(header, dt, *blocks)) == csv_reference(header, dt, values)
         assert same  # a bare bool: pytest's diff of two long texts takes minutes
+
+    # blocks above 16 pieces take a 16th of their values per piece, up to
+    # twice CSV_PIECE_VALUES: a trajectory of 4 states (1,365-row pieces past
+    # 21,845 rows) and a 16-column dataset (rows // 16 rows per piece), each
+    # ending a row before, at and after a piece boundary
+    @pytest.mark.parametrize("widths,dt,rows,piece_rows,pieces", [
+        ((4,), 5e-5, 40_001, 1365, 30),
+        ((4,), 5e-5, 29 * 1365 - 1, 1365, 29),
+        ((4,), 5e-5, 29 * 1365, 1365, 29),
+        ((4,), 5e-5, 29 * 1365 + 1, 1365, 30),
+        ((10, 3, 1), 0.01, 5000, 312, 17),
+        ((10, 3, 1), 0.01, 16 * 312 - 1, 311, 17),
+        ((10, 3, 1), 0.01, 16 * 312, 312, 16),
+        ((10, 3, 1), 0.01, 16 * 312 + 1, 312, 17),
+    ])
+    def test_csv_bytes_across_block_sized_pieces(self, widths, dt, rows, piece_rows, pieces):
+        columns = 2 + sum(widths)
+        values = np.random.default_rng(rows).normal(size=(rows, sum(widths)))
+        blocks = np.split(values, np.cumsum(widths)[:-1], axis=1)
+        header = [f"c{i}" for i in range(columns)]
+        lines = list(indexed_csv_lines(header, dt, *blocks))
+        assert len(lines) == 1 + pieces
+        assert lines[1].count("\n") == piece_rows
+        same = "".join(lines) == csv_reference(header, dt, values)
+        assert same
 
     def test_write_is_deterministic(self, tmp_path, case1):
         report = run_scenario(case1, "case1")
