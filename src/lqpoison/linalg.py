@@ -5,7 +5,7 @@ Everything here is domain-free: the matrix coercion and shape check
 zero-order-hold discretization, tables of matrix powers and the rollout
 of a linear recursion, free or driven, in blocks of isqrt(N) + 1 steps
 (about 2 sqrt(N) + 1 Python steps for N states), the refusal of arrays
-too large to allocate (``sized_by``), least squares, the
+too large to allocate (``sized_by``), least squares, row norms, the
 coordinates of a symmetric matrix, symmetric eigendecompositions,
 projection onto the positive-semidefinite cone, and the spectral abscissa.
 Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
@@ -215,6 +215,18 @@ def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
             rank=int(rank),
         )
     return X, s
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D X, with no X-sized temporary.
+
+    The row sums of squares come from one einsum, and their square roots are
+    taken in place. The sum runs in einsum's order, not ``np.linalg.norm``'s,
+    so a norm may differ from that function's in its last bits. A row
+    holding an inf has norm inf, and one holding a NaN has norm NaN.
+    """
+    norms = np.einsum("ij,ij->i", X, X)
+    return np.sqrt(norms, out=norms)
 
 
 def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,7 +146,9 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
 
     The states x_{k+1} = M x_k, M = F + G K, come from ``linalg.rollout``.
     The cost is the Riemann sum of (x^T Q x + u^T R u) dt over every state
-    but the last.
+    but the last. Beside the states, only the inputs K x and vectors of one
+    value per state are formed: the norms come from ``linalg.row_norms`` and
+    the costs from ``LQSystem.stage_costs``' blocks.
 
     An unstable loop is truncated at the first state whose norm is not
     within ``DIVERGENCE_NORM`` (a non-finite norm counts as past it); that
@@ -164,7 +166,7 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     with np.errstate(over="ignore", invalid="ignore"):
         with linalg.sized_by("horizon"):
             states = linalg.rollout(F + GK, sys.x0, horizon)
-        within = np.linalg.norm(states[1:], axis=1) <= DIVERGENCE_NORM
+        within = linalg.row_norms(states[1:]) <= DIVERGENCE_NORM
     diverged = not within.all()
     if diverged:
         states = states[: int(np.argmin(within)) + 2].copy()
@@ -176,7 +178,7 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
 
 def settling_step(states: np.ndarray) -> int | None:
     """First step index after which ||x|| stays below SETTLE_FRAC * ||x0||, if any."""
-    norms = np.linalg.norm(states, axis=1)
+    norms = linalg.row_norms(states)
     tail_max = np.maximum.accumulate(norms[::-1])[::-1]  # max of norms[k:]
     settled = np.flatnonzero(tail_max < SETTLE_FRAC * norms[0])
     return int(settled[0]) if settled.size else None

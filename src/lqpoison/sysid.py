@@ -158,14 +158,26 @@ def log_indirect(F, G, dt: float, eps: float = SERIES_EPS) -> tuple[np.ndarray, 
 
 
 def _quad_features(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Quadratic monomials of x, then of u, in ``linalg.sym_index`` order."""
-    blocks, labels = [], []
+    """Quadratic monomials of x, then of u, in ``linalg.sym_index`` order.
+
+    The features are written row by row into one (features x N) array, each
+    product into its row, from a transposed copy of x or u, and the array's
+    transpose is returned: no regressor-sized temporary is formed. Each
+    off-diagonal row is doubled after its product.
+    """
+    n, m = xs.shape[1], us.shape[1]
+    Phi = np.empty((n * (n + 1) // 2 + m * (m + 1) // 2, len(xs)))
+    labels, top = [], 0
     for name, V in (("x", xs), ("u", us)):
-        r, c = linalg.sym_index(V.shape[1])
-        blocks.append(np.where(r == c, 1.0, 2.0) * V[:, r] * V[:, c])
-        labels += [f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}"
-                   for i, j in zip(r.tolist(), c.tolist())]
-    return np.hstack(blocks), labels
+        k = V.shape[1]
+        Vt = V.T.copy()
+        r, c = linalg.sym_index(k)
+        for row, i, j in zip(Phi[top:], r.tolist(), c.tolist()):
+            np.multiply(Vt[i], Vt[j], out=row)
+            labels.append(f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}")
+        Phi[top + k : top + len(r)] *= 2.0
+        top += len(r)
+    return Phi.T, labels
 
 
 def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:

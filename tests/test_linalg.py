@@ -190,6 +190,29 @@ class TestLstsq:
             linalg.lstsq(np.eye(4), np.ones((3, 2)))
 
 
+class TestRowNorms:
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (500, 4), (300, 10)])
+    def test_within_rounding_of_numpy_norm(self, shape):
+        rng = np.random.default_rng(shape[1])
+        X = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100, size=(shape[0], 1))
+        ref = np.linalg.norm(X, axis=1)
+        got = linalg.row_norms(X)
+        assert got.shape == ref.shape
+        # each sums n squares within n u of exact (u = eps / 2), and each
+        # sqrt rounds once: the two agree within (n / 2 + 1) eps relative
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - ref) <= (shape[1] / 2 + 1) * eps * ref)
+
+    def test_inf_and_nan_rows(self):
+        # the divergence cut counts a non-finite norm as past its limit
+        X = np.array([[1.0, np.inf, 0.0], [-np.inf, 2.0, 3.0], [np.nan, 1.0, 0.0],
+                      [np.inf, np.nan, 1.0], [3.0, 4.0, 0.0]])
+        got = linalg.row_norms(X)
+        assert got[:2].tolist() == [np.inf, np.inf]
+        assert np.isnan(got[2:4]).all()
+        assert got[4] == 5.0
+
+
 class TestSymIndex:
     def test_order(self):
         rows, cols = linalg.sym_index(3)

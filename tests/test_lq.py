@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,29 @@ class TestLQSystem:
             LQSystem(
                 A=-np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2), x0=np.zeros(2), dt=dt
             )
+
+    @pytest.mark.parametrize("N", [0, 1, 4095, 4096, 4097, 3 * 4096 + 1, 40_001])
+    def test_stage_costs_blocks_match_one_shot_formula(self, N):
+        rng = np.random.default_rng(N)
+        Qr, Rr = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))
+        Q, R = Qr @ Qr.T, Rr @ Rr.T + np.eye(2)
+        sys = LQSystem(A=-np.eye(4), B=rng.normal(size=(4, 2)), Q=Q, R=R,
+                       x0=np.zeros(4), dt=0.1)
+        xs, us = rng.normal(size=(N, 4)), rng.normal(size=(N, 2))
+        one_shot = np.einsum("ki,ki->k", xs @ Q, xs) + np.einsum("ki,ki->k", us @ R, us)
+        assert np.array_equal(sys.stage_costs(xs, us), one_shot)
+
+    def test_stage_costs_footprint_is_a_block(self, case2):
+        # the one-shot formula peaked at 1.60 MB here: x Q was a second copy of xs
+        rng = np.random.default_rng(7)
+        xs, us = rng.normal(size=(40_001, 4)), rng.normal(size=(40_001, 1))
+        tracemalloc.start()
+        try:
+            case2.system.stage_costs(xs, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6e6
 
 
 def _lq_system(A, B, Q, R):

@@ -196,6 +196,21 @@ class TestGainThatLosesThePlant:
         assert peak <= 0.1e6
 
 
+def test_evaluate_footprint_is_the_trajectory(case2):
+    # the 40,001-state trajectory is 1.28 MB; with a squared copy of it for
+    # the norms and a whole-trajectory x Q for the costs, this peaked at 3.25 MB
+    s = case2.system
+    K = care_solve(s.A, s.B, s.Q, s.R).K
+    tracemalloc.start()
+    try:
+        res = evaluate_closed_loop(s, K, 40_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.diverged
+    assert peak <= 2.25e6
+
+
 class TestBlockRolloutMatchesSequential:
     """The block-power rollout against the step-by-step recursion."""
 

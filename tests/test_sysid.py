@@ -45,6 +45,17 @@ def loop_quad_features(xs, us):
     return np.column_stack(cols), labels
 
 
+def fancy_index_quad_features(xs, us):
+    """Oracle: the features as whole blocks, (w * V[:, r]) * V[:, c] with w = 1 or 2."""
+    blocks, labels = [], []
+    for name, V in (("x", xs), ("u", us)):
+        r, c = linalg.sym_index(V.shape[1])
+        blocks.append(np.where(r == c, 1.0, 2.0) * V[:, r] * V[:, c])
+        labels += [f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}"
+                   for i, j in zip(r.tolist(), c.tolist())]
+    return np.hstack(blocks), labels
+
+
 def random_stable_system(rng, n=3, m=2, dt=0.1, margin=1.0):
     A = rng.normal(size=(n, n))
     A -= (linalg.spectral_abscissa(A) + margin) * np.eye(n)
@@ -255,6 +266,35 @@ class TestEstimateQR:
         ref, ref_labels = loop_quad_features(xs, us)
         assert np.array_equal(Phi, ref)
         assert labels == ref_labels
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (10, 3)])
+    def test_features_match_fancy_index_construction(self, n, m):
+        # each off-diagonal feature is doubled after its product, not before
+        rng = np.random.default_rng(100 * n + m)
+        xs, us = rng.normal(size=(5000, n)), rng.normal(size=(5000, m))
+        Phi, labels = _quad_features(xs, us)
+        ref, ref_labels = fancy_index_quad_features(xs, us)
+        assert np.array_equal(Phi, ref)
+        assert labels == ref_labels
+
+    def test_fit_footprint_is_the_regressor_and_its_lapack_copy(self):
+        # with its features built by fancy indexing and hstack, the fit peaked at 4.89 MB
+        n, m, N = 10, 3, 5000
+        rng = np.random.default_rng(29)
+        Qr, Rr = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        Q, R = Qr @ Qr.T, Rr @ Rr.T + np.eye(m)
+        xs, us = rng.normal(size=(N, n)), rng.normal(size=(N, m))
+        cs = np.einsum("ki,ij,kj->k", xs, Q, xs) + np.einsum("ki,ij,kj->k", us, R, us)
+        d = BatchDataset(xs=xs, us=us, cs=cs, dt=0.1)
+        tracemalloc.start()
+        try:
+            Qhat, Rhat = estimate_qr(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1e6
+        np.testing.assert_allclose(Qhat, Q, atol=1e-8)
+        np.testing.assert_allclose(Rhat, R, atol=1e-8)
 
     def test_off_diagonal_weights_recovered(self):
         # costs from full symmetric Q and R land in the matching entries
