@@ -94,7 +94,9 @@ def constraint_blocks(
 
 
 def residual_norm(W1: np.ndarray, W2: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(W1 * W1) + np.sum(W2 * W2)))
+    """||(W1, W2)||_F; inf, with no warning, when a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(W1 * W1) + np.sum(W2 * W2)))
 
 
 def planted(lam, V, Ahat, C, mu) -> tuple[np.ndarray, np.ndarray]:

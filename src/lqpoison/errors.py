@@ -25,7 +25,7 @@ class RankDeficiencyError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance, or the ADMM residual blew up.
+    """An iterative solver failed to reach its tolerance, or the ADMM residual is not finite.
 
     The Riccati refinement raises it when a step fails to lower a residual above
     its rounding bound, or when the residual is not finite.

@@ -43,7 +43,7 @@ from .poison import (
 )
 from .sysid import SysIdEstimate, identify
 
-DIVERGENCE_NORM = 1e9
+DIVERGENCE_NORM = 1e9  # a closed loop has diverged once ||x|| passes this multiple of ||x0||
 SETTLE_FRAC = 0.05  # settled once ||x|| stays below this fraction of ||x0||
 
 
@@ -151,7 +151,8 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     the costs from ``LQSystem.stage_costs``' blocks.
 
     An unstable loop is truncated at the first state whose norm is not
-    within ``DIVERGENCE_NORM`` (a non-finite norm counts as past it); that
+    within ``DIVERGENCE_NORM`` times ||x0|| (a non-finite norm counts as past
+    it, and with x0 = 0 every state is 0 and within the cut); that
     state is kept and the run is flagged, not raised: diverging is a
     legitimate outcome the caller wants to see. A gain so large that M
     loses the plant's step at a kept state is refused
@@ -166,7 +167,9 @@ def evaluate_closed_loop(sys: LQSystem, K, horizon: int) -> ClosedLoopResult:
     with np.errstate(over="ignore", invalid="ignore"):
         with linalg.sized_by("horizon"):
             states = linalg.rollout(F + GK, sys.x0, horizon)
-        within = linalg.row_norms(states[1:]) <= DIVERGENCE_NORM
+        # finite even when ||x0|| overflows, so that an inf norm is past it
+        cut = min(DIVERGENCE_NORM * np.linalg.norm(sys.x0), np.finfo(float).max)
+        within = linalg.row_norms(states[1:]) <= cut
     diverged = not within.all()
     if diverged:
         states = states[: int(np.argmin(within)) + 2].copy()

@@ -35,8 +35,11 @@ the attainable gain K' of ``certify.gain_slice``, which is the target when
 the target is attainable. ADMM polishes its iterate once, at iteration
 ``POLISH_AT``, with ``certify.polish``, and stops there if the polished
 point's certificate (the constraint residual of its (Atilde, P) against K')
-is within ``PRIMAL_TOL``; otherwise it runs on until its own residual is, or
-to its iteration cap. ``converged`` means that the returned point is
+is within ``PRIMAL_TOL`` times the constraint's scale; otherwise it runs on
+until its own residual is, or to its iteration cap. The scale is the
+residual at P = 0, ||(Qhat, Rhat Ktarget)||_F: scaling (Qhat, Rhat, P) by c
+scales every residual by c and leaves K' and Atilde unchanged, so the
+tolerance is relative. ``converged`` means that the returned point is
 certified, so a run that stalls reports converged=False instead of raising;
 ``stationary`` that it is the polish's stationary point on the slice.
 """
@@ -54,8 +57,7 @@ from .data import BatchDataset
 from .errors import ConvergenceError, DimensionError, StabilityError
 from .lq import care_solve, lq_matrices
 
-DIVERGENCE_LIMIT = 1e6
-PRIMAL_TOL = 1e-6  # constraint residual within which the attack's answer is certified
+PRIMAL_TOL = 1e-6  # relative constraint residual within which the attack's answer is certified
 # The P-step solves its least-squares system by QR unless the smallest |R_ii|
 # is within this factor of the largest; then it takes the SVD solve. Since
 # sigma_min(D) <= min |R_ii|, a small ratio proves D nearly rank deficient; a
@@ -235,17 +237,15 @@ def admm_iteration(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> float
     """One A-, P- and Z-step on ``state``; returns the constraint residual.
 
     The residual is taken after the P-step and appended to
-    ``state.residuals``. One above ``DIVERGENCE_LIMIT`` aborts with a hint to
-    raise mu.
+    ``state.residuals``. One that is not finite raises ``ConvergenceError``.
     """
     state.Atilde = a_step(state, spec, cfg)
     state.P = p_step(state, spec, cfg)
     W1, W2 = constraint_blocks(state.Atilde, state.P, spec)
     r = residual_norm(W1, W2)
-    if not np.isfinite(r) or r > DIVERGENCE_LIMIT:
+    if not np.isfinite(r):
         raise ConvergenceError(
-            f"constraint residual {r:.3e} exceeded {DIVERGENCE_LIMIT:.0e} "
-            f"at iteration {state.iter + 1}; try a larger penalty parameter mu"
+            f"constraint residual {r} at iteration {state.iter + 1} is not finite"
         )
     state.Z1, state.Z2 = z_step(state, W1, W2, cfg)
     state.iter += 1
@@ -258,14 +258,21 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
 
     Starts from Atilde = Ahat with P at the nominal Riccati solution (the
     zero-attack fixed point: if Ktarget already is the nominal gain the
-    first iteration terminates with Atilde = Ahat exactly). ADMM stops when
-    its residual is within ``PRIMAL_TOL``, or at iteration ``POLISH_AT`` if
-    the ``polish`` tried there, once, is certified, and then holds the
-    polished point. ``converged`` is whether the returned point's residual
-    against the attainable gain K' is within ``PRIMAL_TOL``.
+    first iteration terminates with Atilde = Ahat exactly). Every residual
+    is measured against the scale s = ||(Qhat, Rhat Ktarget)||_F, the
+    residual at P = 0; a scale that overflows raises ``ValueError``.
+    ADMM stops when its residual is within ``PRIMAL_TOL`` s, or at iteration
+    ``POLISH_AT`` if the ``polish`` tried there, once, is certified, and then
+    holds the polished point. ``converged`` is whether the returned point's
+    residual against the attainable gain K' is within ``PRIMAL_TOL`` s.
     """
     cfg = cfg or AdmmConfig()
     n = spec.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = PRIMAL_TOL * residual_norm(spec.Qhat, spec.Rhat @ spec.Ktarget)
+    if not math.isfinite(tol):
+        raise ValueError("the attack's constraint scale ||(Qhat, Rhat Ktarget)||_F overflows; "
+                         "rescale the costs or the target")
     try:
         P0 = care_solve(spec.Ahat, spec.Bhat, spec.Qhat, spec.Rhat).P
     except (ConvergenceError, StabilityError):
@@ -278,17 +285,17 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
         attainable=gain_slice(spec),
     )
     while state.iter < cfg.n_iter:
-        if admm_iteration(state, spec, cfg) <= PRIMAL_TOL:
+        if admm_iteration(state, spec, cfg) <= tol:
             break
         if state.iter == POLISH_AT:
             polished = polish(spec, state.P, state.attainable)
-            if polished is not None and polished.certificate <= PRIMAL_TOL:
+            if polished is not None and polished.certificate <= tol:
                 state.Atilde, state.P = polished.Atilde, polished.P
                 state.polish_iter, state.stationary = polished.iterations, polished.stationary
                 break
     W1, W2 = constraint_blocks(state.Atilde, state.P, spec, state.attainable.gain)
     state.certificate = residual_norm(W1, W2)
-    state.converged = state.certificate <= PRIMAL_TOL
+    state.converged = state.certificate <= tol
     return state
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -42,6 +43,16 @@ def sim_dir(tmp_path_factory, case1_config):
     res = cli("simulate", "--config", case1_config, "--out", out)
     assert res.returncode == 0, res.stderr
     return d
+
+
+def certificate_tol(data, Ktarget):
+    """The attack's certificate tolerance on a dataset: PRIMAL_TOL times the
+    residual at P = 0 of the cost weights identified from it."""
+    from lqpoison.certify import residual_norm
+    from lqpoison.sysid import identify
+
+    est = identify(dataset_read(str(data)), with_qr=True)
+    return poison.PRIMAL_TOL * residual_norm(est.Qhat, est.Rhat @ np.asarray(Ktarget))
 
 
 def test_version():
@@ -253,7 +264,7 @@ def test_attack_case1_target_certified_exit_0_with_outputs(tmp_path, sim_dir, ca
     report = json.loads(Path(f"{out}/attack_report.json").read_text())
     # the target is not attainable: certified for K', 4.14e-3 from the floor
     assert report["converged"] is True
-    assert report["certificate"] <= poison.PRIMAL_TOL
+    assert report["certificate"] <= certificate_tol(sim_dir / "data.csv", doc["Ktarget"])
     assert report["floor"] == pytest.approx(4.14e-3, abs=5e-5)
     assert report["gain_error"] <= 0.2 * np.sqrt(2 * 4)
     err = np.abs(np.array(report["Atilde"]) - np.array(doc["system"]["A"]))
@@ -284,7 +295,7 @@ def test_attack_stalled_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
     assert report["converged"] is False and report["polish_iterations"] == 0
     assert report["stationary"] is False
     assert report["admm_iterations"] == len(report["admm_residuals"]) == 3
-    assert report["certificate"] > poison.PRIMAL_TOL
+    assert report["certificate"] > certificate_tol(sim_dir / "data.csv", CASE1["Ktarget"])
     assert (out / "poisoned.csv").exists()
 
 
@@ -631,10 +642,14 @@ def test_reproduce_uncertified_attack_exit_5_with_outputs(tmp_path, monkeypatch,
     assert "attack converged: False" in stdout
 
 
+def nan_p_step(state, spec, cfg):
+    return np.full_like(state.P, np.nan)
+
+
 def test_reproduce_stage_failure_exits_with_its_code(tmp_path, monkeypatch, capsys):
-    # an ADMM residual past the divergence limit fails the attack stage:
-    # a ConvergenceError, so exit 5 as for `attack`, not 1
-    monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
+    # a non-finite ADMM residual fails the attack stage: a ConvergenceError,
+    # so exit 5 as for `attack`, not 1
+    monkeypatch.setattr(poison, "p_step", nan_p_step)
     out = tmp_path / "r"
     code, _, stderr = reproduce_case1_with(monkeypatch, capsys, out)
     assert code == 5, stderr
@@ -847,7 +862,7 @@ def test_attack_divergence_exit_5_without_outputs(tmp_path, sim_dir, case1_confi
                                                   monkeypatch, capsys):
     from lqpoison import cli as cli_module, poison
 
-    monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
+    monkeypatch.setattr(poison, "p_step", nan_p_step)
     out = tmp_path / "out"
     code = cli_module.main(["attack", "--config", case1_config,
                             "--data", str(sim_dir / "data.csv"),
@@ -855,7 +870,80 @@ def test_attack_divergence_exit_5_without_outputs(tmp_path, sim_dir, case1_confi
     assert code == 5
     err = capsys.readouterr().err
     assert err.startswith("error: constraint residual ")
-    assert err.endswith("; try a larger penalty parameter mu\n")
+    assert err.endswith(" at iteration 1 is not finite\n")
+    assert not out.exists()
+
+
+def attack_scaled(tmp_path, sim_dir, case1_config, costs=1.0, target=1.0):
+    """``attack`` (RuntimeWarnings as errors) on case1's dataset with its cost
+    column times ``costs``, toward case1's target times ``target``; its files
+    go under ``tmp_path``. Returns (result, output directory, report or None)."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    d = dataset_read(str(sim_dir / "data.csv"))
+    data = tmp_path / "scaled.csv"
+    dataset_write(BatchDataset(xs=d.xs, us=d.us, cs=costs * d.cs, dt=d.dt, seed=d.seed), str(data))
+    gain = tmp_path / "target.json"
+    gain.write_text(json.dumps({"Ktarget": (target * np.array(CASE1["Ktarget"])).tolist()}))
+    out = tmp_path / "out"
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lqpoison",
+                          "attack", "--config", case1_config, "--data", str(data),
+                          "--target", str(gain), "--out", str(out)],
+                         capture_output=True, text=True)
+    report = out / "attack_report.json"
+    return res, out, json.loads(report.read_text()) if report.exists() else None
+
+
+def test_attack_certificate_relative_to_the_cost_scale(tmp_path, sim_dir, case1_config):
+    # scaling the costs by s scales every constraint residual by s and
+    # leaves K' and Atilde unchanged: the same point is certified
+    base = attack_scaled(tmp_path / "s1", sim_dir, case1_config)[2]
+    res, _, report = attack_scaled(tmp_path / "s6", sim_dir, case1_config, costs=1e6)
+    assert res.returncode == 0, res.stderr
+    assert report["converged"] is True and report["stationary"] is True
+    assert report["admm_iterations"] == base["admm_iterations"] == poison.POLISH_AT
+    assert report["objective"] == pytest.approx(base["objective"], rel=1e-9)
+    assert report["objective"] == pytest.approx(7.11748, abs=1e-5)
+
+
+def test_attack_tiny_cost_scale_ends_uncertified_exit_5(tmp_path, sim_dir, case1_config):
+    # mu is absolute, so at costs times 1e-8 ADMM barely moves Atilde from
+    # Ahat; the relative tolerance refuses to certify it
+    res, out, report = attack_scaled(tmp_path, sim_dir, case1_config, costs=1e-8)
+    assert res.returncode == 5, res.stderr
+    assert "attack NOT converged" in res.stdout
+    assert report["converged"] is False
+    assert report["certificate"] > certificate_tol(tmp_path / "scaled.csv", CASE1["Ktarget"])
+    assert (out / "poisoned.csv").exists()
+
+
+@pytest.mark.parametrize("costs,target", [(1e160, 1.0), (1.0, 1e200)])
+def test_attack_overflowing_constraint_scale_exit_2_without_outputs(tmp_path, sim_dir,
+                                                                   case1_config, costs, target):
+    res, out, _ = attack_scaled(tmp_path, sim_dir, case1_config, costs=costs, target=target)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("error: the attack's constraint scale ||(Qhat, Rhat Ktarget)||_F "
+                          "overflows; rescale the costs or the target\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sysid", "attack"])
+def test_prbs_with_two_inputs_cannot_fit_r_exit_4(tmp_path, case1_config, command):
+    # every u_i^2 is amplitude^2 at every sample, so the u0^2 and u1^2
+    # features are equal columns and only their sum is identifiable
+    res, data = simulate_with(tmp_path, case1_config,
+                              excitation={"kind": "prbs", "amplitude": 1.0})
+    assert res.returncode == 0, res.stderr
+    out = tmp_path / "out"
+    if command == "sysid":
+        res = cli("sysid", "--data", str(data), "--out", str(out), "--with-qr")
+    else:
+        res = cli("attack", "--config", case1_config, "--data", str(data),
+                  "--target", case1_config, "--out", str(out))
+    assert res.returncode == 4, res.stderr
+    assert "quadratic features are rank deficient (12 < 13)" in res.stderr
+    combination = re.search(r"dependent combinations: ([+-])0\.71\*u0\^2 ([+-])0\.71\*u1\^2\n$",
+                            res.stderr)
+    assert combination and combination[1] != combination[2], res.stderr
     assert not out.exists()
 
 

@@ -43,7 +43,7 @@ def sequential_rollout(sys, K, horizon):
         cost += float(x @ sys.Q @ x + u @ sys.R @ u) * sys.dt
         x = F @ x + G @ u
         states.append(x.copy())
-        if np.linalg.norm(x) > DIVERGENCE_NORM:
+        if np.linalg.norm(x) > DIVERGENCE_NORM * np.linalg.norm(sys.x0):
             diverged = True
             break
     return ClosedLoopResult(states=np.array(states), cost=cost, diverged=diverged)
@@ -246,8 +246,33 @@ class TestBlockRolloutMatchesSequential:
         s = case1.system
         res = assert_matches_oracle(s, np.zeros((s.m, s.n)), 100000)
         assert res.diverged
-        assert np.linalg.norm(res.states[-1]) > DIVERGENCE_NORM
-        assert np.all(np.linalg.norm(res.states[:-1], axis=1) <= DIVERGENCE_NORM)
+        cut = DIVERGENCE_NORM * np.linalg.norm(s.x0)
+        assert np.linalg.norm(res.states[-1]) > cut
+        assert np.all(np.linalg.norm(res.states[:-1], axis=1) <= cut)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-10, 1.0, 1e8, 1e10, 1e100])
+    def test_cut_relative_to_x0(self, case1, scale):
+        # the closed loop is linear: a scaled x0 scales every state, and the
+        # stabilizing loop neither diverges nor settles later at any scale
+        s = case1.system
+        sys = LQSystem(A=s.A, B=s.B, Q=s.Q, R=s.R, x0=scale * s.x0, dt=s.dt)
+        K = care_solve(s.A, s.B, s.Q, s.R).K
+        res = assert_matches_oracle(sys, K, case1.horizon)
+        assert not res.diverged and res.states.shape == (case1.horizon + 1, s.n)
+        assert settling_step(res.states) == (None if scale == 0.0 else 944)
+        if scale == 0.0:
+            assert not res.states.any() and res.cost == 0.0
+
+    def test_x0_whose_norm_overflows_is_cut_at_once(self, case1):
+        # ||x0|| overflows to inf, and so does every later state's norm: each
+        # is past the cut, which stays finite
+        s = case1.system
+        sys = LQSystem(A=s.A, B=s.B, Q=s.Q, R=s.R, x0=1e155 * s.x0, dt=s.dt)
+        K = care_solve(s.A, s.B, s.Q, s.R).K
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = evaluate_closed_loop(sys, K, case1.horizon)
+        assert res.diverged and res.states.shape == (2, s.n)
 
     def test_strongly_unstable_gain_no_overflow_warning(self, case1):
         s = case1.system

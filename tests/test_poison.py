@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,12 @@ def indefinite_2x2_point():
 
 class StopCall(Exception):
     """Raised by a spy to end the call under test once it has its arguments."""
+
+
+def certificate_tol(spec):
+    """The attack's certificate tolerance: PRIMAL_TOL times the constraint's
+    residual at P = 0."""
+    return poison.PRIMAL_TOL * residual_norm(spec.Qhat, spec.Rhat @ spec.Ktarget)
 
 
 def spy(monkeypatch, name, stop=False, owner=np.linalg):
@@ -431,9 +439,50 @@ class TestAdmmSolve:
         assert np.array_equal(starts[0], np.eye(case1_spec.n))
 
     def test_divergence_guard(self, case1_spec, monkeypatch):
-        monkeypatch.setattr(poison, "DIVERGENCE_LIMIT", 1e-12)
-        with pytest.raises(ConvergenceError, match="penalty"):
+        # a non-finite residual is ADMM's one early stop short of a certified point
+        monkeypatch.setattr(poison, "p_step",
+                            lambda state, spec, cfg: np.full_like(state.P, np.nan))
+        with pytest.raises(ConvergenceError,
+                           match="^constraint residual nan at iteration 1 is not finite$"):
             admm_solve(case1_spec, AdmmConfig(n_iter=3))
+
+    def test_overflowing_residual_stops_without_warning(self, case1_spec, monkeypatch):
+        # at P = 1e200 the blocks are finite but their squares overflow
+        monkeypatch.setattr(poison, "p_step",
+                            lambda state, spec, cfg: np.full_like(state.P, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError,
+                               match="^constraint residual inf at iteration 1 is not finite$"):
+                admm_solve(case1_spec, AdmmConfig(n_iter=3))
+
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e12])
+    def test_tolerance_scales_with_the_costs(self, case1_spec, c):
+        # (c Qhat, c Rhat) has the same attainable gain and planted dynamics,
+        # and every residual scaled by c: the same stationary point is
+        # certified. (mu is absolute, so far smaller c end uncertified.)
+        base = admm_solve(case1_spec)
+        spec = AttackSpec(Ahat=case1_spec.Ahat, Bhat=case1_spec.Bhat, Qhat=c * case1_spec.Qhat,
+                          Rhat=c * case1_spec.Rhat, Ktarget=case1_spec.Ktarget)
+        state = admm_solve(spec)
+        assert state.converged and state.stationary
+        assert state.iter == base.iter == poison.POLISH_AT
+        assert 0 < state.certificate <= certificate_tol(spec)
+        assert certificate_tol(spec) == pytest.approx(c * certificate_tol(case1_spec), rel=1e-12)
+        np.testing.assert_allclose(state.attainable.gain, base.attainable.gain, rtol=1e-9)
+        assert np.sum((state.Atilde - spec.Ahat) ** 2) == pytest.approx(
+            np.sum((base.Atilde - spec.Ahat) ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("costs,target", [(1e160, 1.0), (1.0, 1e200), (1e200, 1e200)])
+    def test_overflowing_scale_refused_without_warning(self, case1_spec, costs, target):
+        spec = AttackSpec(Ahat=case1_spec.Ahat, Bhat=case1_spec.Bhat,
+                          Qhat=costs * case1_spec.Qhat, Rhat=costs * case1_spec.Rhat,
+                          Ktarget=target * case1_spec.Ktarget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError,
+                               match=r"scale \|\|\(Qhat, Rhat Ktarget\)\|\|_F overflows"):
+                admm_solve(spec)
 
     def test_case1_stops_at_the_first_certified_polish(self, case1_spec, monkeypatch):
         calls = spy(monkeypatch, "a_step", owner=poison)
@@ -441,8 +490,8 @@ class TestAdmmSolve:
         assert state.iter == len(calls) == len(state.residuals) == poison.POLISH_AT
         assert state.converged and 0 < state.polish_iter <= certify.MAX_POLISH_ITER
         assert state.stationary
-        assert state.certificate <= poison.PRIMAL_TOL
-        assert state.residuals[-1] > poison.PRIMAL_TOL  # ADMM alone is far off
+        assert state.certificate <= certificate_tol(case1_spec)
+        assert state.residuals[-1] > certificate_tol(case1_spec)  # ADMM alone is far off
         # the polished objective, against 8.8364 after 500 ADMM iterations alone
         assert np.sum((state.Atilde - case1_spec.Ahat) ** 2) == pytest.approx(7.1175, abs=1e-4)
 
@@ -627,7 +676,7 @@ class TestPolish:
         # lam_max grown 81 times), and the point it reached is the answer
         spec = random_chain_spec(np.random.default_rng(1))
         sl, pol = polished(spec, 10)
-        assert pol.certificate <= poison.PRIMAL_TOL and not pol.stationary
+        assert pol.certificate <= certificate_tol(spec) and not pol.stationary
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(poison, "PRIMAL_TOL", 0.0)
             start = admm_solve(spec, AdmmConfig(n_iter=10)).P
@@ -645,7 +694,7 @@ class TestPolish:
         monkeypatch.setattr(certify, "MAX_POLISH_ITER", 1)
         _, pol = polished(case1_spec, 10)
         assert pol.iterations == 1 and not pol.stationary
-        assert pol.certificate <= poison.PRIMAL_TOL
+        assert pol.certificate <= certificate_tol(case1_spec)
 
     def test_no_free_direction_returns_the_slice_point(self):
         # n = m: Bhat^T P = -Rhat K pins P down to P0 = Pstar
