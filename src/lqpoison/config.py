@@ -11,7 +11,7 @@ arrays), a single seed that drives all randomness, and the solver knobs:
       "N": 500,
       "seed": 42,
       "Ktarget": [[...]],
-      "admm": {"mu": 10.0, "n_iter": 500},
+      "admm": {"mu": 100.0, "n_iter": 500},
       "horizon": 1000
     }
 

@@ -292,14 +292,14 @@ def dataset_write(d: BatchDataset, path: str) -> None:
     write_json(_meta_path(path), {"dt": d.dt, "seed": d.seed})
 
 
-def _fast_values(body: list[str], width: int) -> np.ndarray | None:
+def _fast_values(body: list[str], width: int, dt: float) -> np.ndarray | None:
     """The (N, width) t,x*,u*,c values of a well-formed body, else None.
 
     One ``np.loadtxt`` pass. It converts floats with the same C routine as
     ``float`` and rejects an int written ``1.0`` as ``int`` does, and what it
     accepts is a subset of what they accept, so a body it takes parses to
     the same bits as the line loop. The result is used only when every row
-    is a finite sample with k = 0, 1, 2, ... in order.
+    is a finite sample with k = 0, 1, 2, ... in order and t = k*dt exactly.
     """
     if not any(body):  # loadtxt warns on input with no rows
         return None
@@ -308,12 +308,16 @@ def _fast_values(body: list[str], width: int) -> np.ndarray | None:
         rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
-    if not (np.array_equal(rec["k"], np.arange(len(rec))) and np.isfinite(rec["v"]).all()):
+    k = np.arange(len(rec), dtype=np.float64)
+    if not (np.array_equal(rec["k"], k) and np.isfinite(rec["v"]).all()):
         return None
+    with np.errstate(over="ignore"):  # an inf k*dt is a mismatch
+        if not np.array_equal(rec["v"][:, 0], np.multiply(k, dt, out=k)):  # t as csv_rows writes it
+            return None
     return rec["v"]
 
 
-def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
+def _checked_values(body: list[str], header: list[str], dt: float) -> np.ndarray:
     """The body parsed line by line; raises DatasetFormatError at the first bad line."""
     rows = []
     for lineno, line in enumerate(body, start=2):
@@ -342,6 +346,10 @@ def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
             raise DatasetFormatError(
                 f"sample index {_shown(k)} out of order (expected {len(rows)})", line=lineno
             )
+        if row[0] != k * dt:
+            raise DatasetFormatError(
+                f"time {_shown(parts[1])} in column t is not k*dt = {k * dt!r}", line=lineno
+            )
         rows.append(row)
     if not rows:
         raise DatasetFormatError("dataset has no sample rows", line=2)
@@ -361,6 +369,7 @@ def dataset_read(path: str) -> BatchDataset:
             raise DatasetFormatError(f"metadata field {key}: {e}") from e
 
     dt = field("dt", json_number)
+    linalg.require_dt(dt)  # before the t column is compared with k*dt
     seed = meta.get("seed")
     if seed is not None:
         seed = field("seed", lambda v: json_int(v, minimum=0))
@@ -378,9 +387,9 @@ def dataset_read(path: str) -> BatchDataset:
     if min(n, m) < 1 or header != _dataset_header(n, m):
         raise DatasetFormatError(f"header {_shown(lines[0])} is not "
                                  "k,t,x0..x{n-1},u0..u{m-1},c with n, m >= 1", line=1)
-    values = _fast_values(lines[1:], n + m + 2)
+    values = _fast_values(lines[1:], n + m + 2, dt)
     if values is None:
-        values = _checked_values(lines[1:], header)
+        values = _checked_values(lines[1:], header, dt)
     return BatchDataset(
         xs=values[:, 1 : 1 + n].copy(), us=values[:, 1 + n : 1 + n + m].copy(),
         cs=values[:, -1].copy(), dt=dt, seed=seed,

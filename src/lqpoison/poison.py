@@ -21,33 +21,30 @@ convex subproblems ADMM-style with penalty mu:
   P-step  the PSD projection of the unconstrained symmetric minimizer of
           the stacked-block Frobenius objective: a small least-squares solve
           over the orthonormal basis ``linalg.sym_basis`` of symmetric
-          matrices, by one Householder QR and a triangular solve (the SVD
-          solve of the triangle when R's diagonal shows rank deficiency;
-          at n = 10 the QR costs about a fifth of an SVD solve of the system).
-          When that minimizer is PSD (every P-step of the bundled runs) it
-          is the constrained minimizer outright; otherwise the projection is
-          an approximate one, which is all ADMM needs, since the polish's
+          matrices, by one Householder QR and a triangular solve. When that
+          minimizer is PSD (every P-step of the bundled runs) it is the
+          constrained minimizer outright; otherwise the projection is an
+          approximate one, which is all ADMM needs, since the polish's
           certificate decides whether an answer stands.
   Z-step  plain dual ascent Z <- Z + mu * W on the stacked constraint W.
 
 Not every gain is LQR-optimal for some plant, so the attack answers for
-the attainable gain K' of ``certify.gain_slice``, which is the target when
-the target is attainable. ADMM polishes its iterate once, at iteration
-``POLISH_AT``, with ``certify.polish``, and stops there if the polished
-point's certificate (the constraint residual of its (Atilde, P) against K')
-is within ``PRIMAL_TOL`` times the constraint's scale; otherwise it runs on
-until its own residual is, or to its iteration cap. The scale is the
-residual at P = 0, ||(Qhat, Rhat Ktarget)||_F: scaling (Qhat, Rhat, P) by c
-scales every residual by c and leaves K' and Atilde unchanged, so the
-tolerance is relative. ``converged`` means that the returned point is
-certified, so a run that stalls reports converged=False instead of raising;
+the attainable gain K' of ``certify.gain_slice`` (the target when it is
+attainable). Scaling (Qhat, Rhat) by c scales P and every residual by c and
+leaves K' and Atilde unchanged, so ``admm_solve`` works on the costs divided
+by sigma = ||(Qhat, Rhat Ktarget)||_F, where mu and ``PRIMAL_TOL`` are
+dimensionless. ADMM polishes its iterate once, at iteration ``POLISH_AT``,
+with ``certify.polish``, and stops there if the polished point's certificate
+(its constraint residual against K') is within ``PRIMAL_TOL``; otherwise it
+runs until its own residual is, or to its iteration cap. ``converged`` means
+the returned point is certified, so a stalled run returns converged=False;
 ``stationary`` that it is the polish's stationary point on the slice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,7 +54,7 @@ from .data import BatchDataset
 from .errors import ConvergenceError, DimensionError, StabilityError
 from .lq import care_solve, lq_matrices
 
-PRIMAL_TOL = 1e-6  # relative constraint residual within which the attack's answer is certified
+PRIMAL_TOL = 1e-6  # constraint residual, in units of sigma, that certifies the answer
 # The P-step solves its least-squares system by QR unless the smallest |R_ii|
 # is within this factor of the largest; then it takes the SVD solve. Since
 # sigma_min(D) <= min |R_ii|, a small ratio proves D nearly rank deficient; a
@@ -98,7 +95,7 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    mu: float = 10.0
+    mu: float = 100.0
     n_iter: int = 500
 
     def __post_init__(self):
@@ -116,7 +113,8 @@ class AdmmState:
     constraint residual; ``polish_iter`` is the step count of the polish
     whose point the state holds (0 if none), ``stationary`` whether that
     point is stationary on the slice, and ``certificate`` the returned
-    point's residual against the attainable gain.
+    point's residual against the attainable gain. ``admm_solve`` leaves all
+    but P on the unit-scale spec, residuals in units of sigma.
     """
 
     Atilde: np.ndarray
@@ -256,23 +254,24 @@ def admm_iteration(state: AdmmState, spec: AttackSpec, cfg: AdmmConfig) -> float
 def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
     """ADMM iterations until a certified point, or ``cfg.n_iter`` of them.
 
+    Solves the spec with Qhat and Rhat divided by sigma (as is if sigma = 0;
+    one that overflows raises ``ValueError``) and returns its P times sigma.
     Starts from Atilde = Ahat with P at the nominal Riccati solution (the
     zero-attack fixed point: if Ktarget already is the nominal gain the
-    first iteration terminates with Atilde = Ahat exactly). Every residual
-    is measured against the scale s = ||(Qhat, Rhat Ktarget)||_F, the
-    residual at P = 0; a scale that overflows raises ``ValueError``.
-    ADMM stops when its residual is within ``PRIMAL_TOL`` s, or at iteration
-    ``POLISH_AT`` if the ``polish`` tried there, once, is certified, and then
-    holds the polished point. ``converged`` is whether the returned point's
-    residual against the attainable gain K' is within ``PRIMAL_TOL`` s.
+    first iteration terminates with Atilde = Ahat exactly). ADMM stops when
+    its residual is within ``PRIMAL_TOL``, or at iteration ``POLISH_AT`` if
+    the ``polish`` tried there, once, is certified, and then holds the
+    polished point. ``converged``: the returned point's residual against K'
+    is within ``PRIMAL_TOL``.
     """
     cfg = cfg or AdmmConfig()
     n = spec.n
     with np.errstate(over="ignore", invalid="ignore"):
-        tol = PRIMAL_TOL * residual_norm(spec.Qhat, spec.Rhat @ spec.Ktarget)
-    if not math.isfinite(tol):
+        sigma = residual_norm(spec.Qhat, spec.Rhat @ spec.Ktarget) or 1.0
+    if not math.isfinite(sigma):
         raise ValueError("the attack's constraint scale ||(Qhat, Rhat Ktarget)||_F overflows; "
                          "rescale the costs or the target")
+    spec = replace(spec, Qhat=spec.Qhat / sigma, Rhat=spec.Rhat / sigma)
     try:
         P0 = care_solve(spec.Ahat, spec.Bhat, spec.Qhat, spec.Rhat).P
     except (ConvergenceError, StabilityError):
@@ -285,17 +284,18 @@ def admm_solve(spec: AttackSpec, cfg: AdmmConfig | None = None) -> AdmmState:
         attainable=gain_slice(spec),
     )
     while state.iter < cfg.n_iter:
-        if admm_iteration(state, spec, cfg) <= tol:
+        if admm_iteration(state, spec, cfg) <= PRIMAL_TOL:
             break
         if state.iter == POLISH_AT:
             polished = polish(spec, state.P, state.attainable)
-            if polished is not None and polished.certificate <= tol:
+            if polished is not None and polished.certificate <= PRIMAL_TOL:
                 state.Atilde, state.P = polished.Atilde, polished.P
                 state.polish_iter, state.stationary = polished.iterations, polished.stationary
                 break
     W1, W2 = constraint_blocks(state.Atilde, state.P, spec, state.attainable.gain)
     state.certificate = residual_norm(W1, W2)
-    state.converged = state.certificate <= tol
+    state.converged = state.certificate <= PRIMAL_TOL
+    state.P = sigma * state.P
     return state
 
 

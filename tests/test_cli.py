@@ -45,16 +45,6 @@ def sim_dir(tmp_path_factory, case1_config):
     return d
 
 
-def certificate_tol(data, Ktarget):
-    """The attack's certificate tolerance on a dataset: PRIMAL_TOL times the
-    residual at P = 0 of the cost weights identified from it."""
-    from lqpoison.certify import residual_norm
-    from lqpoison.sysid import identify
-
-    est = identify(dataset_read(str(data)), with_qr=True)
-    return poison.PRIMAL_TOL * residual_norm(est.Qhat, est.Rhat @ np.asarray(Ktarget))
-
-
 def test_version():
     res = cli("--version")
     assert res.returncode == 0
@@ -183,6 +173,21 @@ def test_sysid_non_finite_dt_exit_2(tmp_path, sim_dir, dt):
     assert not model.exists()
 
 
+def test_sysid_time_column_not_k_dt_exit_2(tmp_path, sim_dir):
+    # the learner reads only x, u and c, but a t column that is not k*dt
+    # means the rows do not come from this sidecar's sampling
+    rows = (sim_dir / "data.csv").read_text().splitlines()
+    body = [",".join([k, "123.0", *rest]) for k, _, *rest in (r.split(",") for r in rows[1:])]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join([rows[0], *body]) + "\n")
+    (tmp_path / "data.meta.json").write_text((sim_dir / "data.meta.json").read_text())
+    model = tmp_path / "m.json"
+    res = cli("sysid", "--data", str(path), "--out", str(model))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.endswith('line 2: time "123.0" in column t is not k*dt = 0.0\n')
+    assert not model.exists()
+
+
 def test_sysid_degenerate_exit_4(tmp_path):
     d = BatchDataset(xs=np.zeros((30, 2)), us=np.zeros((30, 1)), cs=np.zeros(30), dt=0.1)
     path = str(tmp_path / "zero.csv")
@@ -262,10 +267,10 @@ def test_attack_case1_target_certified_exit_0_with_outputs(tmp_path, sim_dir, ca
               "--target", str(target), "--out", out)
     assert res.returncode == 0, res.stderr
     report = json.loads(Path(f"{out}/attack_report.json").read_text())
-    # the target is not attainable: certified for K', 4.14e-3 from the floor
+    # the target is not attainable: certified for K', 6.98e-4 sigma from the floor
     assert report["converged"] is True
-    assert report["certificate"] <= certificate_tol(sim_dir / "data.csv", doc["Ktarget"])
-    assert report["floor"] == pytest.approx(4.14e-3, abs=5e-5)
+    assert report["certificate"] <= poison.PRIMAL_TOL
+    assert report["floor"] == pytest.approx(6.98e-4, abs=5e-6)
     assert report["gain_error"] <= 0.2 * np.sqrt(2 * 4)
     err = np.abs(np.array(report["Atilde"]) - np.array(doc["system"]["A"]))
     assert err.max() > 0.1  # a genuine perturbation was planted
@@ -295,7 +300,7 @@ def test_attack_stalled_exit_5_with_outputs(tmp_path, sim_dir, case1_config):
     assert report["converged"] is False and report["polish_iterations"] == 0
     assert report["stationary"] is False
     assert report["admm_iterations"] == len(report["admm_residuals"]) == 3
-    assert report["certificate"] > certificate_tol(sim_dir / "data.csv", CASE1["Ktarget"])
+    assert report["certificate"] > poison.PRIMAL_TOL
     assert (out / "poisoned.csv").exists()
 
 
@@ -386,10 +391,11 @@ def test_simulate_amplitude_with_infinite_draw_width_exit_2(tmp_path, case1_conf
     assert not out.exists() and not (tmp_path / "d.meta.json").exists()
 
 
-@pytest.mark.parametrize("mu", [1e305, 1e308])
+@pytest.mark.parametrize("mu", [1e307, 1e308])
 def test_attack_mu_that_overflows_the_a_step_exit_2(tmp_path, sim_dir, case1_config, capsys,
                                                     mu):
-    # in process, so pytest's filters turn any RuntimeWarning into an error
+    # in process, so pytest's filters turn any RuntimeWarning into an error;
+    # P is unit-scale, so only mu itself overflows the A-step (1e305 certifies)
     from lqpoison import cli as cli_module
 
     cfg = tmp_path / "big_mu.json"
@@ -894,8 +900,8 @@ def attack_scaled(tmp_path, sim_dir, case1_config, costs=1.0, target=1.0):
 
 
 def test_attack_certificate_relative_to_the_cost_scale(tmp_path, sim_dir, case1_config):
-    # scaling the costs by s scales every constraint residual by s and
-    # leaves K' and Atilde unchanged: the same point is certified
+    # the attack divides the costs by their scale sigma, so costs times s
+    # certify the same point
     base = attack_scaled(tmp_path / "s1", sim_dir, case1_config)[2]
     res, _, report = attack_scaled(tmp_path / "s6", sim_dir, case1_config, costs=1e6)
     assert res.returncode == 0, res.stderr
@@ -905,18 +911,19 @@ def test_attack_certificate_relative_to_the_cost_scale(tmp_path, sim_dir, case1_
     assert report["objective"] == pytest.approx(7.11748, abs=1e-5)
 
 
-def test_attack_tiny_cost_scale_ends_uncertified_exit_5(tmp_path, sim_dir, case1_config):
-    # mu is absolute, so at costs times 1e-8 ADMM barely moves Atilde from
-    # Ahat; the relative tolerance refuses to certify it
-    res, out, report = attack_scaled(tmp_path, sim_dir, case1_config, costs=1e-8)
-    assert res.returncode == 5, res.stderr
-    assert "attack NOT converged" in res.stdout
-    assert report["converged"] is False
-    assert report["certificate"] > certificate_tol(tmp_path / "scaled.csv", CASE1["Ktarget"])
+@pytest.mark.parametrize("costs", [1e-8, 1e-3, 1e150, 1e153])
+def test_attack_tiny_or_huge_cost_scale_certified_exit_0(tmp_path, sim_dir, case1_config, costs):
+    # mu is the penalty of the costs divided by sigma, so it means the same
+    # at any cost scale whose sigma is finite
+    res, out, report = attack_scaled(tmp_path, sim_dir, case1_config, costs=costs)
+    assert res.returncode == 0, res.stderr
+    assert report["converged"] is True and report["stationary"] is True
+    assert report["admm_iterations"] == poison.POLISH_AT
+    assert report["objective"] == pytest.approx(7.11748014, rel=1e-9)
     assert (out / "poisoned.csv").exists()
 
 
-@pytest.mark.parametrize("costs,target", [(1e160, 1.0), (1.0, 1e200)])
+@pytest.mark.parametrize("costs,target", [(1e160, 1.0), (1.0, 1e200), (1e300, 1.0)])
 def test_attack_overflowing_constraint_scale_exit_2_without_outputs(tmp_path, sim_dir,
                                                                    case1_config, costs, target):
     res, out, _ = attack_scaled(tmp_path, sim_dir, case1_config, costs=costs, target=target)
@@ -949,13 +956,13 @@ def test_prbs_with_two_inputs_cannot_fit_r_exit_4(tmp_path, case1_config, comman
 
 def test_attack_small_mu_certified_exit_0_with_outputs(tmp_path, sim_dir, case1_config,
                                                       capsys):
-    # at mu = 0.05 ADMM's own P is clipped singular, but its projection onto
-    # the slice is definite: the one polish, at iteration 10, certifies a
-    # stationary point
+    # at the small penalty mu = 1.75 ADMM's own P is clipped singular, but
+    # its projection onto the slice is definite: the one polish, at
+    # iteration 10, certifies a stationary point
     from lqpoison import cli as cli_module
 
     cfg = tmp_path / "mu.json"
-    cfg.write_text(json.dumps({**CASE1, "admm": {**CASE1["admm"], "mu": 0.05}}))
+    cfg.write_text(json.dumps({**CASE1, "admm": {**CASE1["admm"], "mu": 1.75}}))
     out = tmp_path / "out"
     code = cli_module.main(["attack", "--config", str(cfg),
                             "--data", str(sim_dir / "data.csv"),
@@ -970,7 +977,7 @@ def test_attack_small_mu_certified_exit_0_with_outputs(tmp_path, sim_dir, case1_
 def test_reproduce_small_mu_passes_its_gate_exit_0(tmp_path, monkeypatch, capsys):
     # the same certified run inside `reproduce`: every gate passes, no stage fails
     out = tmp_path / "r"
-    code, stdout, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=0.05)
+    code, stdout, stderr = reproduce_case1_with(monkeypatch, capsys, out, mu=1.75)
     assert code == 0, stdout + stderr
     doc = json.loads((out / "report.json").read_text())
     assert "errors" not in doc

@@ -105,7 +105,7 @@ def test_absent_fields_take_dataclass_defaults_and_unknown_keys_are_ignored():
     doc["excitation"]["note"] = "unused"
     doc["extra"] = {}
     s, _ = scenario_from_dict(doc)
-    assert s.admm == AdmmConfig(mu=10.0, n_iter=500)
+    assert s.admm == AdmmConfig(mu=100.0, n_iter=500)
 
 
 @pytest.mark.parametrize("field,value", [

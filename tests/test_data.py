@@ -295,8 +295,8 @@ class TestDatasetIO:
         path = str(tmp_path / "d.csv")
         dataset_write(d, path)
         lines = Path(path).read_text().splitlines()
-        fast = data._fast_values(lines[1:], n + m + 2)
-        slow = data._checked_values(lines[1:], lines[0].split(","))
+        fast = data._fast_values(lines[1:], n + m + 2, d.dt)
+        slow = data._checked_values(lines[1:], lines[0].split(","), d.dt)
         assert fast is not None
         assert fast.shape == slow.shape == (N, n + m + 2)
         assert np.array_equal(fast, slow)
@@ -315,7 +315,7 @@ class TestDatasetIO:
         def edit(lines):
             lines[2] = "1.0" + lines[2][1:]
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
         with pytest.raises(DatasetFormatError, match="bad number") as ei:
             dataset_read(path)
         assert ei.value.line == 3
@@ -324,7 +324,7 @@ class TestDatasetIO:
         def edit(lines):
             lines[3], lines[4] = lines[4], lines[3]  # samples 2 and 3 swapped
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
         message = r"sample index 3 out of order \(expected 2\)"
         with pytest.raises(DatasetFormatError, match=message) as ei:
             dataset_read(path)
@@ -332,7 +332,7 @@ class TestDatasetIO:
 
     def test_whitespace_line_is_skipped(self, tmp_path, case1_data):
         path, lines = self._edited(tmp_path, case1_data, lambda lines: lines.insert(5, "  \t"))
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
         back = dataset_read(path)
         assert np.array_equal(back.xs, case1_data.xs)
         assert np.array_equal(back.cs, case1_data.cs)
@@ -343,7 +343,7 @@ class TestDatasetIO:
             parts[0], parts[2] = "1_0", "1_5.25"  # k = 10, x0 = 15.25, as int()/float() read them
             lines[11] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
         back = dataset_read(path)
         assert back.xs[10, 0] == 15.25
         assert np.array_equal(np.delete(back.xs, 10, 0), np.delete(case1_data.xs, 10, 0))
@@ -354,10 +354,42 @@ class TestDatasetIO:
             parts[4] = "NaN"
             lines[7] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
         with pytest.raises(DatasetFormatError, match='"NaN" in column x2') as ei:
             dataset_read(path)
         assert ei.value.line == 8
+
+    @pytest.mark.parametrize("corruption", ["every-t-123", "one-ulp-at-250"])
+    def test_time_column_must_be_k_dt(self, tmp_path, case1_data, corruption):
+        # t is written as float64(k) * dt, so the reader asks for exactly that
+        def edit(lines):
+            for i in range(1, len(lines)) if corruption == "every-t-123" else [251]:
+                parts = lines[i].split(",")
+                parts[1] = ("123.0" if corruption == "every-t-123"
+                            else repr(math.nextafter(float(parts[1]), math.inf)))
+                lines[i] = ",".join(parts)
+        path, lines = self._edited(tmp_path, case1_data, edit)
+        line, t = (2, 0.0) if corruption == "every-t-123" else (252, 250 * case1_data.dt)
+        message = rf"^line {line}: time .* in column t is not k\*dt = {re.escape(repr(t))}$"
+        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
+        with pytest.raises(DatasetFormatError, match=message):
+            data._checked_values(lines[1:], lines[0].split(","), case1_data.dt)
+        with pytest.raises(DatasetFormatError, match=message) as ei:
+            dataset_read(path)
+        assert ei.value.line == line
+
+    @pytest.mark.parametrize("dt", [1.0 / 3.0, 0.005, 2.5e-7, 1e3])
+    def test_written_times_read_back(self, tmp_path, dt):
+        rng = np.random.default_rng(9)
+        d = BatchDataset(xs=rng.normal(size=(3000, 2)), us=rng.normal(size=(3000, 1)),
+                         cs=rng.random(3000), dt=dt, seed=None)
+        path = str(tmp_path / "d.csv")
+        dataset_write(d, path)
+        lines = Path(path).read_text().splitlines()
+        assert data._fast_values(lines[1:], 5, dt) is not None
+        assert np.array_equal(data._checked_values(lines[1:], lines[0].split(","), dt)[:, 1:3],
+                              d.xs)
+        assert np.array_equal(dataset_read(path).xs, d.xs)
 
     @pytest.mark.parametrize("token,message", [
         ("a" * 10**6, "bad number \"aaa"),

@@ -115,8 +115,9 @@ class StopCall(Exception):
 
 
 def certificate_tol(spec):
-    """The attack's certificate tolerance: PRIMAL_TOL times the constraint's
-    residual at P = 0."""
+    """The certificate tolerance of a polish run on ``spec`` as given:
+    PRIMAL_TOL times the constraint's residual at P = 0, the scale sigma
+    that ``admm_solve`` divides the costs by."""
     return poison.PRIMAL_TOL * residual_norm(spec.Qhat, spec.Rhat @ spec.Ktarget)
 
 
@@ -459,19 +460,46 @@ class TestAdmmSolve:
     @pytest.mark.parametrize("c", [1e3, 1e6, 1e12])
     def test_tolerance_scales_with_the_costs(self, case1_spec, c):
         # (c Qhat, c Rhat) has the same attainable gain and planted dynamics,
-        # and every residual scaled by c: the same stationary point is
-        # certified. (mu is absolute, so far smaller c end uncertified.)
+        # and P scaled by c: the unit-scale problem, its certificate and
+        # floor are the same, so the same stationary point is certified
         base = admm_solve(case1_spec)
-        spec = AttackSpec(Ahat=case1_spec.Ahat, Bhat=case1_spec.Bhat, Qhat=c * case1_spec.Qhat,
-                          Rhat=c * case1_spec.Rhat, Ktarget=case1_spec.Ktarget)
+        spec = scaled_costs(case1_spec, c)
         state = admm_solve(spec)
         assert state.converged and state.stationary
         assert state.iter == base.iter == poison.POLISH_AT
-        assert 0 < state.certificate <= certificate_tol(spec)
-        assert certificate_tol(spec) == pytest.approx(c * certificate_tol(case1_spec), rel=1e-12)
+        assert 0 < state.certificate <= poison.PRIMAL_TOL
+        assert state.attainable.floor == pytest.approx(base.attainable.floor, rel=1e-9)
         np.testing.assert_allclose(state.attainable.gain, base.attainable.gain, rtol=1e-9)
+        np.testing.assert_allclose(state.P, c * base.P, rtol=1e-9)
         assert np.sum((state.Atilde - spec.Ahat) ** 2) == pytest.approx(
             np.sum((base.Atilde - spec.Ahat) ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e6, 1e153])
+    @pytest.mark.parametrize("which", ["case1", 0, 29, 60])
+    def test_answer_does_not_depend_on_the_cost_scale(self, case1_spec, which, c):
+        # the case1 spec and three sweep specs (29 and 60 stop the polish
+        # short of stationary): the same run at any cost scale, down to the
+        # iteration count and Atilde
+        spec = case1_spec if which == "case1" else sweep_spec(which)
+        cfg = AdmmConfig(n_iter=200)
+        base = admm_solve(spec, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state = admm_solve(scaled_costs(spec, c), cfg)
+        assert base.converged and state.converged
+        assert (state.iter, state.polish_iter) == (base.iter, base.polish_iter)
+        np.testing.assert_allclose(state.Atilde, base.Atilde, rtol=0, atol=1e-9)
+
+    def test_zero_scale_solved_as_it_stands(self):
+        # Qhat = 0 and Ktarget = 0 give sigma = 0, with no scale to divide by:
+        # Ktarget = 0 is already the nominal gain, certified at iteration 1
+        spec = AttackSpec(Ahat=np.diag([-1.0, -2.0]), Bhat=[[1.0], [1.0]],
+                          Qhat=np.zeros((2, 2)), Rhat=np.eye(1), Ktarget=np.zeros((1, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state = admm_solve(spec)
+        assert state.converged and state.iter == 1
+        assert np.array_equal(state.Atilde, spec.Ahat)
 
     @pytest.mark.parametrize("costs,target", [(1e160, 1.0), (1.0, 1e200), (1e200, 1e200)])
     def test_overflowing_scale_refused_without_warning(self, case1_spec, costs, target):
@@ -490,8 +518,8 @@ class TestAdmmSolve:
         assert state.iter == len(calls) == len(state.residuals) == poison.POLISH_AT
         assert state.converged and 0 < state.polish_iter <= certify.MAX_POLISH_ITER
         assert state.stationary
-        assert state.certificate <= certificate_tol(case1_spec)
-        assert state.residuals[-1] > certificate_tol(case1_spec)  # ADMM alone is far off
+        assert state.certificate <= poison.PRIMAL_TOL
+        assert state.residuals[-1] > poison.PRIMAL_TOL  # ADMM alone is far off
         # the polished objective, against 8.8364 after 500 ADMM iterations alone
         assert np.sum((state.Atilde - case1_spec.Ahat) ** 2) == pytest.approx(7.1175, abs=1e-4)
 
@@ -514,20 +542,29 @@ class TestAdmmSolve:
         # the slice is not definite at iteration 10: they return uncertified.
         certified = []
         for seed in range(80):
-            rng = np.random.default_rng(seed)
-            A = rng.normal(size=(3, 3)) / np.sqrt(3.0)
-            B = rng.normal(size=(3, 1))
-            K = care_solve(A, B, np.eye(3), np.eye(1)).K
-            spec = AttackSpec(
-                Ahat=A, Bhat=B, Qhat=np.eye(3), Rhat=np.eye(1),
-                Ktarget=K + 0.3 * rng.normal(size=(1, 3)),
-            )
-            state = admm_solve(spec, AdmmConfig(n_iter=200))
+            state = admm_solve(sweep_spec(seed), AdmmConfig(n_iter=200))
             assert np.isfinite(state.Atilde).all() and np.isfinite(state.P).all()
             assert state.converged or state.iter == 200
             certified.append(state.converged)
         assert not certified[22] and not certified[52]
         assert sum(certified) == 78
+
+
+def scaled_costs(spec, c):
+    """``spec`` with Qhat and Rhat times c."""
+    return AttackSpec(Ahat=spec.Ahat, Bhat=spec.Bhat, Qhat=c * spec.Qhat, Rhat=c * spec.Rhat,
+                      Ktarget=spec.Ktarget)
+
+
+def sweep_spec(seed):
+    """A random n = 3 plant with unit costs and its optimal gain perturbed by
+    0.3 (per entry, standard normal)."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, 3)) / np.sqrt(3.0)
+    B = rng.normal(size=(3, 1))
+    K = care_solve(A, B, np.eye(3), np.eye(1)).K
+    return AttackSpec(Ahat=A, Bhat=B, Qhat=np.eye(3), Rhat=np.eye(1),
+                      Ktarget=K + 0.3 * rng.normal(size=(1, 3)))
 
 
 @pytest.fixture(scope="module")
