@@ -8,17 +8,18 @@ class the identification stage fits (no integrator error, no noise). The
 excitation is drawn in one batch and the states come from
 ``linalg.rollout``; no step runs in a per-sample Python loop.
 
-Datasets serialize to CSV, whose header gives n and m, and a JSON sidecar of
-``dt`` and ``seed``. Floats are written as shortest round-trip decimals so
-read(write(d)) == d bit for bit. A read parses the body with one
-``np.loadtxt`` call; only a body that call does not take cleanly is parsed
-again line by line. That loop names the first bad line in its
-``DatasetFormatError``, and it also accepts what ``int``/``float`` accept
-and ``np.loadtxt`` does not, such as whitespace-only lines (skipped) and
-underscored tokens like ``1_0``. Every file the package writes goes through
-``write_atomic`` (JSON documents via ``write_json``), and every CSV, datasets,
-closed-loop trajectories and the attack's ``step,cumulative_cost`` series
-alike, through ``indexed_csv_lines``, whose rows ``floattext.csv_rows`` formats.
+A dataset is one CSV file: its header gives n and m, and its ``t`` column
+gives dt, the second row's time; every t must be float64(k)*dt exactly.
+Floats are written as shortest round-trip decimals so read(write(d)) == d
+bit for bit. A read parses the body with one ``np.loadtxt`` call; only a
+body that call does not take cleanly is parsed again line by line. That
+loop names the first bad line in its ``DatasetFormatError``, and it also
+accepts what ``int``/``float`` accept and ``np.loadtxt`` does not, such as
+whitespace-only lines (skipped) and underscored tokens like ``1_0``. Every
+file the package writes goes through ``write_atomic`` (JSON documents via
+``write_json``), and every CSV, datasets, closed-loop trajectories and the
+attack's ``step,cumulative_cost`` series alike, through
+``indexed_csv_lines``, whose rows ``floattext.csv_rows`` formats.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class BatchDataset:
     us: np.ndarray  # (N, m)
     cs: np.ndarray  # (N,)
     dt: float
-    seed: int | None = None
 
     def __post_init__(self):
         xs = linalg.as_matrix(self.xs, "xs")
@@ -142,7 +142,7 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
             require_plant_kept(F, GK, xs[:-1], "excitation gain")
             us = xs @ gain.T + us
         cs = sys.stage_costs(xs, us)
-    return BatchDataset(xs=xs, us=us, cs=cs, dt=sys.dt, seed=policy.seed)
+    return BatchDataset(xs=xs, us=us, cs=cs, dt=sys.dt)
 
 
 def _shown(value) -> str:
@@ -220,11 +220,6 @@ def read_json_object(path: str, error: type[ValueError], what: str) -> dict:
     return doc
 
 
-def _meta_path(path: str) -> str:
-    base, _ = os.path.splitext(path)
-    return base + ".meta.json"
-
-
 def write_atomic(path: str, lines: Iterable[str]) -> None:
     """Stream ``lines`` (text pieces, each ending in a newline) to ``path`` atomically.
 
@@ -287,19 +282,18 @@ def _dataset_header(n: int, m: int) -> list[str]:
 
 
 def dataset_write(d: BatchDataset, path: str) -> None:
-    """Write CSV (header k,t,x*,u*,c) plus the .meta.json sidecar (dt, seed), atomically."""
+    """Write the CSV (header k,t,x*,u*,c; t = k*dt), atomically."""
     write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, d.xs, d.us, d.cs[:, None]))
-    write_json(_meta_path(path), {"dt": d.dt, "seed": d.seed})
 
 
-def _fast_values(body: list[str], width: int, dt: float) -> np.ndarray | None:
+def _fast_values(body: list[str], width: int) -> np.ndarray | None:
     """The (N, width) t,x*,u*,c values of a well-formed body, else None.
 
     One ``np.loadtxt`` pass. It converts floats with the same C routine as
     ``float`` and rejects an int written ``1.0`` as ``int`` does, and what it
     accepts is a subset of what they accept, so a body it takes parses to
     the same bits as the line loop. The result is used only when every row
-    is a finite sample with k = 0, 1, 2, ... in order and t = k*dt exactly.
+    is a finite sample with k = 0, 1, 2, ... in order.
     """
     if not any(body):  # loadtxt warns on input with no rows
         return None
@@ -311,13 +305,10 @@ def _fast_values(body: list[str], width: int, dt: float) -> np.ndarray | None:
     k = np.arange(len(rec), dtype=np.float64)
     if not (np.array_equal(rec["k"], k) and np.isfinite(rec["v"]).all()):
         return None
-    with np.errstate(over="ignore"):  # an inf k*dt is a mismatch
-        if not np.array_equal(rec["v"][:, 0], np.multiply(k, dt, out=k)):  # t as csv_rows writes it
-            return None
     return rec["v"]
 
 
-def _checked_values(body: list[str], header: list[str], dt: float) -> np.ndarray:
+def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
     """The body parsed line by line; raises DatasetFormatError at the first bad line."""
     rows = []
     for lineno, line in enumerate(body, start=2):
@@ -346,34 +337,12 @@ def _checked_values(body: list[str], header: list[str], dt: float) -> np.ndarray
             raise DatasetFormatError(
                 f"sample index {_shown(k)} out of order (expected {len(rows)})", line=lineno
             )
-        if row[0] != k * dt:
-            raise DatasetFormatError(
-                f"time {_shown(parts[1])} in column t is not k*dt = {k * dt!r}", line=lineno
-            )
         rows.append(row)
-    if not rows:
-        raise DatasetFormatError("dataset has no sample rows", line=2)
     return np.array(rows)
 
 
 def dataset_read(path: str) -> BatchDataset:
-    """Read a dataset written by ``dataset_write``; other sidecar keys are ignored."""
-    meta = read_json_object(_meta_path(path), DatasetFormatError, "metadata sidecar")
-
-    def field(key, convert):
-        if key not in meta:
-            raise DatasetFormatError(f"metadata field {key} is missing")
-        try:
-            return convert(meta[key])
-        except (TypeError, ValueError) as e:
-            raise DatasetFormatError(f"metadata field {key}: {e}") from e
-
-    dt = field("dt", json_number)
-    linalg.require_dt(dt)  # before the t column is compared with k*dt
-    seed = meta.get("seed")
-    if seed is not None:
-        seed = field("seed", lambda v: json_int(v, minimum=0))
-
+    """Read a dataset written by ``dataset_write``; n and m come from the header, dt from t."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -387,10 +356,26 @@ def dataset_read(path: str) -> BatchDataset:
     if min(n, m) < 1 or header != _dataset_header(n, m):
         raise DatasetFormatError(f"header {_shown(lines[0])} is not "
                                  "k,t,x0..x{n-1},u0..u{m-1},c with n, m >= 1", line=1)
-    values = _fast_values(lines[1:], n + m + 2, dt)
+    values = _fast_values(lines[1:], n + m + 2)
     if values is None:
-        values = _checked_values(lines[1:], header, dt)
+        values = _checked_values(lines[1:], header)
+    del lines  # free the text before the arrays that outlive the read are made
+    # t = float64(k)*dt as csv_rows writes it; an error names the sample, not
+    # the line, as the line loop skips blank lines
+    if len(values) < 2:
+        raise DatasetFormatError(f"dataset needs 2 sample rows to give dt, got {len(values)}")
+    t = values[:, 0]
+    dt = float(t[1])
+    if not 0.0 < dt < math.inf:
+        raise DatasetFormatError(f"sample 1: time {dt!r} in column t gives dt, "
+                                 "which must be positive and finite")
+    k = np.arange(len(t), dtype=np.float64)
+    with np.errstate(over="ignore"):  # an inf k*dt is a mismatch
+        if not np.array_equal(t, np.multiply(k, dt, out=k)):
+            bad = int(np.argmin(t == k))
+            raise DatasetFormatError(f"sample {bad}: time {float(t[bad])!r} in column t "
+                                     f"is not k*dt = {float(k[bad])!r}")
     return BatchDataset(
         xs=values[:, 1 : 1 + n].copy(), us=values[:, 1 + n : 1 + n + m].copy(),
-        cs=values[:, -1].copy(), dt=dt, seed=seed,
+        cs=values[:, -1].copy(), dt=dt,
     )

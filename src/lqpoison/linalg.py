@@ -288,7 +288,7 @@ def require_psd(M, name: str, definite: bool = False) -> None:
     w = sym_eig(M)[0]
     if definite and w[0] <= 0:
         raise ValueError(f"{name} must be positive definite (min eig {w[0]:.3e})")
-    if w[0] < PSD_EIG_FLOOR * (1.0 + abs(w[-1])):
+    if w[0] < PSD_EIG_FLOOR * abs(w[-1]):
         raise ValueError(f"{name} must be positive semidefinite (min eig {w[0]:.3e})")
 
 

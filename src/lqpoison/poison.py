@@ -312,7 +312,7 @@ def generate_poisoned(atilde, bhat, d: BatchDataset) -> BatchDataset:
     F, G = linalg.zoh_pair(atilde, bhat, d.dt)
     with np.errstate(over="ignore", invalid="ignore"):  # BatchDataset refuses overflow
         xs = linalg.rollout(F, d.xs[0], d.N - 1, d.us[:-1] @ G.T)
-    return BatchDataset(xs=xs, us=d.us.copy(), cs=d.cs.copy(), dt=d.dt, seed=d.seed)
+    return BatchDataset(xs=xs, us=d.us.copy(), cs=d.cs.copy(), dt=d.dt)
 
 
 def attack_cost(

@@ -54,7 +54,7 @@ def test_version():
 def test_simulate_writes_n_rows(sim_dir):
     lines = (sim_dir / "data.csv").read_text().splitlines()
     assert len(lines) == 501  # header + N
-    assert (sim_dir / "data.meta.json").exists()
+    assert os.listdir(sim_dir) == ["data.csv"]  # a dataset is this one file
 
 
 def test_simulate_bad_dt_exit_2(tmp_path, case1_config):
@@ -159,32 +159,43 @@ def test_sysid_missing_file_exit_2(tmp_path):
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
-def test_sysid_non_finite_dt_exit_2(tmp_path, sim_dir, dt):
-    d = dataset_read(str(sim_dir / "data.csv"))
+def sysid_with_second_time(tmp_path, sim_dir, t1):
+    """``sysid`` on case1's dataset with the second row's t, its dt, set to ``t1``."""
+    rows = (sim_dir / "data.csv").read_text().splitlines()
+    k, _, rest = rows[2].split(",", 2)
     path = tmp_path / "data.csv"
-    dataset_write(d, str(path))
-    meta = tmp_path / "data.meta.json"
-    meta.write_text(json.dumps({**json.loads(meta.read_text()), "dt": dt}))
+    path.write_text("\n".join([*rows[:2], f"{k},{t1},{rest}", *rows[3:]]) + "\n")
     model = tmp_path / "m.json"
     res = cli("sysid", "--data", str(path), "--out", str(model))
     assert res.returncode == 2, res.stderr
-    assert "dt must be positive and finite" in res.stderr
     assert not model.exists()
+    return res
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_sysid_non_finite_dt_exit_2(tmp_path, sim_dir, dt):
+    res = sysid_with_second_time(tmp_path, sim_dir, repr(dt))
+    assert res.stderr == f'error: line 3: non-finite value "{dt!r}" in column t\n'
+
+
+@pytest.mark.parametrize("t1", ["0.0", "-0.01"])
+def test_sysid_non_positive_dt_exit_2(tmp_path, sim_dir, t1):
+    res = sysid_with_second_time(tmp_path, sim_dir, t1)
+    assert res.stderr == f"error: sample 1: time {t1} in column t gives dt, " \
+                         "which must be positive and finite\n"
 
 
 def test_sysid_time_column_not_k_dt_exit_2(tmp_path, sim_dir):
     # the learner reads only x, u and c, but a t column that is not k*dt
-    # means the rows do not come from this sidecar's sampling
+    # means the rows are not samples at one spacing dt
     rows = (sim_dir / "data.csv").read_text().splitlines()
     body = [",".join([k, "123.0", *rest]) for k, _, *rest in (r.split(",") for r in rows[1:])]
     path = tmp_path / "data.csv"
     path.write_text("\n".join([rows[0], *body]) + "\n")
-    (tmp_path / "data.meta.json").write_text((sim_dir / "data.meta.json").read_text())
     model = tmp_path / "m.json"
     res = cli("sysid", "--data", str(path), "--out", str(model))
     assert res.returncode == 2, res.stderr
-    assert res.stderr.endswith('line 2: time "123.0" in column t is not k*dt = 0.0\n')
+    assert res.stderr.endswith("sample 0: time 123.0 in column t is not k*dt = 0.0\n")
     assert not model.exists()
 
 
@@ -388,7 +399,7 @@ def test_simulate_amplitude_with_infinite_draw_width_exit_2(tmp_path, case1_conf
     assert res.returncode == 2, res.stderr
     assert res.stderr == ("error: excitation: amplitude must be positive and finite, "
                           "and so must 2*amplitude, got 1e+308\n")
-    assert not out.exists() and not (tmp_path / "d.meta.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mu", [1e307, 1e308])
@@ -409,23 +420,15 @@ def test_attack_mu_that_overflows_the_a_step_exit_2(tmp_path, sim_dir, case1_con
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("seed", "array"), ("seed", "object"), ("dt", "array")])
-def test_nested_value_named_by_its_json_type(tmp_path, sim_dir, case1_config, key, value):
-    message = {"seed": "seed: must be an integer",
-               "dt": "metadata field dt: must be a number"}[key] + f", got an {value}"
+@pytest.mark.parametrize("key,value", [("seed", "array"), ("seed", "object")])
+def test_nested_value_named_by_its_json_type(tmp_path, case1_config, key, value):
     deep = 1.0
     for _ in range(300):
         deep = [deep] if value == "array" else {"v": deep}
-    if key == "seed":
-        res, out = simulate_with(tmp_path, case1_config, seed=deep)
-    else:
-        meta = json.loads((sim_dir / "data.meta.json").read_text())
-        (tmp_path / "d.meta.json").write_text(json.dumps({**meta, "dt": deep}))
-        (tmp_path / "d.csv").write_text((sim_dir / "data.csv").read_text())
-        out = tmp_path / "m.json"
-        res = cli("sysid", "--data", str(tmp_path / "d.csv"), "--out", str(out))
+    res, out = simulate_with(tmp_path, case1_config, **{key: deep})
     assert res.returncode == 2, res.stderr
-    assert res.stderr == f"error: {message}\n"  # the value itself is not echoed
+    # the value itself is not echoed
+    assert res.stderr == f"error: {key}: must be an integer, got an {value}\n"
     assert not out.exists()
 
 
@@ -516,9 +519,8 @@ def nested(depth):
 
 
 @pytest.mark.parametrize("depth", [500, 100_000])
-@pytest.mark.parametrize("where", ["config", "gain file", "metadata sidecar"])
-def test_deeply_nested_array_exit_2_without_outputs(tmp_path, sim_dir, case1_config,
-                                                    where, depth):
+@pytest.mark.parametrize("where", ["config", "gain file"])
+def test_deeply_nested_array_exit_2_without_outputs(tmp_path, case1_config, where, depth):
     # 500 deep loads and is refused by the array rule, naming the field;
     # 100,000 deep is past what json.load parses, and names the file
     doc = json.loads(Path(case1_config).read_text())
@@ -526,25 +528,17 @@ def test_deeply_nested_array_exit_2_without_outputs(tmp_path, sim_dir, case1_con
         doc["system"]["x0"] = "@"
         path, field = tmp_path / "bad.json", "system.x0"
         args = ["simulate", "--config", str(path)]
-    elif where == "gain file":
+    else:
         doc = {"K": "@"}
         path, field = tmp_path / "bad.json", "K"
         args = ["evaluate", "--config", case1_config, "--gain", str(path)]
-    else:
-        doc = json.loads((sim_dir / "data.meta.json").read_text())
-        doc["dt"] = "@"
-        (tmp_path / "bad.csv").write_text((sim_dir / "data.csv").read_text())
-        path, field = tmp_path / "bad.meta.json", "metadata field dt"
-        args = ["sysid", "--data", str(tmp_path / "bad.csv")]
     path.write_text(json.dumps(doc).replace('"@"', nested(depth)))
     before = sorted(os.listdir(tmp_path))
     res = cli(*args, "--out", str(tmp_path / "out"))
     assert res.returncode == 2, res.stderr
-    if depth == 500 and where != "metadata sidecar":
+    if depth == 500:
         assert res.stderr == f"error: {field}: must be a vector or a matrix, " \
                              "got arrays nested deeper\n"
-    elif depth == 500:
-        assert res.stderr.startswith(f"error: {field}: must be a number")
     else:
         assert res.stderr.startswith(f"error: {path}: cannot read {where}: "
                                      "maximum recursion depth exceeded")
@@ -716,29 +710,22 @@ def test_evaluate_gain_entry_not_a_number_exit_2(tmp_path, case1_config, entry):
     assert not out.exists()
 
 
-def test_sysid_sidecar_dt_not_a_number_exit_2(tmp_path, sim_dir):
-    path = tmp_path / "data.csv"
-    path.write_text((sim_dir / "data.csv").read_text())
-    meta = json.loads((sim_dir / "data.meta.json").read_text())
-    (tmp_path / "data.meta.json").write_text(json.dumps({**meta, "dt": "0.01"}))
-    model = tmp_path / "m.json"
-    res = cli("sysid", "--data", str(path), "--out", str(model))
-    assert res.returncode == 2, res.stderr
-    assert "error: metadata field dt: must be a number" in res.stderr
-    assert not model.exists()
-
-
 def test_sysid_ignores_older_sidecar_dimensions(tmp_path, sim_dir):
-    # an older writer's sidecar also carries n and m; the CSV header gives both
+    # a sidecar an older writer left beside the CSV, well formed (its n and m
+    # huge, its dt wrong) or not, is neither read nor removed
+    clean = tmp_path / "clean.json"
+    res = cli("sysid", "--data", str(sim_dir / "data.csv"), "--out", str(clean))
+    assert res.returncode == 0, res.stderr
     path = tmp_path / "data.csv"
     path.write_text((sim_dir / "data.csv").read_text())
-    meta = json.loads((sim_dir / "data.meta.json").read_text())
-    assert sorted(meta) == ["dt", "seed"]
-    (tmp_path / "data.meta.json").write_text(json.dumps({**meta, "n": 10**12, "m": 2}))
-    model = tmp_path / "m.json"
-    res = cli("sysid", "--data", str(path), "--out", str(model))
-    assert res.returncode == 0, res.stderr
-    assert np.array(json.loads(model.read_text())["Ahat"]).shape == (4, 4)
+    meta = tmp_path / "data.meta.json"
+    for text in [json.dumps({"dt": 0.5, "seed": 42, "n": 10**12, "m": 2}), "{"]:
+        meta.write_text(text)
+        model = tmp_path / "m.json"
+        res = cli("sysid", "--data", str(path), "--out", str(model))
+        assert res.returncode == 0, res.stderr
+        assert model.read_bytes() == clean.read_bytes()
+        assert meta.read_text() == text
 
 
 def test_sysid_out_is_a_directory_leaves_no_tmp(tmp_path, sim_dir):
@@ -768,7 +755,7 @@ def test_simulate_non_finite_costs_exit_2_without_dataset(tmp_path, case1_config
     assert res.returncode == 2, res.stderr
     assert "error: cs has non-finite entries" in res.stderr
     assert "Warning" not in res.stderr
-    assert not out.exists() and not (tmp_path / "d.meta.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])
@@ -887,7 +874,7 @@ def attack_scaled(tmp_path, sim_dir, case1_config, costs=1.0, target=1.0):
     tmp_path.mkdir(parents=True, exist_ok=True)
     d = dataset_read(str(sim_dir / "data.csv"))
     data = tmp_path / "scaled.csv"
-    dataset_write(BatchDataset(xs=d.xs, us=d.us, cs=costs * d.cs, dt=d.dt, seed=d.seed), str(data))
+    dataset_write(BatchDataset(xs=d.xs, us=d.us, cs=costs * d.cs, dt=d.dt), str(data))
     gain = tmp_path / "target.json"
     gain.write_text(json.dumps({"Ktarget": (target * np.array(CASE1["Ktarget"])).tolist()}))
     out = tmp_path / "out"
@@ -987,26 +974,18 @@ def test_reproduce_small_mu_passes_its_gate_exit_0(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("key,value", [
-    ("seed", "x" * 5000), ("seed", -10**400), ("dt", "x" * 5000), ("dt", 10**400),
-], ids=["seed-string", "seed-negative", "dt-string", "dt-beyond-float"])
-def test_long_value_echoed_bounded(tmp_path, sim_dir, case1_config, capsys, key, value):
+    ("seed", "x" * 5000), ("seed", -10**400),
+], ids=["seed-string", "seed-negative"])
+def test_long_value_echoed_bounded(tmp_path, case1_config, capsys, key, value):
     from lqpoison import cli as cli_module
 
-    if key == "seed":
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({**CASE1, "seed": value}))
-        out = tmp_path / "d.csv"
-        code = cli_module.main(["simulate", "--config", str(cfg), "--out", str(out)])
-    else:
-        meta = json.loads((sim_dir / "data.meta.json").read_text())
-        (tmp_path / "d.meta.json").write_text(json.dumps({**meta, "dt": value}))
-        (tmp_path / "d.csv").write_text((sim_dir / "data.csv").read_text())
-        out = tmp_path / "m.json"
-        code = cli_module.main(["sysid", "--data", str(tmp_path / "d.csv"), "--out", str(out)])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**CASE1, key: value}))
+    out = tmp_path / "d.csv"
+    code = cli_module.main(["simulate", "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2, err
-    field = "seed: " if key == "seed" else "metadata field dt: "
-    assert err.startswith(f"error: {field}must be ")
+    assert err.startswith(f"error: {key}: must be ")
     assert len(err) < 160 and " characters)" in err
     assert not out.exists()
 

@@ -184,7 +184,6 @@ class TestDatasetIO:
         assert np.array_equal(back.us, case1_data.us)
         assert np.array_equal(back.cs, case1_data.cs)
         assert back.dt == case1_data.dt
-        assert back.seed == case1_data.seed
 
     def test_write_bytes_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -194,7 +193,7 @@ class TestDatasetIO:
         xs[5, :2] = [0.0, -0.0]
         d = BatchDataset(
             xs=xs, us=rng.normal(size=(N, m)), cs=rng.normal(size=N) * scale[:, 0],
-            dt=0.005, seed=7,
+            dt=0.005,
         )
         path = str(tmp_path / "d.csv")
         dataset_write(d, path)
@@ -208,9 +207,7 @@ class TestDatasetIO:
             lines.append(",".join(vals))
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == "\n".join(lines) + "\n"
-        with open(str(tmp_path / "d.meta.json"), encoding="utf-8") as fh:
-            assert json.load(fh) == {"dt": 0.005, "seed": 7}
-        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.meta.json"]
+        assert os.listdir(tmp_path) == ["d.csv"]  # a dataset is this one file
         back = dataset_read(path)
         assert np.array_equal(back.xs, d.xs) and np.array_equal(back.us, d.us)
         assert np.array_equal(back.cs, d.cs)
@@ -238,19 +235,18 @@ class TestDatasetIO:
     def test_header_refused_at_line_1(self, tmp_path, header):
         path = tmp_path / "d.csv"
         path.write_text(header + "\n0,0.0" + ",1.0" * (header.count(",") - 1) + "\n")
-        (tmp_path / "d.meta.json").write_text('{"dt": 0.1, "seed": 0}')
         with pytest.raises(DatasetFormatError, match="^line 1: header") as ei:
             dataset_read(str(path))
         assert ei.value.line == 1
         assert len(str(ei.value)) < 200
 
     def test_shape_comes_from_the_header(self, tmp_path, case1_data):
-        # a sidecar in the older format carries n and m; the reader ignores them
+        # an older writer's sidecar carries n, m and dt; the reader ignores it
         path = str(tmp_path / "d.csv")
         dataset_write(case1_data, path)
-        (tmp_path / "d.meta.json").write_text(json.dumps({"dt": 0.01, "n": 10**12, "m": 0}))
+        (tmp_path / "d.meta.json").write_text(json.dumps({"dt": 0.5, "n": 10**12, "m": 0}))
         back = dataset_read(path)
-        assert (back.n, back.m, back.seed) == (4, 2, None)
+        assert (back.n, back.m, back.dt) == (4, 2, case1_data.dt)
         assert np.array_equal(back.xs, case1_data.xs)
 
     def test_bad_row_reports_line(self, tmp_path, case1_data):
@@ -279,7 +275,6 @@ class TestDatasetIO:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
-        (tmp_path / "e.meta.json").write_text('{"dt": 0.1, "n": 1, "m": 1, "seed": 0}')
         with pytest.raises(DatasetFormatError):
             dataset_read(str(path))
 
@@ -290,13 +285,13 @@ class TestDatasetIO:
         xs = rng.normal(size=(N, n)) * scale
         xs[3, :2] = [0.0, -0.0]
         d = BatchDataset(
-            xs=xs, us=rng.normal(size=(N, m)), cs=rng.normal(size=N), dt=0.01, seed=1
+            xs=xs, us=rng.normal(size=(N, m)), cs=rng.normal(size=N), dt=0.01
         )
         path = str(tmp_path / "d.csv")
         dataset_write(d, path)
         lines = Path(path).read_text().splitlines()
-        fast = data._fast_values(lines[1:], n + m + 2, d.dt)
-        slow = data._checked_values(lines[1:], lines[0].split(","), d.dt)
+        fast = data._fast_values(lines[1:], n + m + 2)
+        slow = data._checked_values(lines[1:], lines[0].split(","))
         assert fast is not None
         assert fast.shape == slow.shape == (N, n + m + 2)
         assert np.array_equal(fast, slow)
@@ -315,7 +310,7 @@ class TestDatasetIO:
         def edit(lines):
             lines[2] = "1.0" + lines[2][1:]
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
+        assert data._fast_values(lines[1:], 8) is None
         with pytest.raises(DatasetFormatError, match="bad number") as ei:
             dataset_read(path)
         assert ei.value.line == 3
@@ -324,7 +319,7 @@ class TestDatasetIO:
         def edit(lines):
             lines[3], lines[4] = lines[4], lines[3]  # samples 2 and 3 swapped
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
+        assert data._fast_values(lines[1:], 8) is None
         message = r"sample index 3 out of order \(expected 2\)"
         with pytest.raises(DatasetFormatError, match=message) as ei:
             dataset_read(path)
@@ -332,7 +327,7 @@ class TestDatasetIO:
 
     def test_whitespace_line_is_skipped(self, tmp_path, case1_data):
         path, lines = self._edited(tmp_path, case1_data, lambda lines: lines.insert(5, "  \t"))
-        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
+        assert data._fast_values(lines[1:], 8) is None
         back = dataset_read(path)
         assert np.array_equal(back.xs, case1_data.xs)
         assert np.array_equal(back.cs, case1_data.cs)
@@ -343,7 +338,7 @@ class TestDatasetIO:
             parts[0], parts[2] = "1_0", "1_5.25"  # k = 10, x0 = 15.25, as int()/float() read them
             lines[11] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
+        assert data._fast_values(lines[1:], 8) is None
         back = dataset_read(path)
         assert back.xs[10, 0] == 15.25
         assert np.array_equal(np.delete(back.xs, 10, 0), np.delete(case1_data.xs, 10, 0))
@@ -354,14 +349,14 @@ class TestDatasetIO:
             parts[4] = "NaN"
             lines[7] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
+        assert data._fast_values(lines[1:], 8) is None
         with pytest.raises(DatasetFormatError, match='"NaN" in column x2') as ei:
             dataset_read(path)
         assert ei.value.line == 8
 
     @pytest.mark.parametrize("corruption", ["every-t-123", "one-ulp-at-250"])
     def test_time_column_must_be_k_dt(self, tmp_path, case1_data, corruption):
-        # t is written as float64(k) * dt, so the reader asks for exactly that
+        # t is written as float64(k) * dt, with dt the second row's t
         def edit(lines):
             for i in range(1, len(lines)) if corruption == "every-t-123" else [251]:
                 parts = lines[i].split(",")
@@ -369,27 +364,30 @@ class TestDatasetIO:
                             else repr(math.nextafter(float(parts[1]), math.inf)))
                 lines[i] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        line, t = (2, 0.0) if corruption == "every-t-123" else (252, 250 * case1_data.dt)
-        message = rf"^line {line}: time .* in column t is not k\*dt = {re.escape(repr(t))}$"
-        assert data._fast_values(lines[1:], 8, case1_data.dt) is None
-        with pytest.raises(DatasetFormatError, match=message):
-            data._checked_values(lines[1:], lines[0].split(","), case1_data.dt)
+        k, t = (0, 0.0) if corruption == "every-t-123" else (250, 250 * case1_data.dt)
+        time = lines[k + 1].split(",")[1]
+        message = rf"^sample {k}: time {time} in column t is not k\*dt = {re.escape(repr(t))}$"
         with pytest.raises(DatasetFormatError, match=message) as ei:
             dataset_read(path)
-        assert ei.value.line == line
+        assert ei.value.line is None
+        # the line loop (taken here for a blank line) names the same sample
+        Path(path).write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n")
+        with pytest.raises(DatasetFormatError, match=message):
+            dataset_read(path)
 
-    @pytest.mark.parametrize("dt", [1.0 / 3.0, 0.005, 2.5e-7, 1e3])
+    @pytest.mark.parametrize("dt", [1.0 / 3.0, 0.005, 2.5e-7, 1e3, 5e-324])
     def test_written_times_read_back(self, tmp_path, dt):
         rng = np.random.default_rng(9)
         d = BatchDataset(xs=rng.normal(size=(3000, 2)), us=rng.normal(size=(3000, 1)),
-                         cs=rng.random(3000), dt=dt, seed=None)
+                         cs=rng.random(3000), dt=dt)
         path = str(tmp_path / "d.csv")
         dataset_write(d, path)
         lines = Path(path).read_text().splitlines()
-        assert data._fast_values(lines[1:], 5, dt) is not None
-        assert np.array_equal(data._checked_values(lines[1:], lines[0].split(","), dt)[:, 1:3],
+        assert data._fast_values(lines[1:], 5) is not None
+        assert np.array_equal(data._checked_values(lines[1:], lines[0].split(","))[:, 1:3],
                               d.xs)
-        assert np.array_equal(dataset_read(path).xs, d.xs)
+        back = dataset_read(path)
+        assert back.dt == dt and np.array_equal(back.xs, d.xs)
 
     @pytest.mark.parametrize("token,message", [
         ("a" * 10**6, "bad number \"aaa"),
@@ -419,56 +417,20 @@ class TestDatasetIO:
     def test_empty_body_no_warning(self, tmp_path, body):
         path = tmp_path / "e.csv"
         path.write_text("k,t,x0,u0,c\n" + body)
-        (tmp_path / "e.meta.json").write_text('{"dt": 0.1, "n": 1, "m": 1, "seed": 0}')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DatasetFormatError, match="no sample rows"):
+            with pytest.raises(DatasetFormatError, match="needs 2 sample rows to give dt, got 0"):
                 dataset_read(str(path))
 
-    @pytest.mark.parametrize("value", [1.5, 3.0, True, "3", -1])
-    def test_sidecar_seed_must_be_a_non_negative_integer(self, tmp_path, value):
+    def test_one_row_gives_no_dt(self, tmp_path):
+        # BatchDataset holds one sample, but a file of one row has no second time
         path = tmp_path / "d.csv"
         path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
-        meta = {"dt": 0.1, "n": 1, "m": 1, "seed": value}
-        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DatasetFormatError, match="^metadata field seed: must be"):
-            dataset_read(str(path))
-        meta["seed"] = None
-        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
-        assert dataset_read(str(path)).seed is None
-
-    @pytest.mark.parametrize("value", [True, "0.1", None, [0.1]])
-    def test_sidecar_dt_must_be_a_json_number(self, tmp_path, value):
-        path = tmp_path / "d.csv"
-        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
-        (tmp_path / "d.meta.json").write_text(json.dumps({"dt": value, "n": 1, "m": 1}))
-        with pytest.raises(DatasetFormatError, match="^metadata field dt: must be a number"):
-            dataset_read(str(path))
-
-    @pytest.mark.parametrize("key", ["dt"])
-    def test_sidecar_field_missing_is_named(self, tmp_path, key):
-        path = tmp_path / "d.csv"
-        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
-        meta = {"dt": 0.1, "seed": 0}
-        del meta[key]
-        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DatasetFormatError, match=f"^metadata field {key} is missing$"):
-            dataset_read(str(path))
-
-    @pytest.mark.parametrize("text", ["{", "[1, 2]", "[" * 100_000 + "]" * 100_000])
-    def test_bad_sidecar_names_the_file(self, tmp_path, text):
-        path = tmp_path / "d.csv"
-        path.write_text("k,t,x0,u0,c\n0,0.0,1.0,2.0,3.0\n")
-        meta = tmp_path / "d.meta.json"
-        meta.write_text(text)
-        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(meta))}: "):
-            dataset_read(str(path))
-
-    def test_missing_sidecar(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("k,t,x0,u0,c\n")
-        with pytest.raises(DatasetFormatError):
-            dataset_read(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError,
+                               match="^dataset needs 2 sample rows to give dt, got 1$"):
+                dataset_read(str(path))
 
 
 class TestWriteAtomic:

@@ -269,6 +269,28 @@ class TestSymEig:
             linalg.require_psd(np.array(M), "Q")
 
 
+class TestRequirePsd:
+    @pytest.mark.parametrize("w", [
+        [1.0, 0.0], [1.0, -0.5e-10], [1.0, -2e-10], [0.0, 0.0], [-1.0, -1.0],
+        [1e-3, -5e-11], [3.0, 2.0, -1e-11],
+    ])
+    def test_verdict_does_not_depend_on_the_scale(self, w):
+        rng = np.random.default_rng(len(w))
+        V = np.linalg.qr(rng.normal(size=(len(w), len(w))))[0]
+        M = (V * np.array(w)) @ V.T
+        M = 0.5 * (M + M.T)
+
+        def verdict(c):
+            try:
+                linalg.require_psd(c * M, "M")
+            except ValueError:
+                return False
+            return True
+
+        expected = min(w) >= linalg.PSD_EIG_FLOOR * max(abs(v) for v in w)
+        assert [verdict(c) for c in (1e-8, 1.0, 1e8)] == [expected] * 3
+
+
 class TestPsdProject:
     def test_clips_negative_eigenvalue(self):
         np.testing.assert_allclose(

@@ -860,6 +860,12 @@ class TestAttackSpecValidation:
                 Ktarget=case1_spec.Ktarget,
             )
 
+    def test_small_qhat_slightly_indefinite_refused_at_construction(self):
+        # -5e-11 is within 1e-10 of zero, but not within 1e-10 of Qhat's own scale
+        with pytest.raises(ValueError, match="^Qhat must be positive semidefinite"):
+            AttackSpec(Ahat=np.diag([-1.0, -2.0]), Bhat=[[1.0], [1.0]],
+                       Qhat=np.diag([1e-3, -5e-11]), Rhat=np.eye(1), Ktarget=np.zeros((1, 2)))
+
 
 class TestAdmmConfigValidation:
     @pytest.mark.parametrize("mu", [0.0, -1.0, float("inf"), float("nan")])
