@@ -11,11 +11,13 @@ excitation is drawn in one batch and the states come from
 A dataset is one CSV file: its header gives n and m, and its ``t`` column
 gives dt, the second row's time; every t must be float64(k)*dt exactly.
 Floats are written as shortest round-trip decimals so read(write(d)) == d
-bit for bit. A read parses the body with one ``np.loadtxt`` call; only a
-body that call does not take cleanly is parsed again line by line. That
-loop names the first bad line in its ``DatasetFormatError``, and it also
-accepts what ``int``/``float`` accept and ``np.loadtxt`` does not, such as
-whitespace-only lines (skipped) and underscored tokens like ``1_0``. Every
+bit for bit. A read takes the header with ``readline`` and parses the body
+with one ``np.loadtxt`` pass over the open file, so the file's text is
+never held whole; only a body that pass does not take cleanly is parsed
+again, line by line from the same file, so both paths see the same lines.
+That loop names the first bad line in its ``DatasetFormatError``, and it
+also accepts what ``int``/``float`` accept and ``np.loadtxt`` does not, such
+as whitespace-only lines (skipped) and underscored tokens like ``1_0``. Every
 file the package writes goes through ``write_atomic`` (JSON documents via
 ``write_json``), and every CSV, datasets, closed-loop trajectories and the
 attack's ``step,cumulative_cost`` series alike, through
@@ -25,6 +27,7 @@ attack's ``step,cumulative_cost`` series alike, through
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -93,6 +96,10 @@ class BatchDataset:
         if not (len(xs) == len(us) == len(cs)):
             raise ValueError("xs, us, cs must have the same length")
         linalg.require_dt(self.dt)
+        # the t column holds float64(k)*dt, so the last time must be finite too
+        if not math.isfinite((len(xs) - 1) * float(self.dt)):
+            raise ValueError(f"the last sample time (N - 1)*dt is not finite "
+                             f"(N = {len(xs)}, dt = {self.dt!r})")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "us", us)
         object.__setattr__(self, "cs", cs)
@@ -286,20 +293,24 @@ def dataset_write(d: BatchDataset, path: str) -> None:
     write_atomic(path, indexed_csv_lines(_dataset_header(d.n, d.m), d.dt, d.xs, d.us, d.cs[:, None]))
 
 
-def _fast_values(body: list[str], width: int) -> np.ndarray | None:
+def _fast_values(lines: Iterator[str], width: int) -> np.ndarray | None:
     """The (N, width) t,x*,u*,c values of a well-formed body, else None.
 
-    One ``np.loadtxt`` pass. It converts floats with the same C routine as
-    ``float`` and rejects an int written ``1.0`` as ``int`` does, and what it
-    accepts is a subset of what they accept, so a body it takes parses to
-    the same bits as the line loop. The result is used only when every row
-    is a finite sample with k = 0, 1, 2, ... in order.
+    One ``np.loadtxt`` pass over ``lines``, the body's lines, such as an open
+    file positioned at the body: the text is never held whole. It converts
+    floats with the same C routine as ``float`` and rejects an int written
+    ``1.0`` as ``int`` does, and what it accepts is a subset of what they
+    accept, so a body it takes parses to the same bits as the line loop over
+    the same lines. The result is used only when every row is a finite sample
+    with k = 0, 1, 2, ... in order.
     """
-    if not any(body):  # loadtxt warns on input with no rows
+    first = next(lines, "")
+    if not first.strip():  # loadtxt warns on a body with no rows
         return None
     dtype = np.dtype([("k", np.int64), ("v", np.float64, (width,))])
     try:
-        rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        rec = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
+                         comments=None, ndmin=1)
     except ValueError:
         return None
     k = np.arange(len(rec), dtype=np.float64)
@@ -308,10 +319,15 @@ def _fast_values(body: list[str], width: int) -> np.ndarray | None:
     return rec["v"]
 
 
-def _checked_values(body: list[str], header: list[str]) -> np.ndarray:
-    """The body parsed line by line; raises DatasetFormatError at the first bad line."""
+def _checked_values(lines: Iterable[str], header: list[str]) -> np.ndarray:
+    """The body parsed line by line; raises DatasetFormatError at the first bad line.
+
+    ``lines`` are the body's lines, each with or without its newline, such
+    as an open file positioned at the body.
+    """
     rows = []
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         parts = line.split(",")
@@ -345,21 +361,23 @@ def dataset_read(path: str) -> BatchDataset:
     """Read a dataset written by ``dataset_write``; n and m come from the header, dt from t."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            first = fh.readline()
+            if not first:
+                raise DatasetFormatError("empty dataset file", line=1)
+            first = first.rstrip("\n")
+            header = first.split(",")
+            n = sum(name.startswith("x") for name in header)
+            m = len(header) - n - 3
+            if min(n, m) < 1 or header != _dataset_header(n, m):
+                raise DatasetFormatError(f"header {_shown(first)} is not "
+                                         "k,t,x0..x{n-1},u0..u{m-1},c with n, m >= 1", line=1)
+            body = fh.tell()
+            values = _fast_values(fh, n + m + 2)
+            if values is None:
+                fh.seek(body)
+                values = _checked_values(fh, header)
     except UnicodeDecodeError as e:
         raise DatasetFormatError(f"{path}: cannot read dataset: {e}") from e
-    if not lines:
-        raise DatasetFormatError("empty dataset file", line=1)
-    header = lines[0].split(",")
-    n = sum(name.startswith("x") for name in header)
-    m = len(header) - n - 3
-    if min(n, m) < 1 or header != _dataset_header(n, m):
-        raise DatasetFormatError(f"header {_shown(lines[0])} is not "
-                                 "k,t,x0..x{n-1},u0..u{m-1},c with n, m >= 1", line=1)
-    values = _fast_values(lines[1:], n + m + 2)
-    if values is None:
-        values = _checked_values(lines[1:], header)
-    del lines  # free the text before the arrays that outlive the read are made
     # t = float64(k)*dt as csv_rows writes it; an error names the sample, not
     # the line, as the line loop skips blank lines
     if len(values) < 2:

@@ -17,11 +17,16 @@ class AsymmetryError(ValueError):
 
 
 class RankDeficiencyError(ValueError):
-    """A least-squares system is rank deficient."""
+    """A least-squares system is rank deficient.
 
-    def __init__(self, message: str, rank: int):
+    ``triangle`` is an upper triangle R with R^T R = A^T A, so its right
+    singular vectors are A's.
+    """
+
+    def __init__(self, message: str, rank: int, triangle):
         super().__init__(message)
         self.rank = rank
+        self.triangle = triangle
 
 
 class ConvergenceError(RuntimeError):

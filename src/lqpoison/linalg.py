@@ -5,8 +5,8 @@ Everything here is domain-free: the matrix coercion and shape check
 zero-order-hold discretization, tables of matrix powers and the rollout
 of a linear recursion, free or driven, in blocks of isqrt(N) + 1 steps
 (about 2 sqrt(N) + 1 Python steps for N states), the refusal of arrays
-too large to allocate (``sized_by``), least squares, row norms, the
-coordinates of a symmetric matrix, symmetric eigendecompositions,
+too large to allocate (``sized_by``), least squares over row blocks, row
+norms, the coordinates of a symmetric matrix, symmetric eigendecompositions,
 projection onto the positive-semidefinite cone, and the spectral abscissa.
 Matrices are plain ``numpy.ndarray`` of float64; functions are pure and
 safe to call concurrently.
@@ -28,6 +28,7 @@ from .errors import AsymmetryError, DimensionError, RankDeficiencyError
 
 SYM_RTOL = 1e-8  # relative asymmetry allowed before sym_eig refuses
 PSD_EIG_FLOOR = -1e-10  # relative eigenvalue slack when checking "PSD" numerically
+LSTSQ_BLOCK_ROWS = 512  # rows per block fed to lstsq; about the fastest for 61 columns
 
 
 def as_matrix(M, name: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -190,31 +191,46 @@ def sized_by(name: str):
         raise ValueError(f"{name} is too large: its arrays cannot be allocated ({e})") from None
 
 
-def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """Solve min_X ||A X - b||_F for a full-column-rank A; returns (X, s).
+def lstsq(blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve min_X ||A X - B||_F for a full-column-rank A given in row blocks; returns (X, s).
 
-    Backed by the SVD solver (numpy ``lstsq``), which also reports the
-    numerical rank and the singular values s of A, descending; a
-    rank-deficient A raises ``RankDeficiencyError`` carrying that rank
-    rather than silently returning a minimum-norm solution.
+    ``blocks()`` yields the row blocks [A_i | B_i], A's p columns first, of
+    at most ``LSTSQ_BLOCK_ROWS`` rows; it is called twice, and a block may be
+    a buffer the next one overwrites. All blocks but the last are folded into
+    a QR triangle R (sequential TSQR; Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34(1), 2012), then numpy's SVD solver solves
+    [R; last block] with the cutoff it would use on A: a one-block batch
+    makes exactly ``np.linalg.lstsq(A, B, rcond=None)``, and s are A's
+    singular values. A rank-deficient A raises ``RankDeficiencyError`` with
+    its rank and A's triangle. One corrected-seminormal step (Bjorck, 1996)
+    then adds delta from R'^T R' delta = sum_i A_i^T (B_i - A_i X), R' being
+    A's triangle, streamed over a second pass and scaled by a power of two
+    near 1/s[0]^2 so it cannot overflow.
     """
-    A = as_matrix(A, "A")
-    b_arr = np.asarray(b, dtype=float)
-    if A.shape[0] < A.shape[1]:
-        raise DimensionError(
-            f"A must have at least as many rows as columns, got {A.shape}"
-        )
-    if b_arr.shape[0] != A.shape[0]:
-        raise DimensionError(
-            f"b has {b_arr.shape[0]} rows, expected {A.shape[0]}"
-        )
-    X, _, rank, s = np.linalg.lstsq(A, b_arr, rcond=None)
-    if rank < A.shape[1]:
+    S, N = None, 0
+    for block in blocks():
+        if not np.isfinite(block).all():
+            raise ValueError("A has non-finite entries")
+        N += len(block)
+        S = block.copy() if S is None else np.vstack([np.linalg.qr(S, mode="r"), block])
+    if N < p:
+        raise DimensionError(f"A must have at least as many rows as columns, got ({N}, {p})")
+    X, _, rank, s = np.linalg.lstsq(S[:, :p], S[:, p:], rcond=np.finfo(float).eps * max(N, p))
+    R = np.linalg.qr(S[:, :p], mode="r")
+    if rank < p:
         raise RankDeficiencyError(
-            f"system is rank deficient: numerical rank {rank} < {A.shape[1]} columns",
-            rank=int(rank),
+            f"system is rank deficient: numerical rank {rank} < {p} columns",
+            rank=int(rank), triangle=R,
         )
-    return X, s
+    # the step in units of 2^e ~ s[0]: the scaling is exact, and A^T (B - A X)
+    # neither overflows nor underflows for any finite A
+    scale = math.ldexp(1.0, -math.frexp(s[0])[1])
+    grad = np.zeros_like(X)
+    for block in blocks():
+        A = block[:, :p]
+        grad += (A.T * scale) @ ((block[:, p:] - A @ X) * scale)
+    R *= scale
+    return X + np.linalg.solve(R, np.linalg.solve(R.T, grad)), s
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Two-step system identification from batch data.
 
 Step 1 fits the exact discrete-time model x_{k+1} = F x_k + G u_k by least
-squares over the stacked regressors z_k = [x_k; u_k]. Step 2 converts to
+squares over the regressors z_k = [x_k; u_k]. Step 2 converts to
 continuous time with phi = log(F) (F - I)^-1: A = phi (F - I) / dt is
 log(F)/dt and B = phi G / dt inverts the zero-order-hold integral. phi comes
 from inverse scaling and squaring (Higham, *Functions of Matrices*, 2008,
@@ -19,6 +19,12 @@ the symmetric quadratic monomials of x and u, in the ``linalg.sym_index``
 order of each; off-diagonal features carry weight 2 so the fitted
 coefficients are exactly the entries of symmetric Q and R, with no
 symmetry null-space in the normal equations.
+
+Both fits hand ``linalg.lstsq`` their regressors in row blocks, written
+into one reused buffer (``_row_blocks``): [x_k, u_k | x_{k+1}] for (F, G),
+the quadratic features and the cost for (Q, R). Neither the N x (n + m)
+nor the N x (features) regressor is ever formed, so the fits' memory does
+not grow with N.
 """
 
 from __future__ import annotations
@@ -62,20 +68,40 @@ class SysIdEstimate:
     series_terms: int = 0
 
 
-def _deficient_directions(Z: np.ndarray, rank: int, labels: list[str]) -> str:
-    """Human-readable description of the null-space directions of Z.
+def _deficient_directions(R: np.ndarray, rank: int, labels: list[str]) -> str:
+    """Human-readable description of the null-space directions of a regressor.
 
-    Z must have at least as many rows as columns, so the thin SVD already
-    holds every right singular vector and no rows x rows U is formed.
+    ``R`` is the regressor's triangle from ``linalg.lstsq``, whose right
+    singular vectors are the regressor's. Each direction's sign is set so
+    that its largest coefficient is positive, so the text does not depend on
+    the signs the factorization happened to give.
     """
-    _, _, Vt = np.linalg.svd(Z, full_matrices=False)
+    _, _, Vt = np.linalg.svd(R)
     descs = []
     for v in Vt[rank:]:
+        v = v if v[np.argmax(np.abs(v))] > 0 else -v
         terms = [
             f"{v[i]:+.2f}*{labels[i]}" for i in range(len(v)) if abs(v[i]) > 0.3
         ]
         descs.append(" ".join(terms) if terms else "(diffuse)")
     return "; ".join(descs)
+
+
+def _row_blocks(N: int, width: int, fill):
+    """``blocks`` for ``linalg.lstsq``: the N rows of a regressor, in row blocks.
+
+    ``fill(i, out)`` writes rows i, i + 1, ... of the regressor into ``out``,
+    a slice of the one column-major buffer that every block reuses.
+    """
+
+    def blocks():
+        buf = np.empty((min(N, linalg.LSTSQ_BLOCK_ROWS), width), order="F")
+        for i in range(0, N, linalg.LSTSQ_BLOCK_ROWS):
+            out = buf[: N - i]
+            fill(i, out)
+            yield out
+
+    return blocks
 
 
 def estimate_fg(d: BatchDataset) -> DiscreteModel:
@@ -85,15 +111,18 @@ def estimate_fg(d: BatchDataset) -> DiscreteModel:
         raise IdentifiabilityError(
             f"need at least {n + m + 1} samples to identify, got {d.N}"
         )
-    Z = np.hstack([d.xs[:-1], d.us[:-1]])
-    X = d.xs[1:]
+
+    def fill(i, out):
+        j = i + len(out)
+        out[:, :n], out[:, n : n + m], out[:, n + m :] = d.xs[i:j], d.us[i:j], d.xs[i + 1 : j + 1]
+
     try:
-        Theta, s = linalg.lstsq(Z, X)
+        Theta, s = linalg.lstsq(_row_blocks(d.N - 1, 2 * n + m, fill), n + m)
     except RankDeficiencyError as e:
         labels = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
         raise IdentifiabilityError(
             f"regressor matrix is rank deficient ({e.rank} < {n + m}); "
-            f"unexcited directions: {_deficient_directions(Z, e.rank, labels)}"
+            f"unexcited directions: {_deficient_directions(e.triangle, e.rank, labels)}"
         ) from e
     F, G = Theta[:n].T, Theta[n:].T
     floor = n * np.finfo(float).eps * s[0] / s[-1] * np.linalg.norm(F)
@@ -157,27 +186,36 @@ def log_indirect(F, G, dt: float, eps: float = SERIES_EPS) -> tuple[np.ndarray, 
     return phi @ (F - I) / dt, phi @ G / dt, terms
 
 
-def _quad_features(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Quadratic monomials of x, then of u, in ``linalg.sym_index`` order.
+def _quad_features(xs: np.ndarray, us: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the quadratic monomials of x, then of u, into the columns of ``out``.
 
-    The features are written row by row into one (features x N) array, each
-    product into its row, from a transposed copy of x or u, and the array's
-    transpose is returned: no regressor-sized temporary is formed. Each
-    off-diagonal row is doubled after its product.
+    The monomials are in ``linalg.sym_index`` order (named by ``_quad_labels``),
+    one row of ``out`` per row of xs and us. Each product is written into its
+    column from a transposed copy of x or u, so no temporary of ``out``'s size
+    is formed, and each off-diagonal column is doubled after its product. A
+    column-major ``out`` (as ``_row_blocks`` makes) is written contiguously.
+    Returns ``out``.
     """
-    n, m = xs.shape[1], us.shape[1]
-    Phi = np.empty((n * (n + 1) // 2 + m * (m + 1) // 2, len(xs)))
-    labels, top = [], 0
-    for name, V in (("x", xs), ("u", us)):
-        k = V.shape[1]
-        Vt = V.T.copy()
+    cols = out.T
+    top = 0
+    for V in (xs.T.copy(), us.T.copy()):
+        k = len(V)
         r, c = linalg.sym_index(k)
-        for row, i, j in zip(Phi[top:], r.tolist(), c.tolist()):
-            np.multiply(Vt[i], Vt[j], out=row)
-            labels.append(f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}")
-        Phi[top + k : top + len(r)] *= 2.0
+        for col, i, j in zip(cols[top:], r.tolist(), c.tolist()):
+            np.multiply(V[i], V[j], out=col)
+        cols[top + k : top + len(r)] *= 2.0
         top += len(r)
-    return Phi.T, labels
+    return out
+
+
+def _quad_labels(n: int, m: int) -> list[str]:
+    """Names of the ``_quad_features`` columns: x0^2, ..., x0*x1, ..., u0^2, ..."""
+    labels = []
+    for name, k in (("x", n), ("u", m)):
+        r, c = linalg.sym_index(k)
+        labels += [f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}"
+                   for i, j in zip(r.tolist(), c.tolist())]
+    return labels
 
 
 def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -189,21 +227,26 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
     n, m = d.n, d.m
     nq = n * (n + 1) // 2  # Q's share of the coefficients
     n_params = nq + m * (m + 1) // 2
-    Phi, labels = _quad_features(d.xs, d.us)
     if d.N < n_params:
         raise IdentifiabilityError(
             f"need at least {n_params} samples to fit cost weights, got {d.N}"
         )
+
+    def fill(i, out):
+        j = i + len(out)
+        _quad_features(d.xs[i:j], d.us[i:j], out[:, :n_params])
+        out[:, n_params] = d.cs[i:j]
+
     try:
-        theta, _ = linalg.lstsq(Phi, d.cs)
+        theta, _ = linalg.lstsq(_row_blocks(d.N, n_params + 1, fill), n_params)
     except RankDeficiencyError as e:
         raise IdentifiabilityError(
-            f"quadratic features are rank deficient ({e.rank} < {n_params}); "
-            f"dependent combinations: {_deficient_directions(Phi, e.rank, labels)}"
+            f"quadratic features are rank deficient ({e.rank} < {n_params}); dependent "
+            f"combinations: {_deficient_directions(e.triangle, e.rank, _quad_labels(n, m))}"
         ) from e
     Q = np.zeros((n, n))
     R = np.zeros((m, m))
-    for M, th in ((Q, theta[:nq]), (R, theta[nq:])):
+    for M, th in ((Q, theta[:nq, 0]), (R, theta[nq:, 0])):
         r, c = linalg.sym_index(len(M))
         M[r, c] = M[c, r] = th
     Q = linalg.psd_project(Q)

@@ -758,6 +758,24 @@ def test_simulate_non_finite_costs_exit_2_without_dataset(tmp_path, case1_config
     assert not out.exists()
 
 
+def test_simulate_last_time_overflows_exit_2_without_dataset(tmp_path, capsys):
+    # every state and cost is finite, but t = 4 * 1e308 is not: without the
+    # check, simulate warned of an overflow and wrote a t column sysid refused
+    from lqpoison import cli as cli_module
+
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({
+        "system": {"A": [[0.0]], "B": [[1e-300]], "Q": [[1.0]], "R": [[1.0]],
+                   "x0": [1.0], "dt": 1e308},
+        "N": 5, "Ktarget": [[0.0]],
+    }))
+    out = tmp_path / "d.csv"
+    assert cli_module.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: the last sample time (N - 1)*dt is not finite (N = 5, dt = 1e+308)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])
 def test_indefinite_q_near_overflow_exit_2_without_outputs(tmp_path, case1_config, capsys,
                                                            command):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -279,6 +280,9 @@ class TestDatasetIO:
             dataset_read(str(path))
 
     def test_fast_and_line_parse_bit_identical(self, tmp_path):
+        # both paths parse the lines of the file read in text mode, where \r\n
+        # and \r end a line; \x0c, \x85 and \u2028, which str.splitlines also
+        # splits on, end no line and are whitespace to loadtxt, int and float
         rng = np.random.default_rng(6)
         N, n, m = 200, 3, 2
         scale = np.logspace(-300, 300, N)[:, None]
@@ -289,13 +293,42 @@ class TestDatasetIO:
         )
         path = str(tmp_path / "d.csv")
         dataset_write(d, path)
-        lines = Path(path).read_text().splitlines()
-        fast = data._fast_values(lines[1:], n + m + 2)
-        slow = data._checked_values(lines[1:], lines[0].split(","))
-        assert fast is not None
-        assert fast.shape == slow.shape == (N, n + m + 2)
-        assert np.array_equal(fast, slow)
-        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+        header, *rows = Path(path).read_text().splitlines()
+        for first, end in [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"),
+                           ("\n", "\x0c\n"), ("\n", "\x85\n"), ("\n", "\u2028\n")]:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(header + first + "".join(row + end for row in rows))
+            with open(path, encoding="utf-8") as fh:
+                fh.readline()
+                body = fh.tell()
+                fast = data._fast_values(fh, n + m + 2)
+                fh.seek(body)
+                slow = data._checked_values(fh, header.split(","))
+            assert fast is not None, repr(end)
+            assert fast.shape == slow.shape == (N, n + m + 2)
+            assert np.array_equal(fast, slow)
+            assert np.array_equal(np.signbit(fast), np.signbit(slow))
+            back = dataset_read(path)
+            assert np.array_equal(back.xs, d.xs) and np.array_equal(back.cs, d.cs), repr(end)
+
+    def test_read_footprint_is_the_arrays(self, tmp_path):
+        # the body is parsed from the open file, never held as text: with the
+        # file's text and its list of lines, this read peaked at 5.8 times the
+        # bytes of the arrays it returns
+        n, m, N = 10, 3, 20000
+        rng = np.random.default_rng(7)
+        d = BatchDataset(xs=rng.normal(size=(N, n)), us=rng.normal(size=(N, m)),
+                         cs=rng.random(N), dt=0.005)
+        path = str(tmp_path / "d.csv")
+        dataset_write(d, path)
+        tracemalloc.start()
+        try:
+            back = dataset_read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.xs, d.xs)
+        assert peak < 2.5 * (back.xs.nbytes + back.us.nbytes + back.cs.nbytes)
 
     def _edited(self, tmp_path, case1_data, edit):
         """A case1 dataset file with ``edit`` applied to its list of lines."""
@@ -310,7 +343,7 @@ class TestDatasetIO:
         def edit(lines):
             lines[2] = "1.0" + lines[2][1:]
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(iter(lines[1:]), 8) is None
         with pytest.raises(DatasetFormatError, match="bad number") as ei:
             dataset_read(path)
         assert ei.value.line == 3
@@ -319,7 +352,7 @@ class TestDatasetIO:
         def edit(lines):
             lines[3], lines[4] = lines[4], lines[3]  # samples 2 and 3 swapped
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(iter(lines[1:]), 8) is None
         message = r"sample index 3 out of order \(expected 2\)"
         with pytest.raises(DatasetFormatError, match=message) as ei:
             dataset_read(path)
@@ -327,7 +360,7 @@ class TestDatasetIO:
 
     def test_whitespace_line_is_skipped(self, tmp_path, case1_data):
         path, lines = self._edited(tmp_path, case1_data, lambda lines: lines.insert(5, "  \t"))
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(iter(lines[1:]), 8) is None
         back = dataset_read(path)
         assert np.array_equal(back.xs, case1_data.xs)
         assert np.array_equal(back.cs, case1_data.cs)
@@ -338,7 +371,7 @@ class TestDatasetIO:
             parts[0], parts[2] = "1_0", "1_5.25"  # k = 10, x0 = 15.25, as int()/float() read them
             lines[11] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(iter(lines[1:]), 8) is None
         back = dataset_read(path)
         assert back.xs[10, 0] == 15.25
         assert np.array_equal(np.delete(back.xs, 10, 0), np.delete(case1_data.xs, 10, 0))
@@ -349,7 +382,7 @@ class TestDatasetIO:
             parts[4] = "NaN"
             lines[7] = ",".join(parts)
         path, lines = self._edited(tmp_path, case1_data, edit)
-        assert data._fast_values(lines[1:], 8) is None
+        assert data._fast_values(iter(lines[1:]), 8) is None
         with pytest.raises(DatasetFormatError, match='"NaN" in column x2') as ei:
             dataset_read(path)
         assert ei.value.line == 8
@@ -383,7 +416,7 @@ class TestDatasetIO:
         path = str(tmp_path / "d.csv")
         dataset_write(d, path)
         lines = Path(path).read_text().splitlines()
-        assert data._fast_values(lines[1:], 5) is not None
+        assert data._fast_values(iter(lines[1:]), 5) is not None
         assert np.array_equal(data._checked_values(lines[1:], lines[0].split(","))[:, 1:3],
                               d.xs)
         back = dataset_read(path)
@@ -474,3 +507,12 @@ class TestBatchDataset:
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             BatchDataset(xs=np.zeros((3, 2)), us=np.zeros((3, 1)), cs=np.zeros(3), dt=dt)
+
+    def test_last_time_must_be_finite(self):
+        # t = float64(k)*dt is written for every sample, so (N - 1)*dt must be finite
+        arrays = lambda N: {"xs": np.zeros((N, 2)), "us": np.zeros((N, 1)), "cs": np.zeros(N)}
+        with pytest.raises(ValueError, match=r"^the last sample time \(N - 1\)\*dt is not "
+                                             r"finite \(N = 3, dt = 1e\+308\)$"):
+            BatchDataset(**arrays(3), dt=1e308)
+        assert BatchDataset(**arrays(2), dt=1e308).N == 2
+        assert BatchDataset(**arrays(1), dt=1.7e308).N == 1

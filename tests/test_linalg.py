@@ -140,37 +140,51 @@ class TestZohPair:
             linalg.zoh_pair(np.eye(2), np.ones((3, 1)), 0.1)
 
 
+def block_lstsq(A, b, rows=None):
+    """``linalg.lstsq`` on [A | b] cut into blocks of ``rows`` rows (default the
+    largest), with X a vector for a vector b."""
+    M = np.column_stack([A, b])
+    rows = rows or linalg.LSTSQ_BLOCK_ROWS
+    X, s = linalg.lstsq(lambda: [M[i : i + rows] for i in range(0, len(M), rows)], A.shape[1])
+    return (X[:, 0] if np.ndim(b) == 1 else X), s
+
+
+def conditioned(rng, N, p, cond):
+    """An N x p Gaussian matrix with columns scaled from 1 down to 1/cond."""
+    return rng.normal(size=(N, p)) * np.logspace(0, -math.log10(cond), p)
+
+
 class TestLstsq:
     def test_identity(self):
         v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(linalg.lstsq(np.eye(3), v)[0], v)
+        np.testing.assert_allclose(block_lstsq(np.eye(3), v)[0], v)
 
     def test_planted_solution(self):
         rng = np.random.default_rng(21)
         A = rng.normal(size=(20, 4))
         X0 = rng.normal(size=(4, 3))
-        X, _ = linalg.lstsq(A, A @ X0)
+        X, _ = block_lstsq(A, A @ X0)
         np.testing.assert_allclose(X, X0, atol=1e-10)
 
     def test_consistent_residual(self):
         rng = np.random.default_rng(22)
         A = rng.normal(size=(30, 5))
         b = A @ rng.normal(size=5)
-        x, _ = linalg.lstsq(A, b)
+        x, _ = block_lstsq(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_residual_orthogonality_inconsistent(self):
         rng = np.random.default_rng(24)
         A = rng.normal(size=(30, 5))
         b = rng.normal(size=30)  # not in the range of A
-        x, _ = linalg.lstsq(A, b)
+        x, _ = block_lstsq(A, b)
         ortho = np.linalg.norm(A.T @ (A @ x - b))
         assert ortho <= 1e-8 * np.linalg.norm(A) * np.linalg.norm(b)
 
     def test_singular_values_of_a(self):
         rng = np.random.default_rng(25)
         A = rng.normal(size=(30, 5))
-        _, s = linalg.lstsq(A, rng.normal(size=30))
+        _, s = block_lstsq(A, rng.normal(size=30))
         np.testing.assert_allclose(s, np.linalg.svd(A, compute_uv=False), rtol=1e-12)
 
     def test_duplicated_column(self):
@@ -178,16 +192,68 @@ class TestLstsq:
         c = rng.normal(size=(6, 1))
         A = np.hstack([c, c, rng.normal(size=(6, 1))])
         with pytest.raises(RankDeficiencyError) as ei:
-            linalg.lstsq(A, np.ones(6))
+            block_lstsq(A, np.ones(6))
         assert ei.value.rank == 2
+        # the triangle carries A's right singular vectors: its null vector is (1, -1, 0)/sqrt(2)
+        v = np.linalg.svd(ei.value.triangle)[2][-1]
+        np.testing.assert_allclose(np.abs(v), [0.5**0.5, 0.5**0.5, 0.0], atol=1e-12)
 
     def test_wide_rejected(self):
-        with pytest.raises(DimensionError):
-            linalg.lstsq(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(DimensionError, match=r"^A must have at least as many rows as "
+                                                 r"columns, got \(2, 3\)$"):
+            block_lstsq(np.ones((2, 3)), np.ones(2))
 
-    def test_b_rows_checked_against_a(self):
-        with pytest.raises(DimensionError, match="^b has 3 rows, expected 4$"):
-            linalg.lstsq(np.eye(4), np.ones((3, 2)))
+    def test_non_finite_block_rejected(self):
+        A = np.ones((2000, 3))
+        A[1500, 1] = np.inf  # in the third block
+        with pytest.raises(ValueError, match="^A has non-finite entries$"):
+            block_lstsq(A, np.ones(2000))
+
+    @pytest.mark.parametrize("scale", [2.0**-660, 2.0**660])
+    def test_same_bits_at_any_scale(self, scale):
+        # the refinement is taken in units of a power of two near s[0], so at
+        # A ~ 1e+-199 its A^T (B - A X) neither overflows (a RuntimeWarning is
+        # an error here) nor underflows to no step: the bits are those at scale 1
+        rng = np.random.default_rng(27)
+        A = conditioned(rng, 1100, 12, 1e3)
+        B = A @ rng.normal(size=(12, 2)) + 1e-3 * rng.normal(size=(1100, 2))
+        X, s = block_lstsq(A, B)
+        Xc, sc = block_lstsq(A * scale, B * scale)
+        assert np.array_equal(Xc, X) and np.array_equal(sc, s * scale)
+
+    def test_one_block_makes_numpys_call(self, monkeypatch):
+        # before its refinement step, a one-block fit is np.linalg.lstsq's, bit for bit
+        rng = np.random.default_rng(26)
+        A = conditioned(rng, linalg.LSTSQ_BLOCK_ROWS, 61, 1e6)
+        B = A @ rng.normal(size=(61, 2)) + 1e-3 * rng.normal(size=(len(A), 2))
+        ref = np.linalg.lstsq(A, B, rcond=None)
+        solve, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: calls.append(solve(*args, **kw)) or calls[-1])
+        X, s = linalg.lstsq(lambda: [np.hstack([A, B])], 61)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], ref[0]) and np.array_equal(s, ref[3])
+        assert calls[0][2] == ref[2] == 61
+        assert not np.array_equal(X, ref[0])  # the refinement moved X
+
+    @pytest.mark.parametrize("N", [linalg.LSTSQ_BLOCK_ROWS - 1, linalg.LSTSQ_BLOCK_ROWS,
+                                   linalg.LSTSQ_BLOCK_ROWS + 1, 3 * linalg.LSTSQ_BLOCK_ROWS + 7])
+    def test_blocks_agree_with_one_call(self, N):
+        # same rank, singular values to 1e-12 and solution to cond * eps as
+        # np.linalg.lstsq on the whole of A; a duplicated column is found too
+        rng = np.random.default_rng(N)
+        A = conditioned(rng, N, 20, 1e5)
+        B = A @ rng.normal(size=(20, 3)) + 1e-6 * rng.normal(size=(N, 3))
+        X, s = block_lstsq(A, B)
+        X0, _, rank, s0 = np.linalg.lstsq(A, B, rcond=None)
+        assert rank == 20
+        np.testing.assert_allclose(s, s0, rtol=1e-12)
+        cond = s0[0] / s0[-1]
+        assert np.linalg.norm(X - X0) <= cond * np.finfo(float).eps * np.linalg.norm(X0)
+        A[:, 7] = A[:, 3]
+        with pytest.raises(RankDeficiencyError) as ei:
+            block_lstsq(A, B)
+        assert ei.value.rank == np.linalg.lstsq(A, B, rcond=None)[2] == 19
 
 
 class TestRowNorms:

@@ -21,7 +21,7 @@ from lqpoison.sysid import (
     log_indirect,
     model_write,
 )
-from lqpoison.sysid import _quad_features
+from lqpoison.sysid import _deficient_directions, _quad_features, _quad_labels
 
 
 def loop_quad_features(xs, us):
@@ -54,6 +54,22 @@ def fancy_index_quad_features(xs, us):
         labels += [f"{name}{i}^2" if i == j else f"{name}{i}*{name}{j}"
                    for i, j in zip(r.tolist(), c.tolist())]
     return np.hstack(blocks), labels
+
+
+def chain_data(seed, N=5000):
+    """The chain-n10 benchmark's plant (n = 10, m = 3) and its N-sample dataset."""
+    n, m = 10, 3
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) / math.sqrt(n)
+    A -= (linalg.spectral_abscissa(A) - 0.1) * np.eye(n)
+    sys = LQSystem(A=A, B=rng.normal(size=(n, m)), Q=np.eye(n), R=0.5 * np.eye(m),
+                   x0=rng.uniform(-1.0, 1.0, size=n), dt=0.005)
+    return sys, simulate_zoh(sys, ExcitationPolicy(seed=seed), N)
+
+
+def sym_coords(*Ms):
+    """The ``linalg.sym_index`` coordinates of symmetric matrices, concatenated."""
+    return np.concatenate([M[linalg.sym_index(len(M))] for M in Ms])
 
 
 def random_stable_system(rng, n=3, m=2, dt=0.1, margin=1.0):
@@ -262,23 +278,26 @@ class TestEstimateQR:
     def test_features_match_loop_oracle(self, n, m):
         rng = np.random.default_rng(10 * n + m)
         xs, us = rng.normal(size=(40, n)), rng.normal(size=(40, m))
-        Phi, labels = _quad_features(xs, us)
         ref, ref_labels = loop_quad_features(xs, us)
+        Phi = _quad_features(xs, us, np.empty(ref.shape))
         assert np.array_equal(Phi, ref)
-        assert labels == ref_labels
+        assert _quad_labels(n, m) == ref_labels
 
     @pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (10, 3)])
     def test_features_match_fancy_index_construction(self, n, m):
-        # each off-diagonal feature is doubled after its product, not before
+        # each off-diagonal feature is doubled after its product, not before;
+        # written into a column-major block, as the fit writes them
         rng = np.random.default_rng(100 * n + m)
         xs, us = rng.normal(size=(5000, n)), rng.normal(size=(5000, m))
-        Phi, labels = _quad_features(xs, us)
         ref, ref_labels = fancy_index_quad_features(xs, us)
+        Phi = _quad_features(xs, us, np.empty(ref.shape, order="F"))
         assert np.array_equal(Phi, ref)
-        assert labels == ref_labels
+        assert _quad_labels(n, m) == ref_labels
 
-    def test_fit_footprint_is_the_regressor_and_its_lapack_copy(self):
-        # with its features built by fancy indexing and hstack, the fit peaked at 4.89 MB
+    def test_fit_footprint_is_a_block(self):
+        # the fit streams row blocks; with the whole regressor and the copy
+        # numpy's lstsq makes of it, this peaked at 2.97 MB, and before that,
+        # with its features built by fancy indexing and hstack, at 4.89 MB
         n, m, N = 10, 3, 5000
         rng = np.random.default_rng(29)
         Qr, Rr = rng.normal(size=(n, n)), rng.normal(size=(m, m))
@@ -292,7 +311,7 @@ class TestEstimateQR:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1e6
+        assert peak <= 1.0e6
         np.testing.assert_allclose(Qhat, Q, atol=1e-8)
         np.testing.assert_allclose(Rhat, R, atol=1e-8)
 
@@ -345,6 +364,74 @@ class TestEstimateQR:
         Qhat, Rhat = estimate_qr(d)
         assert np.linalg.eigvalsh(Qhat).min() >= -1e-12
         assert np.linalg.eigvalsh(Rhat).min() > 0
+
+
+class TestBlockFits:
+    """The fits stream their regressors in row blocks (``linalg.lstsq``)."""
+
+    def test_identify_footprint_does_not_grow_with_n(self):
+        # with the whole regressors, identify peaked at 2.83 MB at N = 5,000
+        # and at 11.3 MB at N = 20,000
+        rng = np.random.default_rng(30)
+        sys = random_stable_system(rng, n=10, m=3, dt=0.005, margin=0.5)
+        peaks = []
+        for N in (5000, 20000):
+            d = simulate_zoh(sys, ExcitationPolicy(seed=31), N)
+            tracemalloc.start()
+            try:
+                est = identify(d, with_qr=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.max(np.abs(est.Ahat - sys.A)) <= 1e-6
+        assert peaks[0] <= 1.0e6
+        assert abs(peaks[1] - peaks[0]) <= 0.02 * peaks[0]
+
+    def test_no_farther_from_the_truth_than_one_lstsq_call(self):
+        # on the chain-n10 plants of seeds 1-30 the refined block fits are, in
+        # the median, at least as close to the true (F, G) and (Q, R) as
+        # np.linalg.lstsq on the whole regressors
+        errors = []
+        for seed in range(1, 31):
+            sys, d = chain_data(seed)
+            F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
+            FG, QR = np.hstack([F, G]), sym_coords(sys.Q, sys.R)
+            Z = np.hstack([d.xs[:-1], d.us[:-1]])
+            Theta = np.linalg.lstsq(Z, d.xs[1:], rcond=None)[0]
+            theta = np.linalg.lstsq(fancy_index_quad_features(d.xs, d.us)[0], d.cs,
+                                    rcond=None)[0]
+            model = estimate_fg(d)
+            Qhat, Rhat = estimate_qr(d)
+            errors.append([
+                np.linalg.norm(Theta.T - FG) / np.linalg.norm(FG),
+                np.linalg.norm(np.hstack([model.F, model.G]) - FG) / np.linalg.norm(FG),
+                np.linalg.norm(theta - QR) / np.linalg.norm(QR),
+                np.linalg.norm(sym_coords(Qhat, Rhat) - QR) / np.linalg.norm(QR),
+            ])
+        fg_lstsq, fg_blocks, qr_lstsq, qr_blocks = np.median(errors, axis=0)
+        assert fg_blocks <= fg_lstsq
+        assert qr_blocks <= qr_lstsq
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_fit_at_extreme_data_scales(self, case1, case1_data, scale):
+        # (F, G) does not change when the states and inputs are scaled together
+        d = BatchDataset(xs=case1_data.xs * scale, us=case1_data.us * scale,
+                         cs=case1_data.cs, dt=case1_data.dt)
+        model = estimate_fg(d)
+        F, G = linalg.zoh_pair(case1.system.A, case1.system.B, case1.system.dt)
+        assert np.max(np.abs(model.F - F)) <= 1e-14
+        assert np.max(np.abs(model.G - G)) <= 1e-14
+
+    def test_directions_have_their_largest_coefficient_positive(self):
+        # x1 = 2 x0, so the null direction is (2, -1, 0)/sqrt(5) up to sign;
+        # every matrix with the same right singular vectors names it the same way
+        rng = np.random.default_rng(32)
+        x0 = rng.normal(size=(50, 1))
+        Z = np.hstack([x0, 2.0 * x0, rng.normal(size=(50, 1))])
+        Rz = np.linalg.qr(Z, mode="r")
+        labels = ["x0", "x1", "u0"]
+        for M in (Z, -Z, Rz, -Rz, Rz * np.array([[-1.0], [1.0], [-1.0]])):
+            assert _deficient_directions(M, 2, labels) == "+0.89*x0 -0.45*x1"
 
 
 class TestPipelineContinuity:
