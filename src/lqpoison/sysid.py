@@ -8,11 +8,13 @@ from inverse scaling and squaring (Higham, *Functions of Matrices*, 2008,
 ch. 11): principal square roots F_j = F^(1/2^j) until L = F_k - I has
 ||L||_F <= 1/2, then the series log(I + L) L^-1 = I - L/2 + L^2/3 - ...,
 then phi = 2^k (series) prod_j (I + F_j)^-1 (all functions of F, so they
-commute). Term j is at most 2^-j, so the series reaches its first term below
-``SERIES_EPS`` within log2(1/eps) + 1 terms. The log exists unless F has an
-eigenvalue on the closed negative real axis, which means the data were
-sampled too coarsely. ``estimate_fg`` refuses an F eigenvalue within the
-fit's rounding n eps cond(Z) ||F||_F (Higham 2002, ch. 20): its log is noise.
+commute). The series stops at its own rounding, its first term with
+||term||_F <= eps ||sum||_F: term j is at most 2^-j / (j + 1) and the
+sum's eigenvalues log(1 + mu) / mu, |mu| <= 1/2, exceed 0.6 in modulus, so
+it takes at most 48 terms. The log exists unless F has an eigenvalue on the
+closed negative real axis, which means the data were sampled too coarsely.
+``estimate_fg`` refuses an F eigenvalue within the fit's rounding
+n eps cond(Z) ||F||_F (Higham 2002, ch. 20): its log is noise.
 
 Cost-weight estimation (``estimate_qr``) regresses the recorded costs on
 the symmetric quadratic monomials of x and u, in the ``linalg.sym_index``
@@ -43,7 +45,6 @@ from .errors import (
     RankDeficiencyError,
 )
 
-SERIES_EPS = 1e-10  # log-series stopping tolerance (Frobenius norm of a term)
 MAX_SQRTS = 32  # most square roots taken before the series
 DB_MAX_STEPS = 64  # most Denman-Beavers steps per square root
 DB_TOL = 1e-8  # relative Denman-Beavers step after which the root is about DB_TOL^2 off
@@ -149,18 +150,16 @@ def _sqrtm(F: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"Denman-Beavers square root not reached in {DB_MAX_STEPS} steps")
 
 
-def log_indirect(F, G, dt: float, eps: float = SERIES_EPS) -> tuple[np.ndarray, np.ndarray, int]:
+def log_indirect(F, G, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Continuous (A, B) from a discrete (F, G) by inverse scaling and squaring.
 
-    Returns (A, B, terms), ``terms`` being the number of series terms summed.
-    The default ``SERIES_EPS`` recovers a well-sampled A to about machine
-    precision. An F with no real log raises ``LearnabilityError``.
+    Returns (A, B, terms), ``terms`` the number of series terms summed (at
+    most 48). A well-sampled A is recovered to about machine precision. An F
+    with no real log raises ``LearnabilityError``.
     """
     F = linalg.as_matrix(F, "F")
     G = linalg.as_matrix(G, "G")
     linalg.require_dt(dt)
-    if not np.finfo(float).tiny <= eps < np.inf:  # a subnormal eps could stall the series
-        raise ValueError(f"eps must be finite and at least {np.finfo(float).tiny:.4g}, got {eps}")
     lam = np.linalg.eigvals(F)
     cut = lam[(lam.imag == 0) & (lam.real <= 0)]
     if cut.size:
@@ -179,7 +178,7 @@ def log_indirect(F, G, dt: float, eps: float = SERIES_EPS) -> tuple[np.ndarray, 
     for terms in itertools.count(1):
         term = -(terms / (terms + 1)) * (L @ term)
         phi = phi + term
-        if np.linalg.norm(term, "fro") <= eps:
+        if np.linalg.norm(term) <= np.finfo(float).eps * np.linalg.norm(phi):
             break
     for Fj in roots[1:]:
         phi = np.linalg.solve(I + Fj, 2.0 * phi)
@@ -257,10 +256,10 @@ def estimate_qr(d: BatchDataset) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def identify(d: BatchDataset, eps: float = SERIES_EPS, with_qr: bool = False) -> SysIdEstimate:
+def identify(d: BatchDataset, with_qr: bool = False) -> SysIdEstimate:
     """Full identification chain: (F, G) fit, log conversion, optional (Q, R)."""
     model = estimate_fg(d)
-    Ahat, Bhat, terms = log_indirect(model.F, model.G, d.dt, eps)
+    Ahat, Bhat, terms = log_indirect(model.F, model.G, d.dt)
     Qhat = Rhat = None
     if with_qr:
         Qhat, Rhat = estimate_qr(d)

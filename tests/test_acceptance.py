@@ -237,7 +237,7 @@ def test_criterion_6b_sysid_recovery():
             sys = LQSystem(A=A, B=B, Q=np.eye(n), R=np.eye(m),
                            x0=rng.normal(size=n), dt=dt)
             d = simulate_zoh(sys, ExcitationPolicy(seed=trial), n + m + 20)
-            est = identify(d, eps=1e-13)
+            est = identify(d)
             scale = 1.0 + np.max(np.abs(A))
             assert np.max(np.abs(est.Ahat - A)) <= 1e-6 * scale
             assert np.max(np.abs(est.Bhat - B)) <= 1e-6 * (1.0 + np.max(np.abs(B)))
@@ -254,7 +254,7 @@ def test_criterion_6c_expm_log_round_trip():
             A *= float(rng.uniform(0.05, 0.3)) / (rho * dt)
             B = rng.normal(size=(n, m))
             F, G = linalg.zoh_pair(A, B, dt)
-            Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-13)
+            Ahat, Bhat, _ = log_indirect(F, G, dt)
             assert np.max(np.abs(Ahat - A)) <= 1e-6 * (1.0 + np.max(np.abs(A)))
             assert np.max(np.abs(Bhat - B)) <= 1e-6 * (1.0 + np.max(np.abs(B)))
     assert _line("6c", True, "exponential/logarithm round trip on 30 random systems")
@@ -262,7 +262,7 @@ def test_criterion_6c_expm_log_round_trip():
 
 def test_criterion_6d_zero_attack_fixed_point(case1_data):
     with _timed("6d"):
-        est = identify(case1_data, eps=1e-10)
+        est = identify(case1_data)
         Qhat, Rhat = estimate_qr(case1_data)
         nominal = care_solve(est.Ahat, est.Bhat, Qhat, Rhat).K
         spec = AttackSpec(
@@ -278,7 +278,7 @@ def test_criterion_6d_zero_attack_fixed_point(case1_data):
 
 def test_criterion_6e_poison_self_consistency(case1_attack, case1_data):
     with _timed("6e"):
-        est = identify(case1_attack.poisoned, eps=1e-12)
+        est = identify(case1_attack.poisoned)
         dev = float(np.max(np.abs(est.Ahat - case1_attack.Atilde)))
     ok = dev <= 1e-5
     assert _line("6e", ok, f"re-identified planted dynamics |diff| {dev:.2e}")
@@ -288,7 +288,7 @@ def test_criterion_6f_a_step_stationarity(case1_data):
     from lqpoison.poison import AdmmState, a_step
 
     with _timed("6f"):
-        est = identify(case1_data, eps=1e-10)
+        est = identify(case1_data)
         Qhat, Rhat = estimate_qr(case1_data)
         spec = AttackSpec(
             Ahat=est.Ahat, Bhat=est.Bhat, Qhat=Qhat, Rhat=Rhat,

@@ -160,7 +160,7 @@ def degenerate_psd(rng, n):
 
 @pytest.fixture(scope="module")
 def case1_spec(case1, case1_data):
-    est = identify(case1_data, eps=1e-10)
+    est = identify(case1_data)
     from lqpoison.sysid import estimate_qr
 
     Qhat, Rhat = estimate_qr(case1_data)
@@ -412,7 +412,7 @@ class TestAdmmSolve:
     def test_case2_induced_gain(self, case2, case2_data):
         from lqpoison.sysid import estimate_qr
 
-        est = identify(case2_data, eps=1e-10)
+        est = identify(case2_data)
         Qhat, Rhat = estimate_qr(case2_data)
         spec = AttackSpec(
             Ahat=est.Ahat, Bhat=est.Bhat, Qhat=Qhat, Rhat=Rhat, Ktarget=case2.Ktarget
@@ -825,7 +825,7 @@ class TestAttackCost:
 class TestSelfConsistency:
     def test_learner_recovers_planted_dynamics(self, case1_attack, case1_data):
         model = estimate_fg(case1_attack.poisoned)
-        Ahat, Bhat, _ = log_indirect(model.F, model.G, case1_data.dt, eps=1e-12)
+        Ahat, Bhat, _ = log_indirect(model.F, model.G, case1_data.dt)
         assert np.max(np.abs(Ahat - case1_attack.Atilde)) <= 1e-5
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lqpoison import linalg, sysid
 from lqpoison.data import BatchDataset, ExcitationPolicy, simulate_zoh
@@ -154,13 +155,13 @@ class TestLogIndirect:
     def test_case1_round_trip(self, case1):
         A, B, dt = case1.system.A, case1.system.B, case1.system.dt
         F, G = linalg.zoh_pair(A, B, dt)
-        Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-12)
+        Ahat, Bhat, _ = log_indirect(F, G, dt)
         assert np.max(np.abs(Ahat - A)) <= 1e-6
         assert np.max(np.abs(Bhat - B)) <= 1e-6
 
     def test_scalar_diagonal(self):
         F = np.diag([np.exp(0.01), np.exp(0.01)])
-        Ahat, _, _ = log_indirect(F, np.ones((2, 1)), 0.01, eps=1e-14)
+        Ahat, _, _ = log_indirect(F, np.ones((2, 1)), 0.01)
         np.testing.assert_allclose(Ahat, np.eye(2), atol=1e-9)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
@@ -175,27 +176,43 @@ class TestLogIndirect:
         # roots of F bring it within ||F_k - I|| <= 1/2 first.
         F, G = linalg.zoh_pair(A, np.array([[1.0], [0.5]]), 1.0)
         Ahat, Bhat, _ = log_indirect(F, G, 1.0)
-        assert np.linalg.norm(Ahat - A) <= 1e-8 * np.linalg.norm(A)
-        np.testing.assert_allclose(Bhat, [[1.0], [0.5]], rtol=1e-8)
+        assert np.linalg.norm(Ahat - A) <= 1e-14 * np.linalg.norm(A)
+        np.testing.assert_allclose(Bhat, [[1.0], [0.5]], rtol=1e-14)
 
     @pytest.mark.parametrize("F", [np.diag([-0.5, 0.9]), np.diag([0.0, 0.9])])
     def test_no_real_log_raises(self, F):
         with pytest.raises(LearnabilityError, match="sampling interval dt = 0.1"):
             log_indirect(F, np.ones((2, 1)), 0.1)
 
-    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 1e-320, math.inf])
-    def test_eps_out_of_range(self, eps):
-        with pytest.raises(ValueError, match="eps must be finite"):
-            log_indirect(np.eye(2), np.ones((2, 1)), 0.1, eps=eps)
-
-    @pytest.mark.parametrize("eps", [1e-10, 1e-12])
-    def test_series_terms_bounded(self, eps):
+    def test_series_terms_bounded(self):
         # rho(F - I) = 0.974: the series alone needs over 100 terms. After a
-        # square root ||L|| <= 1/2 bounds it by log2(1/eps) + 1 terms, 34 at
-        # the default eps.
-        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0, eps=eps)
-        assert terms <= 34
-        assert abs(Ahat[0, 0] - np.log(1.974)) <= max(eps, 1e-12)
+        # square root ||L|| <= 1/2, and the series reaches its own rounding
+        # within the 48 terms the module docstring bounds (37 here).
+        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0)
+        assert terms <= 48
+        assert abs(Ahat[0, 0] - np.log(1.974)) <= 2 * np.spacing(np.log(1.974))
+
+    def test_agrees_with_scipy_logm(self, case1_data, case2_data):
+        # A and B are the first block row of log([[F, G], [0, I]]) / dt. The
+        # pairs: both bundled fits and 300 random plants, up to n = 10.
+        pairs = [(estimate_fg(d), d.dt) for d in (case1_data, case2_data)]
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n, m = int(rng.integers(2, 11)), int(rng.integers(1, 4))
+            dt = float(rng.choice([0.001, 0.01, 0.1, 0.5]))
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+            if np.max(np.abs(np.linalg.eigvals(A).imag)) * dt < 3:
+                pairs.append((sysid.DiscreteModel(*linalg.zoh_pair(A, B, dt)), dt))
+        assert len(pairs) == 302
+        worst = 0.0
+        for model, dt in pairs:
+            n, m = model.G.shape
+            M = np.block([[model.F, model.G], [np.zeros((m, n)), np.eye(m)]])
+            ref = np.real(scipy.linalg.logm(M))[:n] / dt
+            Ahat, Bhat, _ = log_indirect(model.F, model.G, dt)
+            err = np.linalg.norm(np.hstack([Ahat, Bhat]) - ref) / np.linalg.norm(ref)
+            worst = max(worst, err)
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("cap, message", [
         ("DB_MAX_STEPS", "Denman-Beavers square root not reached in 1 steps"),
@@ -217,7 +234,7 @@ class TestLogIndirect:
             A *= 0.3 / (dt * rho)  # puts the spectral radius of A*dt at 0.3
             B = rng.normal(size=(n, m))
             F, G = linalg.zoh_pair(A, B, dt)
-            Ahat, Bhat, _ = log_indirect(F, G, dt, eps=1e-13)
+            Ahat, Bhat, _ = log_indirect(F, G, dt)
             scale = 1.0 + np.max(np.abs(A))
             assert np.max(np.abs(Ahat - A)) <= 1e-6 * scale
             assert np.max(np.abs(Bhat - B)) <= 1e-6 * (1.0 + np.max(np.abs(B)))
@@ -439,7 +456,7 @@ class TestPipelineContinuity:
         rng = np.random.default_rng(16)
         sys = random_stable_system(rng, n=3, m=2, dt=0.05)
         d = simulate_zoh(sys, ExcitationPolicy(seed=17), 200)
-        est = identify(d, eps=1e-12)
+        est = identify(d)
         assert np.max(np.abs(est.Ahat - sys.A)) <= 1e-6
         K_est = care_solve(est.Ahat, est.Bhat, sys.Q, sys.R).K
         K_true = care_solve(sys.A, sys.B, sys.Q, sys.R).K
@@ -448,7 +465,7 @@ class TestPipelineContinuity:
 
 class TestModelIO:
     def test_round_trip(self, tmp_path, case1_data):
-        est = identify(case1_data, eps=1e-12, with_qr=True)
+        est = identify(case1_data, with_qr=True)
         path = tmp_path / "model.json"
         model_write(est, case1_data.dt, str(path))
         doc = json.loads(path.read_text())
@@ -458,7 +475,7 @@ class TestModelIO:
             np.testing.assert_array_equal(np.array(doc[key]), getattr(est, key))
 
     def test_optional_qr_omitted(self, tmp_path, case1_data):
-        est = identify(case1_data, eps=1e-12)
+        est = identify(case1_data)
         path = tmp_path / "model.json"
         model_write(est, case1_data.dt, str(path))
         doc = json.loads(path.read_text())
