@@ -184,13 +184,16 @@ class TestLogIndirect:
         with pytest.raises(LearnabilityError, match="sampling interval dt = 0.1"):
             log_indirect(F, np.ones((2, 1)), 0.1)
 
-    def test_series_terms_bounded(self):
+    @pytest.mark.parametrize("dt", [1.0, 1e-10, 1e-12])
+    def test_series_terms_bounded(self, dt):
         # rho(F - I) = 0.974: the series alone needs over 100 terms. After a
         # square root ||L|| <= 1/2, and the series reaches its own rounding
-        # within the 48 terms the module docstring bounds (37 here).
-        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), 1.0)
+        # within the 48 terms the module docstring bounds (37 here). The stop
+        # is relative, so a tiny dt changes neither the count nor the ulps.
+        Ahat, _, terms = log_indirect(np.array([[1.974]]), np.ones((1, 1)), dt)
         assert terms <= 48
-        assert abs(Ahat[0, 0] - np.log(1.974)) <= 2 * np.spacing(np.log(1.974))
+        ref = np.log(1.974) / dt
+        assert abs(Ahat[0, 0] - ref) <= 2 * np.spacing(ref)
 
     def test_agrees_with_scipy_logm(self, case1_data, case2_data):
         # A and B are the first block row of log([[F, G], [0, I]]) / dt. The
