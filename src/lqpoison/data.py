@@ -6,7 +6,10 @@ instantaneous quadratic cost. Generation uses the exact ZOH discretization
 x_{k+1} = F x_k + G u_k, so the data is exactly consistent with the model
 class the identification stage fits (no integrator error, no noise). The
 excitation is drawn in one batch and the states come from
-``linalg.rollout``; no step runs in a per-sample Python loop.
+``linalg.rollout``; no step runs in a per-sample Python loop. The draw is
+numpy's ``PCG64(SeedSequence(seed))`` stream, computed by ``lqpoison.pcg64``
+without importing numpy's ``random`` package, and bit-identical to numpy's
+``Generator(PCG64(seed))``.
 
 A dataset is one CSV file: its header gives n and m, and its ``t`` column
 gives dt, the second row's time; every t must be float64(k)*dt exactly.
@@ -30,13 +33,14 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import floattext, linalg
+from . import floattext, linalg, pcg64
 from .errors import DatasetFormatError
 from .lq import LQSystem, require_plant_kept
 
@@ -56,8 +60,12 @@ class ExcitationPolicy:
     ``prbs`` draws random +/-amplitude levels, and ``gain-plus-dither``
     applies u = gain @ x plus a uniform dither (closed-loop collection);
     only that kind takes a ``gain``.
-    All randomness comes from a PCG64 generator seeded with ``seed``, which
-    makes datasets reproducible across runs and platforms.
+    All randomness is numpy's ``PCG64(SeedSequence(seed))`` stream, computed
+    by ``lqpoison.pcg64`` without importing numpy's ``random`` package and
+    bit-identical to numpy's ``Generator(PCG64(seed))``, which makes datasets
+    reproducible across runs and platforms. ``seed`` must be a non-negative
+    integer (a numpy integer is taken as its int); None, a bool or a float is
+    refused, not read as fresh entropy or truncated.
     """
 
     kind: str = "iid-uniform"
@@ -76,6 +84,13 @@ class ExcitationPolicy:
             raise ValueError("gain-plus-dither requires a gain matrix")
         if self.kind != "gain-plus-dither" and self.gain is not None:
             raise ValueError(f"gain is taken only by gain-plus-dither, not by {self.kind}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if isinstance(self.seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,6 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
     if N < 2:
         raise ValueError(f"need at least 2 samples, got N={N}")
     F, G = linalg.zoh_pair(sys.A, sys.B, sys.dt)
-    rng = np.random.Generator(np.random.PCG64(policy.seed))
     n, m = sys.n, sys.m
     a = policy.amplitude
     # A run that overflows is refused by BatchDataset, not warned about.
@@ -141,9 +155,9 @@ def simulate_zoh(sys: LQSystem, policy: ExcitationPolicy, N: int) -> BatchDatase
             M = F + GK
         with linalg.sized_by("N"):
             if policy.kind == "prbs":
-                us = a * (2.0 * rng.integers(0, 2, size=(N, m)) - 1.0)
+                us = a * (2.0 * pcg64.bits(policy.seed, (N, m)) - 1.0)
             else:
-                us = rng.uniform(-a, a, size=(N, m))
+                us = pcg64.uniform(policy.seed, -a, a, (N, m))
             xs = linalg.rollout(M, sys.x0, N - 1, us[:-1] @ G.T)
         if policy.kind == "gain-plus-dither":
             require_plant_kept(F, GK, xs[:-1], "excitation gain")

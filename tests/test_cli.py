@@ -1065,3 +1065,39 @@ def test_horizon_refused_before_any_rollout_loop(tmp_path, case1_config, capsys,
     assert code == 2, err
     assert err.startswith("error: horizon is too large: its arrays cannot be allocated (")
     assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+
+def test_sample_count_refused_before_any_jump_constant(tmp_path, capsys, monkeypatch):
+    # 10**12 samples of m = 2 inputs need 16 TB, which numpy refuses at once;
+    # the draw must allocate its output before it computes a jump constant.
+    from lqpoison import cli as cli_module
+    from lqpoison import pcg64
+
+    def unreachable(inc):
+        raise AssertionError("jump_constants called before the output was allocated")
+
+    monkeypatch.setattr(pcg64, "jump_constants", unreachable)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({**CASE1, "N": 10**12}))
+    out = tmp_path / "out.csv"
+    code = cli_module.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: N is too large: its arrays cannot be allocated (")
+    assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+
+def test_cli_does_not_import_numpy_random(tmp_path, case1_config):
+    # in a fresh interpreter, as the tests' own process imports numpy.random;
+    # so do secrets and OpenSSL's _hashlib, which it pulls in
+    code = (
+        "import sys\n"
+        "from lqpoison.cli import main\n"
+        f"assert main(['simulate', '--config', {case1_config!r}, "
+        f"'--out', {str(tmp_path / 'data.csv')!r}]) == 0\n"
+        f"assert main(['reproduce', 'case1', '--out', {str(tmp_path / 'case1')!r}]) == 0\n"
+        "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

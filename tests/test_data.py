@@ -118,9 +118,11 @@ class TestSimulateZoh:
             R=np.eye(m), x0=rng.normal(size=n), dt=0.05,
         )
         gain = -0.2 * rng.normal(size=(m, n)) if kind == "gain-plus-dither" else None
-        policy = ExcitationPolicy(kind=kind, amplitude=0.7, gain=gain, seed=11)
-        xs, us, cs = simulate_zoh_stepwise(sys, policy, 700)
-        d = simulate_zoh(sys, policy, 700)
+        # a seed past 2**32 takes SeedSequence's multi-word path, and prbs's
+        # 701 * m bits, an odd count, end on half a 64-bit output
+        policy = ExcitationPolicy(kind=kind, amplitude=0.7, gain=gain, seed=2**32 + 11)
+        xs, us, cs = simulate_zoh_stepwise(sys, policy, 701)
+        d = simulate_zoh(sys, policy, 701)
         scale = np.maximum.accumulate(np.linalg.norm(xs, axis=1))
         assert np.all(np.linalg.norm(d.xs - xs, axis=1) <= 1e-12 * scale)
         np.testing.assert_allclose(d.us, us, rtol=1e-12, atol=1e-12 * np.abs(us).max())
@@ -168,6 +170,15 @@ class TestExcitationPolicy:
     def test_dither_needs_gain(self):
         with pytest.raises(ValueError):
             ExcitationPolicy(kind="gain-plus-dither")
+
+    @pytest.mark.parametrize("seed", [None, True, 2.0, -1, [1, 2]], ids=repr)
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            ExcitationPolicy(seed=seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        policy = ExcitationPolicy(seed=np.int64(3))
+        assert policy.seed == 3 and type(policy.seed) is int
 
     @pytest.mark.parametrize("kind", ["iid-uniform", "prbs"])
     def test_gain_only_with_dither(self, kind):
